@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigError, SeaconvError
 from .evaluate import eval_values
-from .expr import FnContext, ParamFn, Var, print_expr, substitute
+from .expr import VARS4, FnContext, ParamFn, Var, print_expr, substitute
 from .families import (BUILDERS, FAMILY_PARAMS, FAMILY_SIGNATURES,
                        OPTIONAL_PARAMS)
 from .parser import parse_expr, parse_paramfn
@@ -20,7 +20,6 @@ from .solution import Guard, Solution, in_domain_mask
 from .symmetry import SymmetryKind, alpha_source, apply_symmetry
 from .verify import EQ_NAMES, Grid, residual_scan
 
-VARS4 = ("t", "x", "y", "z")
 FIELD_NAMES = ("u", "v", "w", "p")
 CSV_HEADER = "t,x,y,z,u,v,w,p,rho,in_domain"
 
@@ -77,6 +76,8 @@ def parse_grid_spec(spec: str) -> Grid:
             count = int(m.group(4))
         except ValueError as ex:
             raise ConfigError(f"bad grid axis {part!r}: {ex}") from ex
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ConfigError(f"bad grid axis {part!r}: bounds must be finite")
         axes[name] = (lo, hi, count)
     missing = [a for a in VARS4 if a not in axes]
     if missing:
@@ -97,9 +98,12 @@ def grid_spec(grid: Grid) -> str:
 
 def _parse_float(value: str, where: str) -> float:
     try:
-        return float(value)
+        out = float(value)
     except ValueError as ex:
         raise ConfigError(f"{where}: expected a number, got {value!r}") from ex
+    if not np.isfinite(out):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return out
 
 
 def parse_config_text(text: str) -> Config:
@@ -451,25 +455,25 @@ def main(argv=None) -> int:
     except SystemExit as ex:
         return 2 if ex.code not in (0, None) else 0
     try:
-        if ns.command == "list-families":
-            sys.stdout.write(cmd_list_families())
-            return 0
-        if ns.command == "build":
-            cmd_build(ns.config, ns.out)
-            return 0
-        if ns.command == "verify":
-            return cmd_verify(ns.descriptor, ns.grid, ns.tol, ns.out)
-        if ns.command == "transform":
-            cmd_transform(ns.descriptor, ns.k, ns.alpha, ns.out)
-            return 0
-        if ns.command == "export":
-            cmd_export(ns.descriptor, ns.grid, ns.out)
-            return 0
-        raise ConfigError(f"unknown command {ns.command!r}")
-    except SeaconvError as ex:
-        sys.stderr.write(f"error: {ex}\n")
-        return 2
-    except OSError as ex:
+        # Non-finite intermediates surface as EvalDomainError, so numpy's
+        # floating-point warnings would only duplicate the error line.
+        with np.errstate(all="ignore"):
+            if ns.command == "list-families":
+                sys.stdout.write(cmd_list_families())
+                return 0
+            if ns.command == "build":
+                cmd_build(ns.config, ns.out)
+                return 0
+            if ns.command == "verify":
+                return cmd_verify(ns.descriptor, ns.grid, ns.tol, ns.out)
+            if ns.command == "transform":
+                cmd_transform(ns.descriptor, ns.k, ns.alpha, ns.out)
+                return 0
+            if ns.command == "export":
+                cmd_export(ns.descriptor, ns.grid, ns.out)
+                return 0
+            raise ConfigError(f"unknown command {ns.command!r}")
+    except (SeaconvError, OSError) as ex:
         sys.stderr.write(f"error: {ex}\n")
         return 2
 

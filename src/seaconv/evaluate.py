@@ -12,6 +12,7 @@ import numpy as np
 from . import jets
 from .errors import EvalDomainError
 from .expr import (
+    VARS4,
     Add,
     Atan2,
     Call,
@@ -27,8 +28,6 @@ from .expr import (
 )
 from .jets import MAX_PUBLIC_ORDER, JetBatch, const_batch, jet_space, var_batch
 from .quadrature import Antideriv, compose_antideriv
-
-VARS4 = ("t", "x", "y", "z")
 
 
 class _Ctx:
@@ -67,16 +66,6 @@ def _eval_raw(e, vars, points, order, bindings=None, memo=None) -> JetBatch:
         raise ValueError("points must have shape (npoints, nvars)")
     ctx = _Ctx(vars, pts, order, bindings, {} if memo is None else memo)
     return _eval(e, ctx)
-
-
-def eval_many(exprs, vars, points, order: int, bindings=None):
-    """Evaluate several expressions over the same points with a shared
-    subexpression memo; returns a list of jet batches."""
-    memo = {}
-    return [
-        eval_jet_batch(e, vars, points, order, bindings=bindings, memo=memo)
-        for e in exprs
-    ]
 
 
 def eval_jet(e: Expr, point, order: int, vars=VARS4) -> jets.Jet:
@@ -196,8 +185,6 @@ def _ev_call(e: Call, ctx):
                 "square root of a non-positive value", e
             )
         d = jets.d_sqrt(u0, ctx.order)
-    elif name == "atan":
-        d = jets.d_atan(u0, ctx.order)
     else:
         raise TypeError(f"unsupported builtin {name}")
     return jets.compose_smooth(u, d)

@@ -378,10 +378,6 @@ class ParamFn:
 
         return deriv_1d(self, float(s0), k)
 
-    def definition_src(self) -> str:
-        shown = self.body._subst({"s": Var(self.display_var)})
-        return f"{self.name}({self.display_var}) = {print_expr(shown)}"
-
 
 @dataclass(frozen=True, repr=False)
 class FnApp(Expr):
@@ -412,18 +408,16 @@ class FnApp(Expr):
 
 
 class FnContext:
-    """Registration-ordered set of ParamFns and named field expressions.
-    Bodies may reference only functions registered earlier, which rules
-    out reference cycles."""
+    """Registration-ordered set of ParamFns.  Bodies may reference only
+    functions registered earlier, which rules out reference cycles."""
 
     def __init__(self):
         self.fns: dict[str, ParamFn] = {}
-        self.exprs: dict[str, tuple[tuple[str, ...], Expr]] = {}
 
     def register(self, fn: ParamFn) -> ParamFn:
         if fn.name in BUILTINS or fn.name == "atan2":
             raise ValueError(f"{fn.name!r} is a builtin and cannot be redefined")
-        if fn.name in self.fns or fn.name in self.exprs:
+        if fn.name in self.fns:
             raise ValueError(f"{fn.name!r} is already defined")
         for ref in _fn_refs(fn.body):
             if ref.name not in self.fns or self.fns[ref.name] is not ref:
@@ -433,20 +427,6 @@ class FnContext:
                 )
         self.fns[fn.name] = fn
         return fn
-
-    def register_expr(self, name: str, vars: tuple[str, ...], body: Expr):
-        if name in self.fns or name in self.exprs:
-            raise ValueError(f"{name!r} is already defined")
-        self.exprs[name] = (vars, body)
-
-    def __contains__(self, name):
-        return name in self.fns
-
-    def __getitem__(self, name) -> ParamFn:
-        return self.fns[name]
-
-    def get(self, name):
-        return self.fns.get(name)
 
 
 def _fn_refs(e: Expr):

@@ -67,9 +67,6 @@ FAMILY_SIGNATURES: dict[str, str] = {
 
 OPTIONAL_PARAMS = frozenset({"zeta"})
 
-DEFAULT_TOLS = {tag: 1e-8 for tag in FAMILY_PARAMS}
-DEFAULT_TOLS["theorem_4_4"] = 1e-7
-
 
 def as_paramfn(name: str, value, var: str = "t") -> ParamFn:
     """Coerce a user-supplied function parameter (ParamFn, DSL string,

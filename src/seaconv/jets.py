@@ -27,7 +27,7 @@ def _monos_of_degree(nvars: int, deg: int):
 
 
 class JetSpace:
-    """Coefficient layout plus precomputed product/derivative tables."""
+    """Coefficient layout plus precomputed product tables."""
 
     def __init__(self, nvars: int, order: int):
         self.nvars = nvars
@@ -55,27 +55,10 @@ class JetSpace:
         starts = np.flatnonzero(np.diff(K, prepend=-1))
         assert len(starts) == self.ncoef and (K[starts] == np.arange(self.ncoef)).all()
         self._mul_starts = starts
-        self._deriv_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def mul_coef(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         prod = a[:, self._mul_i] * b[:, self._mul_j]
         return np.add.reduceat(prod, self._mul_starts, axis=1)
-
-    def deriv_table(self, axis: int) -> tuple[np.ndarray, np.ndarray]:
-        """Source indices and multipliers mapping this space's coefficients
-        onto the coefficients of the axis-derivative (one order lower)."""
-        tab = self._deriv_tables.get(axis)
-        if tab is None:
-            lower = jet_space(self.nvars, self.order - 1)
-            src, mult = [], []
-            for m in lower.monos:
-                up = list(m)
-                up[axis] += 1
-                src.append(self.index[tuple(up)])
-                mult.append(m[axis] + 1)
-            tab = (np.array(src), np.array(mult, dtype=float))
-            self._deriv_tables[axis] = tab
-        return tab
 
 
 @lru_cache(maxsize=None)
@@ -98,9 +81,6 @@ class JetBatch:
     def value(self) -> np.ndarray:
         return self.coef[:, 0]
 
-    def copy(self) -> "JetBatch":
-        return JetBatch(self.space, self.coef.copy())
-
     def __add__(self, other: "JetBatch") -> "JetBatch":
         return JetBatch(self.space, self.coef + other.coef)
 
@@ -112,20 +92,6 @@ class JetBatch:
 
     def __mul__(self, other: "JetBatch") -> "JetBatch":
         return JetBatch(self.space, self.space.mul_coef(self.coef, other.coef))
-
-    def scaled(self, c) -> "JetBatch":
-        return JetBatch(self.space, self.coef * c)
-
-    def truncated(self, order: int) -> "JetBatch":
-        if order == self.space.order:
-            return self
-        lower = jet_space(self.space.nvars, order)
-        return JetBatch(lower, self.coef[:, : lower.ncoef].copy())
-
-    def derivative(self, axis: int) -> "JetBatch":
-        src, mult = self.space.deriv_table(axis)
-        lower = jet_space(self.space.nvars, self.space.order - 1)
-        return JetBatch(lower, self.coef[:, src] * mult)
 
     def first_partial(self, axis: int) -> np.ndarray:
         """First-order partial as an array (coefficient of the unit mono)."""
@@ -284,9 +250,6 @@ class Jet:
     def value(self) -> float:
         return float(self.coef[0])
 
-    def coefficient(self, mono: tuple[int, ...]) -> float:
-        return float(self.coef[self.space.index[tuple(mono)]])
-
     def partial(self, mono: tuple[int, ...]) -> float:
         """Mixed partial d^mono f (Taylor coefficient times mono!)."""
         i = self.space.index[tuple(mono)]
@@ -296,13 +259,6 @@ class Jet:
         """Partial from a variable-name string, e.g. 'xxy' for d3/dx2dy."""
         mono = tuple(spec.count(v) for v in self.vars)
         return self.partial(mono)
-
-    def gradient(self) -> dict[str, float]:
-        out = {}
-        for i, v in enumerate(self.vars):
-            mono = tuple(1 if j == i else 0 for j in range(len(self.vars)))
-            out[v] = self.partial(mono)
-        return out
 
     def __repr__(self):
         return f"Jet(order={self.order}, vars={self.vars}, value={self.value})"

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from .errors import ParseError
 from .expr import (
     BUILTINS,
+    VARS4,
     Add,
     Atan2,
     Call,
@@ -189,7 +190,7 @@ class _Parser:
                 self._fail("prime notation requires a function application", tok)
             if name in self.allowed:
                 return Var(name)
-            if name in ("t", "x", "y", "z", "s"):
+            if name in VARS4 + ("s",):
                 self._fail(f"variable {name!r} is not allowed here", tok)
             self._fail(f"unknown identifier {name!r}", tok)
         self._fail("expected expression", tok)
@@ -217,7 +218,7 @@ class _Parser:
             if len(args) != 1:
                 self._fail(f"{name} takes exactly one argument", tok)
             return Call(name, args[0])
-        fn = self.fns.get(name) if self.fns is not None else None
+        fn = self.fns.get(name)
         if fn is None:
             self._fail(f"unknown function {name!r}", tok)
         if len(args) != 1:
@@ -226,27 +227,15 @@ class _Parser:
 
 
 def parse_expr(src: str, fns: FnContext | dict | None = None,
-               allowed: tuple[str, ...] = ("t", "x", "y", "z")) -> Expr:
+               allowed: tuple[str, ...] = VARS4) -> Expr:
     """Parse DSL text into an Expr.
 
     fns supplies the registered ParamFns callable from the text; allowed
     lists the variable names that may appear free.
     """
-    if isinstance(fns, dict):
-        lookup = fns
-    elif fns is None:
-        lookup = {}
-    else:
-        lookup = fns.fns
-    return _Parser(src, _DictLookup(lookup), allowed).parse()
-
-
-class _DictLookup:
-    def __init__(self, d):
-        self._d = d
-
-    def get(self, name):
-        return self._d.get(name)
+    if isinstance(fns, FnContext):
+        fns = fns.fns
+    return _Parser(src, fns or {}, allowed).parse()
 
 
 def parse_paramfn(name: str, var: str, src: str,

@@ -15,7 +15,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import jets
 from .errors import QuadratureError
 from .expr import Const, Expr, add, mul
 from .jets import JetBatch, jet_space
@@ -24,7 +23,7 @@ DEFAULT_TOL = 1e-10
 MAX_DEPTH = 40
 
 
-def _simpson_batched(f, a, b, tol, max_depth=MAX_DEPTH):
+def _simpson_batched(f, a, b, tol):
     """Integrate many rows at once: row i is the integral of f over
     [a[i], b[i]].  f(svals, rows) returns the integrand values (vector-
     valued allowed) for each sample; rows says which integral each sample
@@ -36,12 +35,7 @@ def _simpson_batched(f, a, b, tol, max_depth=MAX_DEPTH):
     sign = np.where(b < a, -1.0, 1.0)
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
-    live = lo < hi
-    rowid = np.flatnonzero(live)
-    if rowid.size == 0:
-        width = _probe_width(f, lo[:1] if n else np.zeros(1))
-        return np.zeros((n, width))
-
+    rowid = np.flatnonzero(lo < hi)
     ra, rb = lo[rowid], hi[rowid]
     mid = 0.5 * (ra + rb)
     vals = _feval(f, np.concatenate([ra, mid, rb]), np.tile(rowid, 3))
@@ -66,9 +60,9 @@ def _simpson_batched(f, a, b, tol, max_depth=MAX_DEPTH):
         err = np.max(np.abs(S2 - S), axis=1)
         mag = np.max(np.abs(S2), axis=1)
         done = err <= 15.0 * tolr * (1.0 + mag)
-        if np.any(~done & (depth >= max_depth)):
+        if np.any(~done & (depth >= MAX_DEPTH)):
             raise QuadratureError(
-                f"quadrature did not converge within depth {max_depth}"
+                f"quadrature did not converge within depth {MAX_DEPTH}"
             )
         piece = S2[done] + (S2[done] - S[done]) / 15.0
         np.add.at(result, rowid[done], piece)
@@ -99,22 +93,14 @@ def _feval(f, svals, rows):
     return out
 
 
-def _probe_width(f, svals):
-    try:
-        return _feval(f, svals, np.zeros(len(svals), dtype=int)).shape[1]
-    except Exception:
-        return 1
-
-
-def adaptive_simpson(f, a: float, b: float, tol: float = DEFAULT_TOL,
-                     max_depth: int = MAX_DEPTH) -> float:
+def adaptive_simpson(f, a: float, b: float, tol: float = DEFAULT_TOL) -> float:
     """Adaptive Simpson integral of a scalar callable over [a, b].
     Antisymmetric under swapping the endpoints; exact on cubics."""
 
     def fb(svals, rows):
         return np.array([float(f(float(s))) for s in svals])
 
-    out = _simpson_batched(fb, np.array([a]), np.array([b]), tol, max_depth)
+    out = _simpson_batched(fb, np.array([a]), np.array([b]), tol)
     return float(out[0, 0])
 
 
@@ -215,6 +201,8 @@ def compose_antideriv(node: Antideriv, G: JetBatch, vars: tuple[str, ...],
     space = G.space
     n = space.order
     npts = points.shape[0]
+    if npts == 0:
+        return JetBatch(space, np.zeros((0, space.ncoef)))
     g0 = G.value
     amb = node.ambient_vars()
     bindings = bindings or {}
@@ -278,16 +266,3 @@ def compose_antideriv(node: Antideriv, G: JetBatch, vars: tuple[str, ...],
                 gpow = space.mul_coef(gpow, ghat)
 
     return JetBatch(space, A)
-
-
-def antideriv_jet_rule(node: Antideriv, inner: jets.Jet,
-                       point=None) -> jets.Jet:
-    """Jet of the antiderivative given the jet of its upper limit.  point
-    supplies the ambient coordinates (in inner.vars order) when the
-    integrand references them; defaults to zeros."""
-    if point is None:
-        point = np.zeros(len(inner.vars))
-    pts = np.asarray(point, dtype=float)[None, :]
-    G = JetBatch(inner.space, inner.coef[None, :].copy())
-    out = compose_antideriv(node, G, tuple(inner.vars), pts)
-    return jets.Jet(out.space, out.coef[0], inner.vars)

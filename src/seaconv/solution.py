@@ -7,8 +7,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import GuardError
-from .expr import Expr, diff
-from .evaluate import VARS4, eval_values
+from .expr import VARS4, Expr, diff
+from .evaluate import eval_values
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluate import VARS4, eval_jet_batch, eval_values
-from .expr import Expr
+from .evaluate import eval_jet_batch, eval_values
+from .expr import VARS4, Expr
 from .solution import Solution, assert_in_domain, in_domain_mask
 
 LOW_RHO = 1e-9
@@ -35,7 +35,7 @@ class Grid:
     z: tuple[float, float, int]
 
     def __post_init__(self):
-        for name in ("t", "x", "y", "z"):
+        for name in VARS4:
             lo, hi, n = getattr(self, name)
             if int(n) < 1:
                 raise ValueError(f"axis {name}: count must be >= 1")
@@ -154,7 +154,7 @@ def residual_at(sol: Solution, point) -> np.ndarray:
     return residual_batch(sol, pt)[0]
 
 
-def residual_scan(sol: Solution, grid, tol=None, workers: int | None = None,
+def residual_scan(sol: Solution, grid, *, workers: int | None = None,
                   chunk: int = CHUNK) -> ResidualReport:
     """Aggregate residuals over the in-guard subset of a grid (or an
     explicit (n, 4) point array).  Chunk boundaries and the reduction

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -318,3 +319,45 @@ def test_argparse_errors_exit_2(capsys):
     assert main(["frobnicate"]) == 2
     assert run(["verify"])[0] == 2
     capsys.readouterr()
+
+
+def assert_one_error_line(err):
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+def test_overflow_in_evaluation_prints_only_the_error(tmp_path):
+    desc = write(tmp_path, "ovf.desc",
+                 RIGID_CFG + "override_p = z + exp(1000*x)\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(["verify", "--descriptor", desc,
+                            "--grid", "t=0:1:2,x=-1:1:3,y=0:1:2,z=0:1:2"])
+    assert code == 2
+    assert_one_error_line(err)
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("text", [
+    RIGID_CFG.replace("b1 = 0", "b1 = nan"),
+    RIGID_CFG.replace("b2 = 0", "b2 = -inf"),
+    RIGID_CFG + "t_range = 0:inf\n",
+    RIGID_CFG + "tol = nan\n",
+    VORTEX_CFG + "guard = radicand; nan\n",
+], ids=["constant", "constant-inf", "t_range", "tol", "guard"])
+def test_non_finite_config_number_exits_2(tmp_path, text):
+    cfg = write(tmp_path, "bad.cfg", text)
+    code, _, err = run(["build", "--config", cfg])
+    assert code == 2
+    assert_one_error_line(err)
+    assert "line " in err and "finite" in err
+
+
+@pytest.mark.parametrize("axis", ["x=nan:2:2", "x=0:inf:2", "x=-1e999:1:2"])
+def test_non_finite_grid_bound_exits_2(tmp_path, axis):
+    cfg = write(tmp_path, "rigid.cfg", RIGID_CFG)
+    grid = f"t=0:1:2,{axis},y=0:1:2,z=0:1:2"
+    code, _, err = run(["verify", "--descriptor", cfg, "--grid", grid])
+    assert code == 2
+    assert_one_error_line(err)
+    assert axis in err and "finite" in err

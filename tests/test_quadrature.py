@@ -9,8 +9,7 @@ from seaconv.errors import EvalDomainError, QuadratureError
 from seaconv.evaluate import eval_jet, eval_values
 from seaconv.expr import FnContext, diff
 from seaconv.parser import parse_expr
-from seaconv.quadrature import (Antideriv, adaptive_simpson,
-                                antideriv_jet_rule, antiderivative_value)
+from seaconv.quadrature import Antideriv, adaptive_simpson, antiderivative_value
 
 V4 = ("t", "x", "y", "z")
 S = ("s",)
@@ -90,16 +89,14 @@ def test_nonconvergence_raises():
 
 def test_jet_rule_ftc_square():
     node = Antideriv(_integrand("s^2"), parse_expr("x", None), 0.0, 1e-12)
-    inner = eval_jet(parse_expr("x", None), (0.0, 2.0, 0.0, 0.0), 1)
-    out = antideriv_jet_rule(node, inner)
+    out = eval_jet(node, (0.0, 2.0, 0.0, 0.0), 1)
     assert abs(out.value - 8.0 / 3.0) < 1e-10
     assert abs(out.partial_by_name("x") - 4.0) < 1e-12
 
 
 def test_jet_rule_constant_integrand():
     node = Antideriv(_integrand("1"), parse_expr("t", None), 0.0, 1e-12)
-    inner = eval_jet(parse_expr("t", None), (1.0, 0.0, 0.0, 0.0), 1)
-    out = antideriv_jet_rule(node, inner)
+    out = eval_jet(node, (1.0, 0.0, 0.0, 0.0), 1)
     assert abs(out.value - 1.0) < 1e-12
     assert abs(out.partial_by_name("t") - 1.0) < 1e-12
 
@@ -108,8 +105,7 @@ def test_jet_rule_closed_form_reference():
     ctx = FnContext()
     src = "(1 + s)^2 / s^2"
     node = Antideriv(_integrand(src, ctx), parse_expr("x", None), 1.0, 1e-12)
-    inner = eval_jet(parse_expr("x", None), (0.0, 2.0, 0.0, 0.0), 0)
-    out = antideriv_jet_rule(node, inner)
+    out = eval_jet(node, (0.0, 2.0, 0.0, 0.0), 0)
     want = 1.5 + 2.0 * np.log(2.0)
     assert abs(out.value - want) < 1e-9
 
@@ -156,6 +152,22 @@ def test_value_at_base_is_zero():
     node = Antideriv(_integrand("exp(s)"), parse_expr("x", None), 0.7, 1e-10)
     got = eval_values(node, V4, np.array([[0.0, 0.7, 0.0, 0.0]]))
     assert got[0] == 0.0
+    # Every integral is empty here, so the quadrature sees no live rows.
+    j = eval_jet(node, (0.0, 0.7, 0.0, 0.0), 2)
+    assert j.coef.shape == (15,)
+    assert j.value == 0.0
+    assert abs(j.partial_by_name("x") - np.exp(0.7)) < 1e-12
+    assert abs(j.partial_by_name("xx") - np.exp(0.7)) < 1e-12
+    assert adaptive_simpson(np.exp, 0.7, 0.7) == 0.0
+    assert eval_values(node, V4, np.zeros((0, 4))).shape == (0,)
+    # An integrand that is itself a node (e^s - 1) is then evaluated on
+    # zero points.
+    body = Antideriv(_integrand("exp(s)"), _integrand("s"), 0.0, 1e-12)
+    outer = Antideriv(body, parse_expr("x", None), 0.0, 1e-12)
+    at_base = eval_values(outer, V4, np.array([[0.0, 0.0, 0.0, 0.0]]))
+    assert at_base[0] == 0.0
+    got = eval_values(outer, V4, np.array([[0.0, 1.0, 0.0, 0.0]]))
+    assert abs(got[0] - (np.e - 2.0)) < 1e-10
 
 
 def test_memo_is_order_isolated():

@@ -53,6 +53,12 @@ def test_scan_rigid_rotation_unit_grid():
     assert sorted(rep.eqs) == ["r1", "r2", "r3", "r4", "r5"]
 
 
+def test_scan_options_are_keyword_only():
+    # A stray positional number must not be taken for the worker count.
+    with pytest.raises(TypeError):
+        residual_scan(rigid_rotation(), UNIT_GRID, 2)
+
+
 def test_scan_vortex_family_on_stated_window():
     sol = build_theorem_3_1(alpha=0.0, Im="s")
     g = Grid(t=(0.0, 1.0, 5), x=(1.0, 2.0, 5), y=(1.0, 2.0, 5),
