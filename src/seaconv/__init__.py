@@ -7,7 +7,7 @@ from .errors import (ConfigError, EvalDomainError, GuardError,
 from .expr import (Const, Expr, FnContext, ParamFn, Var, diff, free_vars,
                    print_expr, substitute)
 from .parser import parse_expr, parse_paramfn
-from .jets import Jet, JetSpace, jet_space
+from .jets import JetBatch, JetSpace, jet_space
 from .quadrature import Antideriv, adaptive_simpson
 from .evaluate import deriv_1d, eval_jet, eval_jet_batch, eval_values
 from .solution import Guard, Meta, Solution, assert_in_domain, in_domain_mask
@@ -26,7 +26,7 @@ __version__ = "1.0.0"
 __all__ = [
     "Antideriv", "BUILDERS", "ConfigError", "Const", "EvalDomainError",
     "Expr", "FAMILY_PARAMS", "FAMILY_SIGNATURES", "FnContext", "Grid",
-    "Guard", "GuardError", "HypothesisError", "Jet", "JetSpace", "Meta",
+    "Guard", "GuardError", "HypothesisError", "JetBatch", "JetSpace", "Meta",
     "ParamFn", "ParseError", "QuadratureError", "ResidualReport",
     "SeaconvError", "Solution", "SymmetryKind", "Var", "adaptive_simpson",
     "apply_symmetry", "assert_in_domain",

@@ -106,6 +106,13 @@ def _parse_float(value: str, where: str) -> float:
     return out
 
 
+def _parse_tol(value: str, where: str) -> float:
+    tol = _parse_float(value, where)
+    if tol < 0:
+        raise ConfigError(f"{where}: tolerance must be >= 0, got {value!r}")
+    return tol
+
+
 def parse_config_text(text: str) -> Config:
     cfg = Config()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -137,7 +144,7 @@ def _parse_config_line(cfg: Config, key: str, value: str, where: str) -> None:
                        _parse_float(parts[1], where))
         return
     if key == "tol":
-        cfg.tol = _parse_float(value, where)
+        cfg.tol = _parse_tol(value, where)
         return
     if key == "grid":
         cfg.grid = parse_grid_spec(value)
@@ -416,8 +423,17 @@ def cmd_export(descriptor_path: str, grid_flag: str | None = None,
     return text
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line as a ConfigError, so that main prints one
+    error line instead of argparse's usage block.  Subparsers inherit the
+    class."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_argparser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="seaconv",
         description="Build, transform, verify, and export exact solutions "
                     "of the rotating sea-convection equations.")
@@ -432,7 +448,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="scan residuals on a grid")
     p.add_argument("--descriptor", required=True)
     p.add_argument("--grid")
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=lambda v: _parse_tol(v, "--tol"))
     p.add_argument("--out")
 
     p = sub.add_parser("transform", help="apply a symmetry map")
@@ -449,12 +465,8 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = _build_argparser()
     try:
-        ns = ap.parse_args(argv)
-    except SystemExit as ex:
-        return 2 if ex.code not in (0, None) else 0
-    try:
+        ns = _build_argparser().parse_args(argv)
         # Non-finite intermediates surface as EvalDomainError, so numpy's
         # floating-point warnings would only duplicate the error line.
         with np.errstate(all="ignore"):
@@ -473,6 +485,8 @@ def main(argv=None) -> int:
                 cmd_export(ns.descriptor, ns.grid, ns.out)
                 return 0
             raise ConfigError(f"unknown command {ns.command!r}")
+    except SystemExit:  # --help has printed its text
+        return 0
     except (SeaconvError, OSError) as ex:
         sys.stderr.write(f"error: {ex}\n")
         return 2

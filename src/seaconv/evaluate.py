@@ -68,12 +68,11 @@ def _eval_raw(e, vars, points, order, bindings=None, memo=None) -> JetBatch:
     return _eval(e, ctx)
 
 
-def eval_jet(e: Expr, point, order: int, vars=VARS4) -> jets.Jet:
-    """Jet of e at a single point."""
+def eval_jet(e: Expr, point, order: int, vars=VARS4) -> JetBatch:
+    """Jet of e at a single point, as a one-point batch."""
     vars = tuple(vars)
     pts = np.asarray(point, dtype=float).reshape(1, len(vars))
-    batch = eval_jet_batch(e, vars, pts, order)
-    return jets.Jet(batch.space, batch.coef[0], vars)
+    return eval_jet_batch(e, vars, pts, order)
 
 
 def eval_values(e: Expr, vars, points, bindings=None) -> np.ndarray:
@@ -86,7 +85,7 @@ def deriv_1d(f, s0: float, k: int) -> float:
     if not 0 <= k <= 6:
         raise ValueError("k out of range (0..6)")
     batch = eval_jet_batch(f.body, ("s",), np.array([[float(s0)]]), k)
-    return float(batch.coef[0, k] * jets._FACT[k])
+    return float(batch.partial((k,))[0])
 
 
 def _eval(e: Expr, ctx: _Ctx) -> JetBatch:
@@ -198,24 +197,10 @@ def _ev_atan2(e: Atan2, ctx):
         raise EvalDomainError(
             "atan2 at the origin", e
         )
-    order = ctx.order
-    mask = np.abs(a0) >= np.abs(b0)
-    # Where the denominator dominates use atan(num/den); elsewhere use
-    # -atan(den/num).  Each branch matches atan2 up to a local constant,
-    # so all derivatives agree; the constant term is set from arctan2.
-    a_safe = den.coef.copy()
-    a_safe[:, 0] = np.where(mask, a0, 1.0)
-    r1 = num * jets.compose_smooth(
-        JetBatch(ctx.space, a_safe), jets.d_recip(a_safe[:, 0], order)
-    )
-    t1 = jets.compose_smooth(r1, jets.d_atan(r1.value, order))
-    b_safe = num.coef.copy()
-    b_safe[:, 0] = np.where(mask, 1.0, b0)
-    r2 = den * jets.compose_smooth(
-        JetBatch(ctx.space, b_safe), jets.d_recip(b_safe[:, 0], order)
-    )
-    t2 = -jets.compose_smooth(r2, jets.d_atan(r2.value, order))
-    coef = np.where(mask[:, None], t1.coef, t2.coef)
+    # atan2(b, a) = Im log(a + ib); the constant term is taken from
+    # arctan2 itself so that order-0 values match it bit for bit.
+    z = JetBatch(ctx.space, den.coef + 1j * num.coef)
+    coef = jets.compose_smooth(z, jets.d_log(z.value, ctx.order)).coef.imag
     coef[:, 0] = np.arctan2(b0, a0)
     return JetBatch(ctx.space, coef)
 

@@ -93,10 +93,11 @@ class JetBatch:
     def __mul__(self, other: "JetBatch") -> "JetBatch":
         return JetBatch(self.space, self.space.mul_coef(self.coef, other.coef))
 
-    def first_partial(self, axis: int) -> np.ndarray:
-        """First-order partial as an array (coefficient of the unit mono)."""
-        e = tuple(1 if i == axis else 0 for i in range(self.space.nvars))
-        return self.coef[:, self.space.index[e]]
+    def partial(self, mono: tuple[int, ...]) -> np.ndarray:
+        """Mixed partial d^mono f at every point (Taylor coefficient
+        times mono!)."""
+        i = self.space.index[tuple(mono)]
+        return self.coef[:, i] * self.space.mono_fact[i]
 
 
 def const_batch(space: JetSpace, values) -> JetBatch:
@@ -162,7 +163,7 @@ def d_exp(u0: np.ndarray, n: int) -> np.ndarray:
 
 
 def d_log(u0: np.ndarray, n: int) -> np.ndarray:
-    out = np.empty((u0.shape[0], n + 1))
+    out = np.empty((u0.shape[0], n + 1), dtype=u0.dtype)
     out[:, 0] = np.log(u0)
     for k in range(1, n + 1):
         out[:, k] = ((-1.0) ** (k - 1)) * _FACT[k - 1] / u0**k
@@ -219,46 +220,3 @@ def d_recip(u0: np.ndarray, n: int) -> np.ndarray:
     for k in range(n + 1):
         out[:, k] = ((-1.0) ** k) * _FACT[k] / u0 ** (k + 1)
     return out
-
-
-def d_atan(u0: np.ndarray, n: int) -> np.ndarray:
-    th = np.arctan(u0)
-    c = np.cos(th)
-    out = np.empty((u0.shape[0], n + 1))
-    out[:, 0] = th
-    for k in range(1, n + 1):
-        out[:, k] = _FACT[k - 1] * c**k * np.sin(k * (th + np.pi / 2))
-    return out
-
-
-class Jet:
-    """A single-point jet: value plus mixed partials up to .order, stored
-    by multi-index over .vars."""
-
-    __slots__ = ("space", "coef", "vars")
-
-    def __init__(self, space: JetSpace, coef: np.ndarray, vars: tuple[str, ...]):
-        self.space = space
-        self.coef = coef
-        self.vars = vars
-
-    @property
-    def order(self) -> int:
-        return self.space.order
-
-    @property
-    def value(self) -> float:
-        return float(self.coef[0])
-
-    def partial(self, mono: tuple[int, ...]) -> float:
-        """Mixed partial d^mono f (Taylor coefficient times mono!)."""
-        i = self.space.index[tuple(mono)]
-        return float(self.coef[i] * self.space.mono_fact[i])
-
-    def partial_by_name(self, spec: str) -> float:
-        """Partial from a variable-name string, e.g. 'xxy' for d3/dx2dy."""
-        mono = tuple(spec.count(v) for v in self.vars)
-        return self.partial(mono)
-
-    def __repr__(self):
-        return f"Jet(order={self.order}, vars={self.vars}, value={self.value})"

@@ -251,7 +251,10 @@ def compose_antideriv(node: Antideriv, G: JetBatch, vars: tuple[str, ...],
         A = np.stack([bucket[k] for k in keys])
 
     if n >= 1:
-        assert "s" not in vars
+        if "s" in vars:
+            raise ValueError(
+                f"cannot differentiate {node!r} inside an integrand: its "
+                f"variable 's' is already a jet variable there")
         pts_joint = np.column_stack([g0, points])
         B = eval_jet_batch(node.body, ("s",) + vars, pts_joint, n,
                            bindings=bindings)

@@ -86,11 +86,6 @@ class ResidualReport:
         return all(s.max_abs <= tol for s in self.eqs.values())
 
 
-def _partial(jb, space, mono):
-    i = space.index[mono]
-    return jb.coef[:, i] * space.mono_fact[i]
-
-
 def residual_batch(sol: Solution, points) -> np.ndarray:
     """(n, 5) residual values at the given points (assumed in-guard).
     r4/r5 are NaN where |rho| < 1e-9."""
@@ -100,40 +95,24 @@ def residual_batch(sol: Solution, points) -> np.ndarray:
     jv = eval_jet_batch(sol.v, VARS4, pts, 2, memo=memo)
     jw = eval_jet_batch(sol.w, VARS4, pts, 2, memo=memo)
     jp = eval_jet_batch(sol.p, VARS4, pts, 2, memo=memo)
-    sp = ju.space
 
-    e = {
-        "t": (1, 0, 0, 0), "x": (0, 1, 0, 0),
-        "y": (0, 0, 1, 0), "z": (0, 0, 0, 1),
-    }
+    unit = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     u, v, w = ju.value, jv.value, jw.value
-    ux, uy, uz, ut = (
-        _partial(ju, sp, e["x"]), _partial(ju, sp, e["y"]),
-        _partial(ju, sp, e["z"]), _partial(ju, sp, e["t"]),
-    )
-    vx, vy, vz, vt = (
-        _partial(jv, sp, e["x"]), _partial(jv, sp, e["y"]),
-        _partial(jv, sp, e["z"]), _partial(jv, sp, e["t"]),
-    )
-    wz = _partial(jw, sp, e["z"])
-    px = _partial(jp, sp, e["x"])
-    py = _partial(jp, sp, e["y"])
-    pz = _partial(jp, sp, e["z"])
+    ut, ux, uy, uz = (ju.partial(m) for m in unit)
+    vt, vx, vy, vz = (jv.partial(m) for m in unit)
+    wz = jw.partial(unit[3])
+    px, py, pz = (jp.partial(m) for m in unit[1:])
 
     if sol.rho_override is None:
         rho = pz
-        rho_t = _partial(jp, sp, (1, 0, 0, 1))
-        rho_x = _partial(jp, sp, (0, 1, 0, 1))
-        rho_y = _partial(jp, sp, (0, 0, 1, 1))
-        rho_z = _partial(jp, sp, (0, 0, 0, 2))
+        rho_t, rho_x, rho_y, rho_z = (
+            jp.partial(m) for m in ((1, 0, 0, 1), (0, 1, 0, 1),
+                                    (0, 0, 1, 1), (0, 0, 0, 2)))
         r2 = np.zeros_like(pz)
     else:
         jr = eval_jet_batch(sol.rho_override, VARS4, pts, 2, memo=memo)
         rho = jr.value
-        rho_t = _partial(jr, sp, e["t"])
-        rho_x = _partial(jr, sp, e["x"])
-        rho_y = _partial(jr, sp, e["y"])
-        rho_z = _partial(jr, sp, e["z"])
+        rho_t, rho_x, rho_y, rho_z = (jr.partial(m) for m in unit)
         r2 = pz - rho
 
     r1 = ux + vy + wz
@@ -236,7 +215,8 @@ def fd_cross_check(e: Expr, point, step: float = 1e-4,
     for axis, name in enumerate(vars):
         f_2, f_1, f1, f2 = vals[4 * axis : 4 * axis + 4]
         d_fd = (f_2 - 8.0 * f_1 + 8.0 * f1 - f2) / (12.0 * step)
-        d_ad = float(jet.first_partial(axis)[0])
+        unit = tuple(int(i == axis) for i in range(nv))
+        d_ad = float(jet.partial(unit)[0])
         ad[name] = d_ad
         fd[name] = float(d_fd)
         rel = abs(d_ad - d_fd) / max(abs(d_ad), abs(d_fd), 1e-2)
@@ -278,11 +258,7 @@ def check_harmonic(theta: Expr, points=None,
     _require_txy(theta, "theta")
     pts = _txy_points(t_range, points)
     jb = eval_jet_batch(theta, VARS_TXY, pts, 2)
-    sp = jb.space
-    lap = (
-        jb.coef[:, sp.index[(0, 2, 0)]] * 2.0
-        + jb.coef[:, sp.index[(0, 0, 2)]] * 2.0
-    )
+    lap = jb.partial((0, 2, 0)) + jb.partial((0, 0, 2))
     i = int(np.argmax(np.abs(lap)))
     return ProbeReport(float(np.abs(lap[i])), tuple(float(q) for q in pts[i]))
 
@@ -312,19 +288,18 @@ def check_reduced_2d(u: Expr, v: Expr, eta: Expr, points=None,
     ju = eval_jet_batch(u, VARS_TXY, pts, 2, memo=memo)
     jv = eval_jet_batch(v, VARS_TXY, pts, 2, memo=memo)
     je = eval_jet_batch(eta, VARS_TXY, pts, 2, memo=memo)
-    sp = ju.space
     et, ex, ey = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     uu, vv = ju.value, jv.value
-    ut, ux, uy = (_partial(ju, sp, m) for m in (et, ex, ey))
-    vt, vx, vy = (_partial(jv, sp, m) for m in (et, ex, ey))
-    etax, etay = _partial(je, sp, ex), _partial(je, sp, ey)
+    ut, ux, uy = (ju.partial(m) for m in (et, ex, ey))
+    vt, vx, vy = (jv.partial(m) for m in (et, ex, ey))
+    etax, etay = je.partial(ex), je.partial(ey)
     ra = ut + uu * ux + vv * uy + vv + etax
     rb = vt + uu * vx + vv * vy - uu + etay
 
     om = uy - vx
-    om_t = _partial(ju, sp, (1, 0, 1)) - _partial(jv, sp, (1, 1, 0))
-    om_x = _partial(ju, sp, (0, 1, 1)) - _partial(jv, sp, (0, 2, 0)) * 1.0
-    om_y = _partial(ju, sp, (0, 0, 2)) * 1.0 - _partial(jv, sp, (0, 1, 1))
+    om_t = ju.partial((1, 0, 1)) - jv.partial((1, 1, 0))
+    om_x = ju.partial((0, 1, 1)) - jv.partial((0, 2, 0))
+    om_y = ju.partial((0, 0, 2)) - jv.partial((0, 1, 1))
     rc = om_t + uu * om_x + vv * om_y + (ux + vy) * (om + 1.0)
 
     eqs = {}

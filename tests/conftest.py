@@ -69,6 +69,12 @@ def instance_matrix():
     return build_instance_matrix()
 
 
+def partial_at(jet, spec: str) -> float:
+    """Partial of a one-point jet over (t, x, y, z) named by its variables,
+    e.g. 'xxy' for d3/dx2dy."""
+    return float(jet.partial(tuple(spec.count(v) for v in "txyz"))[0])
+
+
 def sample_in_guard(sol, grid, count, seed, margin=0.0):
     """Random in-guard points drawn uniformly from the grid's bounding box,
     shrunk by margin on each axis."""

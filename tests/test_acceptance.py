@@ -140,7 +140,7 @@ def test_criterion_4_structural_identity(instance_matrix):
     def max_r2(sol, grid, seed):
         pts = sample_in_guard(sol, grid, 1000, seed)
         jb = eval_jet_batch(sol.p, V4, pts, 1)
-        pz = jb.first_partial(3)
+        pz = jb.partial((0, 0, 0, 1))
         rho = eval_values(sol.rho, V4, pts)
         return float(np.max(np.abs(pz - rho)))
 
@@ -196,7 +196,7 @@ def test_criterion_6_quadrature():
     ftc = Antideriv(sq, X, 0.0)
     jb = eval_jet_batch(ftc, V4, np.array([[0.0, 2.0, 0.0, 0.0]]), 1)
     assert abs(float(jb.value[0]) - 8.0 / 3.0) <= 1e-10
-    assert abs(float(jb.first_partial(1)[0]) - 4.0) <= 1e-12
+    assert abs(float(jb.partial((0, 1, 0, 0))[0]) - 4.0) <= 1e-12
 
 
 def test_criterion_7_negative_controls():

@@ -315,10 +315,16 @@ def test_unreadable_config_exits_2(tmp_path):
     assert "error:" in err
 
 
-def test_argparse_errors_exit_2(capsys):
-    assert main(["frobnicate"]) == 2
-    assert run(["verify"])[0] == 2
-    capsys.readouterr()
+def test_argparse_errors_exit_2():
+    # A bad float, a missing required flag, an unknown flag, no command
+    # and an unknown command: one error line each, no usage block.
+    for args in (["verify", "--descriptor", "f", "--tol", "abc"],
+                 ["verify"], ["list-families", "--bogus"], [],
+                 ["frobnicate"]):
+        code, out, err = run(args)
+        assert code == 2, args
+        assert out == ""
+        assert_one_error_line(err)
 
 
 def assert_one_error_line(err):
@@ -361,3 +367,38 @@ def test_non_finite_grid_bound_exits_2(tmp_path, axis):
     assert code == 2
     assert_one_error_line(err)
     assert axis in err and "finite" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_bad_tol_flag_exits_2(tmp_path, tol):
+    cfg = write(tmp_path, "rigid.cfg", RIGID_CFG)
+    code, out, err = run(["verify", "--descriptor", cfg,
+                          "--grid", "t=0:1:2,x=-1:1:3,y=-1:1:3,z=0:1:2",
+                          "--tol", tol])
+    assert code == 2
+    assert out == ""
+    assert_one_error_line(err)
+    assert "--tol" in err
+
+
+def test_zero_tol_passes_on_rigid_rotation(tmp_path):
+    cfg = write(tmp_path, "rigid.cfg", RIGID_CFG)
+    code, out, err = run(["verify", "--descriptor", cfg,
+                          "--grid", "t=0:1:2,x=-1:1:3,y=-1:1:3,z=0:1:2",
+                          "--tol", "0"])
+    assert code == 0, err
+    assert "tolerance 0: PASS" in out
+
+
+def test_negative_config_tol_exits_2(tmp_path):
+    cfg = write(tmp_path, "bad.cfg", RIGID_CFG + "tol = -1e-9\n")
+    code, _, err = run(["build", "--config", cfg])
+    assert code == 2
+    assert_one_error_line(err)
+    assert "line 10" in err and ">= 0" in err
+
+
+def test_help_exits_0():
+    code, out, err = run(["--help"])
+    assert code == 0
+    assert out.startswith("usage: seaconv") and err == ""

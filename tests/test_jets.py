@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import partial_at
 from seaconv.errors import EvalDomainError
 from seaconv.evaluate import deriv_1d, eval_jet, eval_jet_batch, eval_values
 from seaconv.expr import FnContext
@@ -30,12 +31,12 @@ def test_jet_mixed_partials_stored_once():
 def test_eval_jet_polynomial_example():
     e = parse_expr("x*y + sin(t)", None)
     j = eval_jet(e, (0.0, 2.0, 3.0, 1.0), 2)
-    assert j.value == 6.0
-    assert j.partial_by_name("t") == 1.0
-    assert j.partial_by_name("x") == 3.0
-    assert j.partial_by_name("y") == 2.0
-    assert j.partial_by_name("xy") == 1.0
-    assert j.partial_by_name("tt") == 0.0
+    assert j.value[0] == 6.0
+    assert partial_at(j, "t") == 1.0
+    assert partial_at(j, "x") == 3.0
+    assert partial_at(j, "y") == 2.0
+    assert partial_at(j, "xy") == 1.0
+    assert partial_at(j, "tt") == 0.0
 
 
 def test_eval_jet_domain_error():
@@ -50,7 +51,7 @@ def test_eval_jet_paramfn_example():
     ctx.register(parse_paramfn("Im", "s", "s", None))
     e = parse_expr("Im(alpha'(t)*x + z)", ctx)
     j = eval_jet(e, (1.0, 2.0, 0.0, 3.0), 0)
-    assert j.value == 7.0
+    assert j.value[0] == 7.0
 
 
 def test_eval_jet_order_cap():
@@ -80,10 +81,10 @@ def test_chain_rule_consistency():
     p = (0.4, 1.1, -0.3, 0.8)
     je = eval_jet(e, p, 1)
     jh = eval_jet(h, p, 1)
-    slope = deriv_1d(g, jh.value, 1)
+    slope = deriv_1d(g, jh.value[0], 1)
     for name in V4:
-        want = slope * jh.partial_by_name(name)
-        got = je.partial_by_name(name)
+        want = slope * partial_at(jh, name)
+        got = partial_at(je, name)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
@@ -100,12 +101,32 @@ def test_atan2_branches_and_derivatives():
     e = parse_expr("atan2(y, x)", None)
     for (x0, y0) in [(1.0, 0.5), (-1.0, 0.5), (0.3, -2.0), (-0.2, -1.5)]:
         j = eval_jet(e, (0.0, x0, y0, 0.0), 1)
-        assert abs(j.value - np.arctan2(y0, x0)) < 1e-14
+        assert abs(j.value[0] - np.arctan2(y0, x0)) < 1e-14
         r2 = x0 * x0 + y0 * y0
-        assert abs(j.partial_by_name("x") - (-y0 / r2)) < 1e-13
-        assert abs(j.partial_by_name("y") - (x0 / r2)) < 1e-13
+        assert abs(partial_at(j, "x") - (-y0 / r2)) < 1e-13
+        assert abs(partial_at(j, "y") - (x0 / r2)) < 1e-13
     with pytest.raises(EvalDomainError):
         eval_jet(e, (0.0, 0.0, 0.0, 0.0), 1)
+
+
+def test_atan2_second_partials():
+    # Four quadrants, on and on both sides of |x| = |y|, where a rule that
+    # switches between atan(y/x) and -atan(x/y) would change branch.
+    pts = []
+    for sx in (1.0, -1.0):
+        for sy in (1.0, -1.0):
+            for (a, b) in ((1.3, 0.4), (0.4, 1.3), (0.9, 0.8), (0.8, 0.9),
+                           (0.7, 0.7)):
+                pts.append((0.0, sx * a, sy * b, 0.0))
+    pts = np.array(pts)
+    jb = eval_jet_batch(parse_expr("atan2(y, x)", None), V4, pts, 2)
+    x, y = pts[:, 1], pts[:, 2]
+    r4 = (x * x + y * y) ** 2
+    assert np.array_equal(jb.value, np.arctan2(y, x))
+    assert np.max(np.abs(jb.partial((0, 2, 0, 0)) - 2 * x * y / r4)) < 1e-13
+    assert np.max(np.abs(jb.partial((0, 0, 2, 0)) + 2 * x * y / r4)) < 1e-13
+    assert np.max(np.abs(jb.partial((0, 1, 1, 0)) - (y * y - x * x) / r4)) \
+        < 1e-13
 
 
 def test_division_by_zero_reported():
@@ -120,9 +141,9 @@ def test_quotient_rule_property(a, b):
     e = parse_expr("sin(x) / (2 + cos(y))", None)
     j = eval_jet(e, (0.0, a, b, 0.0), 1)
     den = 2 + np.cos(b)
-    assert abs(j.partial_by_name("x") - np.cos(a) / den) < 1e-12
+    assert abs(partial_at(j, "x") - np.cos(a) / den) < 1e-12
     want_y = np.sin(a) * np.sin(b) / den ** 2
-    assert abs(j.partial_by_name("y") - want_y) < 1e-12
+    assert abs(partial_at(j, "y") - want_y) < 1e-12
 
 
 def test_fourth_order_taylor_coefficients():
@@ -130,4 +151,4 @@ def test_fourth_order_taylor_coefficients():
     j = eval_jet(e, (0.0, 0.5, 0.0, 0.0), 4)
     v = np.exp(0.5)
     for k in range(5):
-        assert abs(j.partial_by_name("x" * k) - v) < 1e-13
+        assert abs(partial_at(j, "x" * k) - v) < 1e-13

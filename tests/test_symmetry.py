@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import GRID_4_2
 from seaconv.errors import HypothesisError
 from seaconv.evaluate import eval_values
 from seaconv.families import build_theorem_2_1, build_theorem_3_1, \
-    rigid_rotation
+    build_theorem_4_2, rigid_rotation
 from seaconv.solution import in_domain_mask
 from seaconv.symmetry import SymmetryKind, apply_symmetry
 from seaconv.verify import Grid, residual_scan
@@ -174,3 +177,40 @@ def test_closure_scan_after_each_kind_on_rigid():
         s = apply_symmetry(rig, SymmetryKind(k, alpha))
         r = residual_scan(s, GRID)
         assert r.max_abs <= 1e-12, (k, r.max_abs)
+
+
+def _coarse(grid):
+    return Grid(*((lo, hi, 3) for lo, hi, _ in
+                  (grid.t, grid.x, grid.y, grid.z)))
+
+
+ALPHA_FORMS = ("{c!r}*sin(t)", "{c!r}*cos(t)", "{c!r}*t", "{c!r}*t^2/2")
+
+_maps = st.tuples(st.integers(1, 4), st.sampled_from(ALPHA_FORMS),
+                  st.floats(-0.2, 0.2, allow_nan=False))
+
+
+@pytest.fixture(scope="module")
+def chain_bases(instance_matrix):
+    full = next((sol, grid) for name, sol, grid, _ in instance_matrix
+                if name == "theorem_2_1[full]")
+    return {
+        "theorem_2_1[full]": (full[0], _coarse(full[1])),
+        # Non-constant gamma: the atan2 term enters the fields.
+        "theorem_4_2[gamma]": (
+            build_theorem_4_2(alpha="1.5 + 0.3*sin(t)", gamma="0.5*cos(t)",
+                              Im="tanh(s)"),
+            _coarse(GRID_4_2)),
+    }
+
+
+@pytest.mark.parametrize("base", ["theorem_2_1[full]", "theorem_4_2[gamma]"])
+@given(chain=st.lists(_maps, min_size=2, max_size=3))
+@settings(max_examples=20, deadline=None)
+def test_random_symmetry_chains_stay_exact(chain_bases, base, chain):
+    sol, grid = chain_bases[base]
+    for k, form, c in chain:
+        sol = apply_symmetry(sol, SymmetryKind(k, form.format(c=c)))
+    rep = residual_scan(sol, grid)
+    assert rep.max_abs <= 1e-12, (chain, rep.eqs)
+    assert rep.eqs["r2"].max_abs == 0.0
