@@ -490,6 +490,9 @@ def main(argv=None) -> int:
     except (SeaconvError, OSError) as ex:
         sys.stderr.write(f"error: {ex}\n")
         return 2
+    except Exception as ex:  # a fault in seaconv itself: no traceback
+        sys.stderr.write(f"error: {type(ex).__name__}: {ex}\n")
+        return 2
 
 
 def entry() -> None:

@@ -6,6 +6,18 @@ lexicographic order.  Grading by total degree makes the coefficient
 layout of a lower order a prefix of every higher order, so truncation
 is a slice.  A JetBatch vectorizes one jet computation over many
 evaluation points: coef has shape (npoints, ncoef).
+
+A product sums, for each coefficient k, a_i b_j over the pairs with
+mono_i + mono_j = mono_k.  JetSpace.mul_coef adds them in a fixed order:
+a_0 b_k, plus the left fold of the other pairs in (i, j) order, built by
+a few vectorised steps that each add one more pair to every coefficient
+that has one.  This is the order in which np.add.reduceat sums a
+segment whose tail has fewer than 8 float values (a complex value counts
+as two), so the products are bit for bit those of the earlier gather and
+reduceat kernel for up to 8 real or 4 complex pairs per coefficient:
+every space the residual scans, guards, quadrature and exports use.
+Longer sums (order 8 in one variable, order >= 4 in four) differ in the
+last bits, since reduceat sums long tails pairwise.
 """
 from __future__ import annotations
 
@@ -41,24 +53,45 @@ class JetSpace:
         self.mono_fact = np.array(
             [math.prod(math.factorial(e) for e in m) for m in monos], dtype=float
         )
+        # rest[k] lists the pairs (i, j), i >= 1, with mono_i + mono_j =
+        # mono_k, in (i, j) order; the pair (0, k) is left out.  Every
+        # k >= 1 has at least the pair (k, 0).  Step q of mul_coef adds the
+        # q-th pair of every k that has one into column k - 1 of its sums.
         degs = [sum(m) for m in monos]
-        pairs = []
-        for i, mi in enumerate(monos):
+        rest = [[] for _ in monos]
+        for i, mi in enumerate(monos[1:], 1):
             for j, mj in enumerate(monos):
                 if degs[i] + degs[j] <= order:
-                    k = self.index[tuple(a + b for a, b in zip(mi, mj))]
-                    pairs.append((k, i, j))
-        pairs.sort()
-        K = np.array([p[0] for p in pairs])
-        self._mul_i = np.array([p[1] for p in pairs])
-        self._mul_j = np.array([p[2] for p in pairs])
-        starts = np.flatnonzero(np.diff(K, prepend=-1))
-        assert len(starts) == self.ncoef and (K[starts] == np.arange(self.ncoef)).all()
-        self._mul_starts = starts
+                    rest[self.index[tuple(a + b for a, b in zip(mi, mj))]] \
+                        .append((i, j))
+        self._steps = []
+        for q in range(max(map(len, rest))):
+            K, I, J = zip(*((k, *r[q]) for k, r in enumerate(rest[1:])
+                            if len(r) > q))
+            self._steps.append(tuple(_index(v) for v in (K, I, J)))
 
     def mul_coef(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        prod = a[:, self._mul_i] * b[:, self._mul_j]
-        return np.add.reduceat(prod, self._mul_starts, axis=1)
+        """Coefficients of the product of two jets, one row per point,
+        summed in the order the module docstring gives."""
+        out = a[:, :1] * b
+        if not self._steps:
+            return out
+        (_, I, J), *steps = self._steps
+        rest = a[:, I] * b[:, J]
+        for K, I, J in steps:
+            rest[:, K] += a[:, I] * b[:, J]
+        out[:, 1:] += rest
+        return out
+
+
+def _index(idx) -> slice | np.ndarray:
+    """A column index: a slice where idx is consecutive or constant (a
+    constant broadcasts as one column), else an integer array."""
+    if all(d == 1 for d in np.diff(idx)):
+        return slice(idx[0], idx[-1] + 1)
+    if all(i == idx[0] for i in idx):
+        return slice(idx[0], idx[0] + 1)
+    return np.array(idx)
 
 
 @lru_cache(maxsize=None)
@@ -128,9 +161,11 @@ def compose_smooth(u: JetBatch, derivs: np.ndarray) -> JetBatch:
         return JetBatch(space, a[:, :1].copy())
     uhat = u.coef.copy()
     uhat[:, 0] = 0.0
-    r = np.zeros_like(u.coef)
-    r[:, 0] = a[:, n]
-    for k in range(n - 1, -1, -1):
+    # Horner in uhat, starting from a_n * uhat + a_{n-1}: the product of
+    # the constant jet a_n with uhat is a scaling.
+    r = a[:, n:] * uhat
+    r[:, 0] += a[:, n - 1]
+    for k in range(n - 2, -1, -1):
         r = space.mul_coef(r, uhat)
         r[:, 0] += a[:, k]
     return JetBatch(space, r)

@@ -1,0 +1,47 @@
+"""sha256 over the outputs of the shared instance matrix.
+
+    python tests/output_digest.py <tree>
+
+imports seaconv from <tree>/src and the instance matrix from
+<tree>/tests/conftest.py, and prints one hex digest.  Two trees whose
+digests match produce byte-identical residual reports (sequential, and
+threaded with workers=2, chunk=97) and CSV field tables for every
+instance of conftest.build_instance_matrix().  The digest checks that
+a refactor or an optimisation leaves every output unchanged.
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+
+def instance_matrix_digest() -> str:
+    from conftest import build_instance_matrix
+    from seaconv.cli import field_table
+    from seaconv.verify import residual_scan
+
+    h = hashlib.sha256()
+    for name, sol, grid, _tol in build_instance_matrix():
+        sequential = repr(residual_scan(sol, grid))
+        threaded = repr(residual_scan(sol, grid, workers=2, chunk=97))
+        if threaded != sequential:
+            raise AssertionError(f"{name}: threaded scan differs from the "
+                                 "sequential one")
+        h.update(name.encode())
+        h.update(sequential.encode())
+        h.update(field_table(sol, grid).encode())
+    return h.hexdigest()
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        sys.stderr.write("usage: python tests/output_digest.py <tree>\n")
+        return 2
+    tree = Path(argv[1]).resolve()
+    sys.path[:0] = [str(tree / "src"), str(tree / "tests")]
+    print(instance_matrix_digest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

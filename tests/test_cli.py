@@ -402,3 +402,16 @@ def test_help_exits_0():
     code, out, err = run(["--help"])
     assert code == 0
     assert out.startswith("usage: seaconv") and err == ""
+
+
+def test_unexpected_exception_exits_2(tmp_path, monkeypatch):
+    def fail(*args):
+        raise RuntimeError("kernel fault")
+
+    monkeypatch.setattr("seaconv.cli.cmd_verify", fail)
+    cfg = write(tmp_path, "rigid.cfg", RIGID_CFG)
+    code, out, err = run(["verify", "--descriptor", cfg])
+    assert code == 2
+    assert out == ""
+    assert_one_error_line(err)
+    assert err == "error: RuntimeError: kernel fault\n"

@@ -1,5 +1,7 @@
 """Taylor-jet arithmetic and the jet evaluator."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from conftest import partial_at
 from seaconv.errors import EvalDomainError
 from seaconv.evaluate import deriv_1d, eval_jet, eval_jet_batch, eval_values
 from seaconv.expr import FnContext
-from seaconv.jets import jet_space
+from seaconv.jets import JetBatch, compose_smooth, jet_space
 from seaconv.parser import parse_expr, parse_paramfn
 
 V4 = ("t", "x", "y", "z")
@@ -26,6 +28,94 @@ def test_jet_mixed_partials_stored_once():
     sp = jet_space(4, 2)
     assert (1, 1, 0, 0) in sp.index
     assert len([m for m in sp.monos if sum(m) == 2]) == 10
+
+
+# Every space the product tests cover: nvars 1-5, order 0-8, capped in
+# size so the double-loop reference stays fast.
+SPACES = [(nv, order) for nv in range(1, 6) for order in range(9)
+          if jet_space(nv, order).ncoef <= 210]
+
+
+def product_pairs(space):
+    """(k, i, j) for every pair with mono_i + mono_j = mono_k, sorted."""
+    degs = [sum(m) for m in space.monos]
+    return sorted(
+        (space.index[tuple(p + q for p, q in zip(mi, mj))], i, j)
+        for i, mi in enumerate(space.monos)
+        for j, mj in enumerate(space.monos)
+        if degs[i] + degs[j] <= space.order)
+
+
+def mul_reduceat(space, a, b):
+    """The product as one gather of every pair and np.add.reduceat."""
+    K, I, J = map(np.array, zip(*product_pairs(space)))
+    return np.add.reduceat(a[:, I] * b[:, J], np.flatnonzero(
+        np.diff(K, prepend=-1)), axis=1)
+
+
+def random_coef(rng, space, npts, complex_):
+    """Random coefficients with some +0.0 and -0.0 entries."""
+    c = rng.standard_normal((npts, space.ncoef))
+    if complex_:
+        c = c + 1j * rng.standard_normal(c.shape)
+    c[rng.random(c.shape) < 0.15] = 0.0
+    c[rng.random(c.shape) < 0.15] = -0.0
+    return c
+
+
+@pytest.mark.parametrize("dtypes", ["real", "complex", "complex*real",
+                                    "real*complex"])
+@pytest.mark.parametrize("nvars,order", SPACES)
+def test_mul_coef_matches_reduceat_and_double_loop(nvars, order, dtypes):
+    space = jet_space(nvars, order)
+    rng = np.random.default_rng(100 * nvars + order)
+    a = random_coef(rng, space, 40, dtypes.startswith("complex"))
+    b = random_coef(rng, space, 40, dtypes.endswith("complex"))
+    got = space.mul_coef(a, b)
+    assert got.dtype == np.result_type(a, b)
+    pairs = product_pairs(space)
+    most_pairs = max(np.bincount([k for k, _, _ in pairs]))
+    # reduceat sums a segment as its first term plus a plain left fold of
+    # the others while the fold is short: below 8 float values, where a
+    # complex value counts as two.
+    if most_pairs <= (8 if got.dtype.kind == "f" else 4):
+        assert got.tobytes() == mul_reduceat(space, a, b).tobytes()
+    loop = np.zeros_like(got)
+    scale = np.zeros(got.shape)
+    for k, i, j in pairs:
+        loop[:, k] += a[:, i] * b[:, j]
+        scale[:, k] += np.abs(a[:, i] * b[:, j])
+    assert np.all(np.abs(got - loop) <= 1e-15 * scale)
+
+
+def horner_from_constant(u, derivs):
+    """compose_smooth as Horner from the constant jet a_n."""
+    space = u.space
+    n = space.order
+    a = derivs / np.array([math.factorial(k) for k in range(n + 1)])
+    if n == 0:
+        return a[:, :1].copy()
+    uhat = u.coef.copy()
+    uhat[:, 0] = 0.0
+    r = np.zeros_like(u.coef)
+    r[:, 0] = a[:, n]
+    for k in range(n - 1, -1, -1):
+        r = space.mul_coef(r, uhat)
+        r[:, 0] += a[:, k]
+    return r
+
+
+@pytest.mark.parametrize("nvars", [1, 4])
+@pytest.mark.parametrize("order", range(5))
+def test_compose_smooth_matches_horner_from_constant(nvars, order):
+    space = jet_space(nvars, order)
+    rng = np.random.default_rng(10 * nvars + order)
+    u = JetBatch(space, random_coef(rng, space, 60, False))
+    derivs = rng.standard_normal((60, order + 1))
+    # Equal as numbers; a coefficient that is exactly zero may differ in
+    # the sign of its zero, since the constant product is skipped.
+    assert np.array_equal(compose_smooth(u, derivs).coef,
+                          horner_from_constant(u, derivs))
 
 
 def test_eval_jet_polynomial_example():
