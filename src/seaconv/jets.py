@@ -30,8 +30,9 @@ MAX_PUBLIC_ORDER = 8
 
 
 def _monos_of_degree(nvars: int, deg: int):
-    if nvars == 1:
-        yield (deg,)
+    if nvars == 0:
+        if deg == 0:
+            yield ()
         return
     for first in range(deg + 1):
         for rest in _monos_of_degree(nvars - 1, deg - first):

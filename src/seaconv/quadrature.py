@@ -6,10 +6,14 @@ variables (frozen parameters of the enclosing field).  Jet evaluation is
 analytic: quadrature error enters only the pure-parameter coefficients,
 never the coefficients generated through the upper limit (those follow
 the fundamental theorem of calculus exactly).
+
+Each jet evaluation integrates each distinct (upper limit, ambient
+values) row once, expanding the integrand only in the ambient variables
+that are jet variables.  Nodes keep no cache: memory does not grow
+across scans, and a repeated scan recomputes its integrals.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -114,10 +118,6 @@ class Antideriv(Expr):
     base: float
     tol: float = DEFAULT_TOL
 
-    def __post_init__(self):
-        object.__setattr__(self, "_memo", {})
-        object.__setattr__(self, "_lock", threading.Lock())
-
     def children(self):
         return (self.body, self.inner)
 
@@ -176,20 +176,28 @@ def antiderivative_value(node: Antideriv, s: float,
 
 
 @lru_cache(maxsize=None)
-def _embed_tables(nvars: int, order: int):
-    """Index maps pulling the ambient-jet coefficients of d^(k-1)f/ds^(k-1)
-    out of the (s, ambient) joint jet, for k = 1..order."""
-    amb = jet_space(nvars, order)
-    joint = jet_space(nvars + 1, order)
+def _embed_tables(nvars: int, pos: tuple[int, ...], order: int):
+    """Index maps from jets in the variables at positions pos of an
+    nvars-variable jet into that jet: lift[i] is the column of the i-th
+    coefficient of a jet in pos alone, and tables[k - 1] = (dst, src)
+    pulls the coefficients of d^(k-1)f/ds^(k-1) out of the (s, pos)
+    joint jet, for k = 1..order."""
+    full = jet_space(nvars, order)
+
+    def col(m):
+        e = [0] * nvars
+        for p, d in zip(pos, m):
+            e[p] = d
+        return full.index[tuple(e)]
+
+    lift = np.array([col(m) for m in jet_space(len(pos), order).monos])
+    joint = jet_space(len(pos) + 1, order).monos
     tables = []
     for k in range(1, order + 1):
-        dst, src = [], []
-        for i, m in enumerate(amb.monos):
-            if (k - 1) + sum(m) <= order:
-                dst.append(i)
-                src.append(joint.index[(k - 1,) + m])
+        dst, src = zip(*((col(m[1:]), i) for i, m in enumerate(joint)
+                         if m[0] == k - 1))
         tables.append((np.array(dst), np.array(src)))
-    return tuple(tables)
+    return lift, tuple(tables)
 
 
 def compose_antideriv(node: Antideriv, G: JetBatch, vars: tuple[str, ...],
@@ -203,11 +211,15 @@ def compose_antideriv(node: Antideriv, G: JetBatch, vars: tuple[str, ...],
     npts = points.shape[0]
     if npts == 0:
         return JetBatch(space, np.zeros((0, space.ncoef)))
-    g0 = G.value
+    if n >= 1 and "s" in vars:
+        raise ValueError(
+            f"cannot differentiate {node!r} inside an integrand: its "
+            f"variable 's' is already a jet variable there")
     amb = node.ambient_vars()
+    jv = tuple(v for v in vars if v in amb)
     bindings = bindings or {}
 
-    cols = [g0]
+    cols = [G.value]
     for v in amb:
         if v in vars:
             cols.append(points[:, vars.index(v)])
@@ -215,55 +227,34 @@ def compose_antideriv(node: Antideriv, G: JetBatch, vars: tuple[str, ...],
             cols.append(np.asarray(bindings[v], dtype=float))
         else:
             raise ValueError(f"ambient variable {v!r} unavailable for integrand")
-    keymat = np.column_stack(cols)
-    keys = [tuple(row) for row in keymat]
+    # One row per distinct (upper limit, ambient values): the jet depends
+    # on nothing else, and its coefficients in variables outside jv are 0.
+    rows, inv = np.unique(np.column_stack(cols), axis=0, return_inverse=True)
+    inv = inv.reshape(-1)
+    jpts = rows[:, [1 + amb.index(v) for v in jv]]
+    rbinds = {v: rows[:, 1 + i] for i, v in enumerate(amb) if v not in jv}
 
-    with node._lock:
-        bucket = node._memo.setdefault((vars, n), {})
-        missing = sorted({k for k in keys if k not in bucket})
-    if missing:
-        first_idx = {}
-        for i, k in enumerate(keys):
-            first_idx.setdefault(k, i)
-        rep = np.array([first_idx[k] for k in missing])
-        rep_pts = points[rep]
-        rep_binds = {
-            v: np.asarray(bindings[v], dtype=float)[rep]
-            for v in amb
-            if v not in vars and v in bindings
-        }
+    def f(svals, r):
+        binds = {v: arr[r] for v, arr in rbinds.items()}
+        binds["s"] = svals
+        return eval_jet_batch(node.body, jv, jpts[r], n, bindings=binds).coef
 
-        def f(svals, rows):
-            binds = {v: arr[rows] for v, arr in rep_binds.items()}
-            binds["s"] = svals
-            batch = eval_jet_batch(node.body, vars, rep_pts[rows], n,
-                                   bindings=binds)
-            return batch.coef
-
-        b_vec = np.array([k[0] for k in missing])
-        a_vec = np.full(len(missing), node.base)
-        Q = _simpson_batched(f, a_vec, b_vec, node.tol)
-        with node._lock:
-            for k, q in zip(missing, Q):
-                bucket[k] = q
-
-    with node._lock:
-        A = np.stack([bucket[k] for k in keys])
+    lift, tables = _embed_tables(len(vars), tuple(map(vars.index, jv)), n)
+    Q = _simpson_batched(f, np.full(rows.shape[0], node.base), rows[:, 0],
+                         node.tol)
+    A = np.zeros((npts, space.ncoef))
+    A[:, lift] = Q[inv]
 
     if n >= 1:
-        if "s" in vars:
-            raise ValueError(
-                f"cannot differentiate {node!r} inside an integrand: its "
-                f"variable 's' is already a jet variable there")
-        pts_joint = np.column_stack([g0, points])
-        B = eval_jet_batch(node.body, ("s",) + vars, pts_joint, n,
-                           bindings=bindings)
+        B = eval_jet_batch(node.body, ("s",) + jv,
+                           np.column_stack([rows[:, 0], jpts]), n,
+                           bindings=rbinds).coef[inv]
         ghat = G.coef.copy()
         ghat[:, 0] = 0.0
         gpow = ghat
-        for k, (dst, src) in enumerate(_embed_tables(len(vars), n), start=1):
+        for k, (dst, src) in enumerate(tables, start=1):
             Dk = np.zeros((npts, space.ncoef))
-            Dk[:, dst] = B.coef[:, src]
+            Dk[:, dst] = B[:, src]
             A += space.mul_coef(Dk, gpow) / k
             if k < n:
                 gpow = space.mul_coef(gpow, ghat)

@@ -138,6 +138,8 @@ def residual_scan(sol: Solution, grid, *, workers: int | None = None,
     """Aggregate residuals over the in-guard subset of a grid (or an
     explicit (n, 4) point array).  Chunk boundaries and the reduction
     order are fixed, so sequential and threaded scans agree bitwise."""
+    if not isinstance(chunk, (int, np.integer)) or chunk < 1:
+        raise ValueError(f"chunk must be an integer >= 1, got {chunk!r}")
     pts = grid.points() if isinstance(grid, Grid) else np.asarray(grid, float)
     total = pts.shape[0]
     mask = in_domain_mask(sol, pts)

@@ -30,9 +30,10 @@ def test_jet_mixed_partials_stored_once():
     assert len([m for m in sp.monos if sum(m) == 2]) == 10
 
 
-# Every space the product tests cover: nvars 1-5, order 0-8, capped in
-# size so the double-loop reference stays fast.
-SPACES = [(nv, order) for nv in range(1, 6) for order in range(9)
+# Every space the product tests cover: nvars 0-5, order 0-8, capped in
+# size so the double-loop reference stays fast.  With no variables a jet
+# of any order is its one constant coefficient.
+SPACES = [(nv, order) for nv in range(6) for order in range(9)
           if jet_space(nv, order).ncoef <= 210]
 
 

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from conftest import partial_at
 from seaconv.errors import EvalDomainError, QuadratureError
-from seaconv.evaluate import eval_jet, eval_values
+from seaconv.evaluate import eval_jet, eval_jet_batch, eval_values
 from seaconv.expr import FnContext, diff
+from seaconv.families import build_theorem_4_2
 from seaconv.parser import parse_expr
 from seaconv.quadrature import Antideriv, adaptive_simpson, antiderivative_value
+from seaconv.verify import Grid, residual_scan
 
 V4 = ("t", "x", "y", "z")
 S = ("s",)
@@ -189,3 +191,74 @@ def test_node_integrand_over_s_cannot_be_differentiated(order):
     outer = Antideriv(body, parse_expr("x", None), 0.0, 1e-12)
     with pytest.raises(ValueError, match="antideriv"):
         eval_jet(outer, (0.0, 1.0, 0.0, 0.0), order)
+
+
+def assert_partials(jet, vars, want, tol=1e-11):
+    """Every coefficient of an order-2 jet over vars against a closed
+    form: want maps a sorted variable string such as 'tx' to that partial
+    at each point ('' is the value), and every partial it leaves out is
+    zero."""
+    for mono in jet.space.monos:
+        name = "".join(v * d for v, d in zip(vars, mono))
+        got = jet.partial(mono)
+        ref = want.get("".join(sorted(name)), np.zeros_like(got))
+        assert np.max(np.abs(got - ref)) <= tol, (name, got, ref)
+
+
+def test_two_ambient_jet_variables_in_unsorted_vars():
+    body = parse_expr("t*s + y^2*s", None, allowed=("s", "t", "y"))
+    node = Antideriv(body, parse_expr("x", None), 0.0, 1e-12)
+    vars = ("z", "y", "x", "t")
+    pts = np.array([[0.3, -0.7, 1.2, 0.4], [1.0, 0.5, -0.8, 2.0]])
+    z, y, x, t = pts.T
+    out = eval_jet_batch(node, vars, pts, 2)
+    assert_partials(out, vars, {
+        "": x ** 2 * (t + y ** 2) / 2, "y": x ** 2 * y, "x": x * (t + y ** 2), "t": x ** 2 / 2,
+        "yy": x ** 2, "xy": 2 * x * y, "xx": t + y ** 2, "tx": x})
+
+
+def test_ambient_variable_supplied_only_through_bindings():
+    body = parse_expr("t * s", None, allowed=("s", "t"))
+    node = Antideriv(body, parse_expr("x", None), 0.0, 1e-12)
+    x = np.array([0.5, -1.5, 2.0])
+    t = np.array([3.0, 0.25, -1.0])
+    out = eval_jet_batch(node, ("x",), x[:, None], 2, bindings={"t": t})
+    assert_partials(out, ("x",), {"": t * x ** 2 / 2, "x": t * x,
+                                  "xx": t})
+
+
+def test_body_without_ambient_variables():
+    node = Antideriv(_integrand("exp(s)"), parse_expr("x*t", None), 0.0,
+                     1e-12)
+    pts = np.array([[0.5, 1.2, 0.3, -0.4], [-1.0, 0.7, 0.0, 2.0]])
+    t, x = pts[:, 0], pts[:, 1]
+    e = np.exp(x * t)
+    out = eval_jet_batch(node, V4, pts, 2)
+    assert_partials(out, V4, {"": e - 1.0, "t": x * e, "x": t * e, "tt": x ** 2 * e,
+                              "xx": t ** 2 * e, "tx": (1 + x * t) * e})
+
+
+def antiderivs(e):
+    if isinstance(e, Antideriv):
+        yield e
+    for c in e.children():
+        yield from antiderivs(c)
+
+
+def test_repeated_rows_and_no_state_on_the_node():
+    body = parse_expr("tanh(t) * s^2", None, allowed=("s", "t"))
+    node = Antideriv(body, parse_expr("x + z", None), 0.0, 1e-12)
+    P, Q = [0.4, 1.1, 0.0, 0.2], [0.9, 0.3, 0.0, 0.6]
+    out = eval_jet_batch(node, V4, np.array([P, P, Q, P]), 2).coef
+    alone = eval_jet_batch(node, V4, np.array([P]), 2).coef
+    for i in (1, 3):
+        assert out[i].tobytes() == out[0].tobytes()
+    assert alone[0].tobytes() == out[0].tobytes()
+
+    sol = build_theorem_4_2(alpha="exp(t)", gamma=1.0, Im="s")
+    grid = Grid(t=(0.1, 1.0, 3), x=(0.6, 1.4, 3), y=(0.6, 1.4, 3),
+                z=(0.0, 1.0, 3))
+    first = repr(residual_scan(sol, grid))
+    (K,) = set(antiderivs(sol.p))
+    assert set(K.__dict__) == {"body", "inner", "base", "tol"}
+    assert repr(residual_scan(sol, grid)) == first

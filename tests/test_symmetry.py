@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GRID_4_2
+from conftest import GRID_4_2, GRID_4_3, GRID_DEFAULT
 from seaconv.errors import HypothesisError
 from seaconv.evaluate import eval_values
 from seaconv.families import build_theorem_2_1, build_theorem_3_1, \
-    build_theorem_4_2, rigid_rotation
+    build_theorem_4_2, build_theorem_4_3, build_theorem_4_4, rigid_rotation
 from seaconv.solution import in_domain_mask
 from seaconv.symmetry import SymmetryKind, apply_symmetry
 from seaconv.verify import Grid, residual_scan
@@ -213,4 +213,37 @@ def test_random_symmetry_chains_stay_exact(chain_bases, base, chain):
         sol = apply_symmetry(sol, SymmetryKind(k, form.format(c=c)))
     rep = residual_scan(sol, grid)
     assert rep.max_abs <= 1e-12, (chain, rep.eqs)
+    assert rep.eqs["r2"].max_abs == 0.0
+
+
+def _antideriv_family(name, c, im):
+    """A cold build of one Antideriv family with parameters scaled by c,
+    and the 3^4 grid it is scanned on."""
+    if name == "theorem_4_2":
+        Im = {"s": "s", "tanh": "tanh(s)", "square": f"{c!r}*s^2"}[im]
+        return (build_theorem_4_2(alpha=f"1.5 + {c!r}*sin(t)",
+                                  gamma=f"{c!r}*cos(t)", Im=Im,
+                                  zeta=f"{c!r}*x*y"),
+                _coarse(GRID_4_2))
+    if name == "theorem_4_3":
+        c = abs(c) + 0.01
+        return (build_theorem_4_3(alpha=f"{c!r}*t", beta=1.0,
+                                  Im=f"s + {c!r}*s^3", theta=f"x + {c!r}*t"),
+                _coarse(GRID_4_3))
+    return (build_theorem_4_4(alpha=f"2 + {c!r}*sin(t)",
+                              beta=f"1 + {c!r}*t^2", phi=f"{c!r}*t",
+                              Im="tanh(s)"),
+            _coarse(GRID_DEFAULT))
+
+
+@given(name=st.sampled_from(["theorem_4_2", "theorem_4_3", "theorem_4_4"]),
+       c=st.floats(-0.5, 0.5), im=st.sampled_from(["s", "tanh", "square"]),
+       chain=st.lists(_maps, max_size=1))
+@settings(max_examples=20, deadline=None)
+def test_random_antideriv_families_stay_exact(name, c, im, chain):
+    sol, grid = _antideriv_family(name, c, im)
+    for k, form, a in chain:
+        sol = apply_symmetry(sol, SymmetryKind(k, form.format(c=a)))
+    rep = residual_scan(sol, grid)
+    assert rep.max_abs <= 1e-12, (name, c, im, chain, rep.eqs)
     assert rep.eqs["r2"].max_abs == 0.0

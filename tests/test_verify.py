@@ -59,6 +59,17 @@ def test_scan_options_are_keyword_only():
         residual_scan(rigid_rotation(), UNIT_GRID, 2)
 
 
+@pytest.mark.parametrize("chunk", [-5, 0, 2.5])
+def test_scan_rejects_a_chunk_that_is_not_a_positive_integer(chunk):
+    # A wrong pressure (true max r4 is 0.1) must not certify as exact.
+    sol = rigid_rotation().with_fields(p=field("z + 0.1*sin(x)"))
+    g = Grid(t=(0.0, 1.0, 3), x=(0.0, 1.0, 3), y=(0.0, 1.0, 3),
+             z=(0.0, 1.0, 3))
+    with pytest.raises(ValueError, match="chunk"):
+        residual_scan(sol, g, chunk=chunk)
+    assert abs(residual_scan(sol, g).eqs["r4"].max_abs - 0.1) < 1e-15
+
+
 def test_scan_vortex_family_on_stated_window():
     sol = build_theorem_3_1(alpha=0.0, Im="s")
     g = Grid(t=(0.0, 1.0, 5), x=(1.0, 2.0, 5), y=(1.0, 2.0, 5),
