@@ -11,8 +11,8 @@ from .jets import JetBatch, JetSpace, jet_space
 from .quadrature import Antideriv, adaptive_simpson
 from .evaluate import deriv_1d, eval_jet, eval_jet_batch, eval_values
 from .solution import Guard, Meta, Solution, assert_in_domain, in_domain_mask
-from .families import (BUILDERS, FAMILY_PARAMS, FAMILY_SIGNATURES,
-                       build_prop_4_1, build_theorem_2_1, build_theorem_3_1,
+from .families import (BUILDERS, FAMILIES, build_prop_4_1,
+                       build_theorem_2_1, build_theorem_3_1,
                        build_theorem_4_2, build_theorem_4_3,
                        build_theorem_4_4, harmonic_poly, rigid_rotation,
                        theorem_3_1_stated_rho)
@@ -25,7 +25,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Antideriv", "BUILDERS", "ConfigError", "Const", "EvalDomainError",
-    "Expr", "FAMILY_PARAMS", "FAMILY_SIGNATURES", "FnContext", "Grid",
+    "Expr", "FAMILIES", "FnContext", "Grid",
     "Guard", "GuardError", "HypothesisError", "JetBatch", "JetSpace", "Meta",
     "ParamFn", "ParseError", "QuadratureError", "ResidualReport",
     "SeaconvError", "Solution", "SymmetryKind", "Var", "adaptive_simpson",

@@ -13,8 +13,7 @@ import numpy as np
 from .errors import ConfigError, SeaconvError
 from .evaluate import eval_values
 from .expr import VARS4, FnContext, ParamFn, Var, print_expr, substitute
-from .families import (BUILDERS, FAMILY_PARAMS, FAMILY_SIGNATURES,
-                       OPTIONAL_PARAMS)
+from .families import BUILDERS, FAMILIES, KIND_VARS, param_key
 from .parser import parse_expr, parse_paramfn
 from .solution import Guard, Solution, in_domain_mask
 from .symmetry import SymmetryKind, alpha_source, apply_symmetry
@@ -22,22 +21,6 @@ from .verify import EQ_NAMES, Grid, residual_scan
 
 FIELD_NAMES = ("u", "v", "w", "p")
 CSV_HEADER = "t,x,y,z,u,v,w,p,rho,in_domain"
-
-KIND_VARS = {
-    "fn_t": ("t",),
-    "fn_s": ("s",),
-    "field_txy": ("t", "x", "y"),
-    "field_tx": ("t", "x"),
-}
-
-EXTRA_CONSTANTS = {
-    "theorem_2_1": (),
-    "theorem_3_1": (),
-    "prop_4_1": ("probe_tol",),
-    "theorem_4_2": ("varpi0", "quad_tol"),
-    "theorem_4_3": ("x0", "quad_tol"),
-    "theorem_4_4": ("t0", "quad_tol"),
-}
 
 _KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)\s*(?:\(([^)]*)\))?$")
 
@@ -76,8 +59,6 @@ def parse_grid_spec(spec: str) -> Grid:
             count = int(m.group(4))
         except ValueError as ex:
             raise ConfigError(f"bad grid axis {part!r}: {ex}") from ex
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ConfigError(f"bad grid axis {part!r}: bounds must be finite")
         axes[name] = (lo, hi, count)
     missing = [a for a in VARS4 if a not in axes]
     if missing:
@@ -85,7 +66,7 @@ def parse_grid_spec(spec: str) -> Grid:
     try:
         return Grid(t=axes["t"], x=axes["x"], y=axes["y"], z=axes["z"])
     except ValueError as ex:
-        raise ConfigError(str(ex)) from ex
+        raise ConfigError(f"bad grid {spec!r}: {ex}") from ex
 
 
 def grid_spec(grid: Grid) -> str:
@@ -197,46 +178,42 @@ def _parse_config_line(cfg: Config, key: str, value: str, where: str) -> None:
 def build_from_config(cfg: Config) -> Solution:
     if cfg.family is None:
         raise ConfigError("config does not set a family")
-    if cfg.family not in BUILDERS:
-        known = ", ".join(FAMILY_PARAMS)
+    if cfg.family not in FAMILIES:
+        known = ", ".join(FAMILIES)
         raise ConfigError(f"unknown family {cfg.family!r} (known: {known})")
 
+    fam = FAMILIES[cfg.family]
     kwargs = {}
-    used_consts = set()
-    for pname, kind in FAMILY_PARAMS[cfg.family]:
+    for pname, kind in fam.params:
         if kind == "real":
             if pname not in cfg.constants:
                 raise ConfigError(
                     f"missing required constant {pname!r} for family "
                     f"{cfg.family}")
             kwargs[pname] = cfg.constants[pname]
-            used_consts.add(pname)
             continue
         if pname not in cfg.params:
-            if pname in OPTIONAL_PARAMS:
+            if pname in fam.optional:
                 continue
-            want = ",".join(KIND_VARS[kind])
             raise ConfigError(
                 f"missing required parameter {pname!r} for family "
-                f"{cfg.family} (declare it as {pname}({want}) = ...)")
+                f"{cfg.family} (declare it as {param_key(pname, kind)} = ...)")
         vars, obj = cfg.params[pname]
         if vars != KIND_VARS[kind]:
-            want = ",".join(KIND_VARS[kind])
             raise ConfigError(
-                f"{pname} must be declared as {pname}({want}), got "
+                f"{pname} must be declared as {param_key(pname, kind)}, got "
                 f"{pname}({','.join(vars)})")
         kwargs[pname] = obj
     for pname in cfg.params:
-        if pname not in {n for n, _ in FAMILY_PARAMS[cfg.family]}:
+        if pname not in kwargs:
             raise ConfigError(
                 f"family {cfg.family} does not take a parameter {pname!r}")
-    for cname in cfg.constants:
-        if cname in used_consts:
-            continue
-        if cname not in EXTRA_CONSTANTS[cfg.family]:
-            raise ConfigError(
-                f"family {cfg.family} does not take a constant {cname!r}")
-        kwargs[cname] = cfg.constants[cname]
+    for cname, value in cfg.constants.items():
+        if cname not in kwargs:
+            if cname not in fam.constants:
+                raise ConfigError(
+                    f"family {cfg.family} does not take a constant {cname!r}")
+            kwargs[cname] = value
     if cfg.t_range is not None:
         kwargs["t_range"] = cfg.t_range
     if cfg.tol is not None:
@@ -264,21 +241,15 @@ def build_from_config(cfg: Config) -> Solution:
 
 def serialize_config(cfg: Config) -> str:
     lines = [f"family = {cfg.family}"]
-    for pname, kind in FAMILY_PARAMS[cfg.family]:
-        if kind == "real":
-            lines.append(f"{pname} = {_fmt(cfg.constants[pname])}")
-            continue
-        if pname not in cfg.params:
-            continue
-        vars, obj = cfg.params[pname]
-        if isinstance(obj, ParamFn):
-            shown = print_expr(substitute(obj.body, {"s": Var(vars[0])}))
-        else:
-            shown = print_expr(obj)
-        lines.append(f"{pname}({','.join(vars)}) = {shown}")
-    for cname in EXTRA_CONSTANTS[cfg.family]:
-        if cname in cfg.constants:
-            lines.append(f"{cname} = {_fmt(cfg.constants[cname])}")
+    fam = FAMILIES[cfg.family]
+    for name in [n for n, _ in fam.params] + list(fam.constants):
+        if name in cfg.constants:
+            lines.append(f"{name} = {_fmt(cfg.constants[name])}")
+        elif name in cfg.params:
+            vars, obj = cfg.params[name]
+            if isinstance(obj, ParamFn):
+                obj = substitute(obj.body, {"s": Var(vars[0])})
+            lines.append(f"{name}({','.join(vars)}) = {print_expr(obj)}")
     if cfg.t_range is not None:
         lines.append(f"t_range = {_fmt(cfg.t_range[0])}:{_fmt(cfg.t_range[1])}")
     if cfg.tol is not None:
@@ -317,7 +288,8 @@ def _write_out(out: str | None, text: str) -> None:
 
 
 def cmd_list_families() -> str:
-    return "".join(f"{tag}: {sig}\n" for tag, sig in FAMILY_SIGNATURES.items())
+    return "".join(f"{tag}: {fam.signature}\n"
+                   for tag, fam in FAMILIES.items())
 
 
 def cmd_build(config_path: str, out: str | None = None) -> str:

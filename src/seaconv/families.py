@@ -1,18 +1,27 @@
 """Builders for the six exact solution families.
 
-Each builder assembles the field expressions (u, v, w, p) from the
-supplied free functions and constants, probes its hypotheses numerically
-on the configured time range, and returns an immutable Solution whose
-density is the structural z-derivative of p.
+Each builder is declared once, by the `_family` decorator on its
+function: the decorator names the kind of each parameter and the
+hypotheses to probe, and reads the keyword constants off the function's
+own defaults.  From that one declaration it coerces the arguments,
+probes the hypotheses numerically on the configured time range, fills
+in the Meta, and registers the builder; the config reader, the
+descriptor writer and `seaconv list-families` read the same record.
+The function body holds only the family's formulas and returns a
+Solution whose density is the structural z-derivative of p.
 """
 from __future__ import annotations
 
+import inspect
+from dataclasses import replace
+from functools import wraps
 from math import comb
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import EvalDomainError, HypothesisError
-from .evaluate import eval_jet_batch, eval_values
+from .evaluate import eval_jet_batch
 from .expr import (
     Atan2,
     Call,
@@ -22,11 +31,11 @@ from .expr import (
     Var,
     diff,
     substitute,
-    wrap,
 )
 from .parser import parse_expr, parse_paramfn
 from .quadrature import Antideriv
 from .solution import Guard, Meta, Solution
+from .verify import check_harmonic
 
 T, X, Y, Z, S = Var("t"), Var("x"), Var("y"), Var("z"), Var("s")
 
@@ -35,37 +44,15 @@ EPS_RAD = 1e-8
 EPS_DEN = 1e-8
 PROBE_COUNT = 64
 
-FAMILY_PARAMS: dict[str, tuple[tuple[str, str], ...]] = {
-    "theorem_2_1": (
-        ("alpha", "fn_t"), ("beta", "fn_t"), ("b1", "real"), ("b2", "real"),
-        ("Im", "fn_s"), ("iota", "fn_s"), ("sigma", "fn_s"),
-    ),
-    "theorem_3_1": (("alpha", "fn_t"), ("Im", "fn_s")),
-    "prop_4_1": (("theta", "field_txy"), ("zeta", "field_txy")),
-    "theorem_4_2": (
-        ("alpha", "fn_t"), ("gamma", "fn_t"), ("Im", "fn_s"),
-        ("zeta", "field_txy"),
-    ),
-    "theorem_4_3": (
-        ("alpha", "fn_t"), ("beta", "fn_t"), ("Im", "fn_s"),
-        ("theta", "field_tx"), ("zeta", "field_txy"),
-    ),
-    "theorem_4_4": (
-        ("alpha", "fn_t"), ("beta", "fn_t"), ("phi", "fn_t"),
-        ("Im", "fn_s"), ("zeta", "field_txy"),
-    ),
+# The variables of each parameter kind: a config declares a parameter of
+# that kind as name(vars) = ..., and a real constant as name = number.
+KIND_VARS = {
+    "real": (),
+    "fn_t": ("t",),
+    "fn_s": ("s",),
+    "field_tx": ("t", "x"),
+    "field_txy": ("t", "x", "y"),
 }
-
-FAMILY_SIGNATURES: dict[str, str] = {
-    "theorem_2_1": "alpha(t), beta(t), b1, b2, Im(s), iota(s), sigma(s)",
-    "theorem_3_1": "alpha(t), Im(s)",
-    "prop_4_1": "theta(t,x,y) harmonic, zeta(t,x,y)",
-    "theorem_4_2": "alpha(t), gamma(t), Im(s), zeta(t,x,y)",
-    "theorem_4_3": "alpha(t), beta(t), Im(s), theta(t,x), zeta(t,x,y)",
-    "theorem_4_4": "alpha(t), beta(t), phi(t), Im(s), zeta(t,x,y)",
-}
-
-OPTIONAL_PARAMS = frozenset({"zeta"})
 
 
 def as_paramfn(name: str, value, var: str = "t") -> ParamFn:
@@ -126,17 +113,107 @@ def _probe_nonvanishing(fn: ParamFn, t_range) -> None:
         )
 
 
+def _probe_harmonic(name: str, field: Expr, t_range, probe_tol) -> None:
+    report = check_harmonic(field, t_range=t_range)
+    if report.max_abs > probe_tol:
+        raise HypothesisError(
+            f"{name} is not harmonic: |{name}_xx + {name}_yy| = "
+            f"{report.max_abs:.6g} at (t,x,y) = {report.worst_point}"
+        )
+
+
+def param_key(name: str, kind: str) -> str:
+    """How a config names a parameter of this kind: alpha(t), or b1 for a
+    real constant."""
+    vars = KIND_VARS[kind]
+    return f"{name}({','.join(vars)})" if vars else name
+
+
+def _coerce(name: str, kind: str, value):
+    vars = KIND_VARS[kind]
+    if not vars:
+        return float(value)
+    if len(vars) == 1:
+        return as_paramfn(name, value, vars[0])
+    return as_field(name, value, vars)
+
+
+class Family(NamedTuple):
+    """One family's declaration, as the config reader and writer use it."""
+
+    params: tuple[tuple[str, str], ...]  # (name, kind) in signature order
+    optional: frozenset[str]  # the params that have a default
+    constants: tuple[str, ...]  # other keyword arguments but t_range, tol
+    signature: str  # the line `seaconv list-families` prints
+
+
+FAMILIES: dict[str, Family] = {}
+BUILDERS: dict[str, Callable[..., Solution]] = {}
+
+
+def _family(nonvanishing=(), harmonic=(), **kinds):
+    """Declare the decorated `build_<tag>` as family <tag>.
+
+    kinds gives each parameter's kind (a KIND_VARS key) in signature
+    order; a parameter with a default may be left out of a config.  The
+    builder's keyword arguments besides those, t_range and tol are its
+    keyword constants, which a config may set by name.  The registered
+    builder coerces every parameter by its kind and every constant to
+    float, probes each fn_t parameter for smoothness, each nonvanishing
+    one for zeros and each harmonic field against the builder's
+    probe_tol on the time range, calls the body with the coerced
+    arguments, and gives its Solution a Meta of the parameters and
+    constants (tolerances, named *_tol, are not recorded).
+    """
+
+    def register(build):
+        tag = build.__name__.removeprefix("build_")
+        sig = inspect.signature(build)
+        defaults = {n for n, p in sig.parameters.items()
+                    if p.default is not p.empty}
+        constants = tuple(n for n in sig.parameters if n in defaults
+                          and n not in kinds and n not in ("t_range", "tol"))
+        recorded = [n for n in (*kinds, *constants) if not n.endswith("_tol")]
+        FAMILIES[tag] = Family(
+            tuple(kinds.items()),
+            frozenset(kinds) & defaults,
+            constants,
+            ", ".join(param_key(n, k) + " harmonic" * (n in harmonic)
+                      for n, k in kinds.items()),
+        )
+
+        @wraps(build)
+        def builder(*args, **kwargs) -> Solution:
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            a = bound.arguments
+            for name, kind in kinds.items():
+                a[name] = _coerce(name, kind, a[name])
+            for name in constants:
+                a[name] = float(a[name])
+            t_range = a["t_range"]
+            for name, kind in kinds.items():
+                if kind == "fn_t":
+                    _probe_smooth(a[name], t_range)
+            for name in nonvanishing:
+                _probe_nonvanishing(a[name], t_range)
+            for name in harmonic:
+                _probe_harmonic(name, a[name], t_range, a["probe_tol"])
+            sol = build(**a)
+            meta = Meta(tag, {n: a[n] for n in recorded},
+                        tuple(map(float, t_range)), float(a["tol"]))
+            return replace(sol, meta=meta)
+
+        BUILDERS[tag] = builder
+        return builder
+
+    return register
+
+
+@_family(alpha="fn_t", beta="fn_t", b1="real", b2="real", Im="fn_s",
+         iota="fn_s", sigma="fn_s")
 def build_theorem_2_1(alpha, beta, b1, b2, Im, iota, sigma,
                       t_range=(-1.0, 1.0), tol=1e-8) -> Solution:
-    alpha = as_paramfn("alpha", alpha)
-    beta = as_paramfn("beta", beta)
-    Im = as_paramfn("Im", Im, "s")
-    iota = as_paramfn("iota", iota, "s")
-    sigma = as_paramfn("sigma", sigma, "s")
-    b1, b2 = float(b1), float(b2)
-    _probe_smooth(alpha, t_range)
-    _probe_smooth(beta, t_range)
-
     a, a1, a2 = alpha(T), alpha(T, 1), alpha(T, 2)
     b, bp, bpp = beta(T), beta(T, 1), beta(T, 2)
     varpi = a1 * X + bp * Y + Z
@@ -151,15 +228,7 @@ def build_theorem_2_1(alpha, beta, b1, b2, Im, iota, sigma,
         + a * a1 + b * bp - a1 * imv - bp * iov
     )
     p = sigma(varpi)
-
-    meta = Meta(
-        "theorem_2_1",
-        {"alpha": alpha, "beta": beta, "b1": b1, "b2": b2,
-         "Im": Im, "iota": iota, "sigma": sigma},
-        tuple(map(float, t_range)),
-        float(tol),
-    )
-    return Solution(u, v, w, p, guards=(), meta=meta)
+    return Solution(u, v, w, p)
 
 
 def rigid_rotation(t_range=(-1.0, 1.0)) -> Solution:
@@ -170,11 +239,8 @@ def rigid_rotation(t_range=(-1.0, 1.0)) -> Solution:
     )
 
 
+@_family(alpha="fn_t", Im="fn_s")
 def build_theorem_3_1(alpha, Im, t_range=(-1.0, 1.0), tol=1e-8) -> Solution:
-    alpha = as_paramfn("alpha", alpha)
-    Im = as_paramfn("Im", Im, "s")
-    _probe_smooth(alpha, t_range)
-
     a, a1, a2, a3 = alpha(T), alpha(T, 1), alpha(T, 2), alpha(T, 3)
     s2 = X ** 2 + Y ** 2
     rad = a2 + a1 ** 2 + 0.25 - 2.0 * Z / s2
@@ -185,18 +251,11 @@ def build_theorem_3_1(alpha, Im, t_range=(-1.0, 1.0), tol=1e-8) -> Solution:
     v = a1 * Y + X / 2.0 - X * psi
     w = gam * s2 - 2.0 * a1 * Z
     p = Call("exp", -2.0 * a) * Im(Call("exp", 2.0 * a) * psi)
-
-    meta = Meta(
-        "theorem_3_1",
-        {"alpha": alpha, "Im": Im},
-        tuple(map(float, t_range)),
-        float(tol),
-    )
     guards = (
         Guard(s2, EPS_AXIS, "x^2+y^2"),
         Guard(rad, EPS_RAD, "radicand"),
     )
-    return Solution(u, v, w, p, guards=guards, meta=meta)
+    return Solution(u, v, w, p, guards)
 
 
 def theorem_3_1_stated_rho(alpha, Im) -> Expr:
@@ -247,44 +306,21 @@ def harmonic_poly(terms) -> Expr:
     return total
 
 
+@_family(theta="field_txy", zeta="field_txy", harmonic=("theta",))
 def build_prop_4_1(theta, zeta=0.0, t_range=(-1.0, 1.0), tol=1e-8,
                    probe_tol=1e-10) -> Solution:
-    from .verify import check_harmonic
-
-    theta = as_field("theta", theta, ("t", "x", "y"))
-    zeta = as_field("zeta", zeta, ("t", "x", "y"))
-    report = check_harmonic(theta, t_range=t_range)
-    if report.max_abs > probe_tol:
-        raise HypothesisError(
-            "theta is not harmonic: |theta_xx + theta_yy| = "
-            f"{report.max_abs:.6g} at (t,x,y) = {report.worst_point}"
-        )
-
     tx = diff(theta, "x")
     u = diff(tx, "x")
     v = diff(tx, "y")
     w = zeta
     p = Z - diff(tx, "t") - diff(theta, "y") - 0.5 * (u ** 2 + v ** 2)
-
-    meta = Meta(
-        "prop_4_1",
-        {"theta": theta, "zeta": zeta},
-        tuple(map(float, t_range)),
-        float(tol),
-    )
-    return Solution(u, v, w, p, guards=(), meta=meta)
+    return Solution(u, v, w, p)
 
 
+@_family(alpha="fn_t", gamma="fn_t", Im="fn_s",
+         zeta="field_txy", nonvanishing=("alpha",))
 def build_theorem_4_2(alpha, gamma, Im, zeta=0.0, t_range=(-1.0, 1.0),
                       tol=1e-8, varpi0=1.0, quad_tol=1e-10) -> Solution:
-    alpha = as_paramfn("alpha", alpha)
-    gamma = as_paramfn("gamma", gamma)
-    Im = as_paramfn("Im", Im, "s")
-    zeta = as_field("zeta", zeta, ("t", "x", "y"))
-    _probe_smooth(alpha, t_range)
-    _probe_smooth(gamma, t_range)
-    _probe_nonvanishing(alpha, t_range)
-
     a, a1, a2 = alpha(T), alpha(T, 1), alpha(T, 2)
     g, g1 = gamma(T), gamma(T, 1)
     varpi = X ** 2 + Y ** 2
@@ -295,34 +331,19 @@ def build_theorem_4_2(alpha, gamma, Im, zeta=0.0, t_range=(-1.0, 1.0),
     w = (a1 / a) * Z + zeta
 
     body = (g + Im(a * S)) ** 2 / S ** 2
-    K = Antideriv(body, varpi, float(varpi0), float(quad_tol))
+    K = Antideriv(body, varpi, varpi0, quad_tol)
     p = (
         Z + 0.5 * K
         - 0.5 * ((3.0 * a1 ** 2 - 2.0 * a * a2) / (4.0 * a ** 2) + 0.25) * varpi
         + g1 * Atan2(Y, X)
     )
-
-    meta = Meta(
-        "theorem_4_2",
-        {"alpha": alpha, "gamma": gamma, "Im": Im, "zeta": zeta,
-         "varpi0": float(varpi0)},
-        tuple(map(float, t_range)),
-        float(tol),
-    )
-    return Solution(u, v, w, p, guards=(Guard(varpi, EPS_AXIS, "x^2+y^2"),),
-                    meta=meta)
+    return Solution(u, v, w, p, (Guard(varpi, EPS_AXIS, "x^2+y^2"),))
 
 
+@_family(alpha="fn_t", beta="fn_t", Im="fn_s", theta="field_tx",
+         zeta="field_txy")
 def build_theorem_4_3(alpha, beta, Im, theta, zeta=0.0, t_range=(-1.0, 1.0),
                       tol=1e-8, x0=0.0, quad_tol=1e-10) -> Solution:
-    alpha = as_paramfn("alpha", alpha)
-    beta = as_paramfn("beta", beta)
-    Im = as_paramfn("Im", Im, "s")
-    theta = as_field("theta", theta, ("t", "x"))
-    zeta = as_field("zeta", zeta, ("t", "x", "y"))
-    _probe_smooth(alpha, t_range)
-    _probe_smooth(beta, t_range)
-
     a, a1, a2 = alpha(T), alpha(T, 1), alpha(T, 2)
     b = beta(T)
     E = b * Call("exp", -a)
@@ -357,40 +378,23 @@ def build_theorem_4_3(alpha, beta, Im, theta, zeta=0.0, t_range=(-1.0, 1.0),
         - Et / D_s
         - Call("exp", a) * Im(th_s)
     )
-    K = Antideriv(integrand, X, float(x0), float(quad_tol))
+    K = Antideriv(integrand, X, x0, quad_tol)
     p = (
         Z + K + a1 * X * Y - b * Y
         + ((a2 - a1 ** 2) * Y ** 2 - X ** 2) / 2.0
         - u ** 2 / 2.0
     )
-
-    meta = Meta(
-        "theorem_4_3",
-        {"alpha": alpha, "beta": beta, "Im": Im, "theta": theta,
-         "zeta": zeta, "x0": float(x0)},
-        tuple(map(float, t_range)),
-        float(tol),
-    )
     guards = (
         Guard(thx ** 2, EPS_DEN ** 2, "theta_x"),
         Guard(Im(th, 1) ** 2, EPS_DEN ** 2, "Im_prime"),
     )
-    return Solution(u, v, w, p, guards=guards, meta=meta)
+    return Solution(u, v, w, p, guards)
 
 
+@_family(alpha="fn_t", beta="fn_t", phi="fn_t", Im="fn_s",
+         zeta="field_txy", nonvanishing=("alpha", "beta"))
 def build_theorem_4_4(alpha, beta, phi, Im, zeta=0.0, t_range=(-1.0, 1.0),
                       tol=1e-7, t0=0.0, quad_tol=1e-10) -> Solution:
-    alpha = as_paramfn("alpha", alpha)
-    beta = as_paramfn("beta", beta)
-    phi = as_paramfn("phi", phi)
-    Im = as_paramfn("Im", Im, "s")
-    zeta = as_field("zeta", zeta, ("t", "x", "y"))
-    _probe_smooth(alpha, t_range)
-    _probe_smooth(beta, t_range)
-    _probe_smooth(phi, t_range)
-    _probe_nonvanishing(alpha, t_range)
-    _probe_nonvanishing(beta, t_range)
-
     a, a1, a2 = alpha(T), alpha(T, 1), alpha(T, 2)
     b, b1, b2 = beta(T), beta(T, 1), beta(T, 2)
     f, f1 = phi(T), phi(T, 1)
@@ -400,9 +404,9 @@ def build_theorem_4_4(alpha, beta, phi, Im, zeta=0.0, t_range=(-1.0, 1.0),
 
     g_t = (a / b) * fm1 + (b / a) * f
     g_s = substitute(g_t, {"t": S})
-    K = Antideriv(g_s, T, float(t0), float(quad_tol))
-    a0 = alpha.value_at(float(t0))
-    b0 = beta.value_at(float(t0))
+    K = Antideriv(g_s, T, t0, quad_tol)
+    a0 = alpha.value_at(t0)
+    b0 = beta.value_at(t0)
     c0 = (a0 + b0) / (a0 * b0)
     W = (a * b / s2ab) * (c0 * Call("exp", K))
     delta = (a * b1 - a1 * b) / s2ab
@@ -425,22 +429,4 @@ def build_theorem_4_4(alpha, beta, phi, Im, zeta=0.0, t_range=(-1.0, 1.0),
         Z + (Y ** 2 / 2.0) * ybr - (X ** 2 / 2.0) * xbr + X * Y * xybr
         + W * (1.0 - 2.0 * delta) * Im(varpi)
     )
-
-    meta = Meta(
-        "theorem_4_4",
-        {"alpha": alpha, "beta": beta, "phi": phi, "Im": Im, "zeta": zeta,
-         "t0": float(t0)},
-        tuple(map(float, t_range)),
-        float(tol),
-    )
-    return Solution(u, v, w, p, guards=(), meta=meta)
-
-
-BUILDERS = {
-    "theorem_2_1": build_theorem_2_1,
-    "theorem_3_1": build_theorem_3_1,
-    "prop_4_1": build_prop_4_1,
-    "theorem_4_2": build_theorem_4_2,
-    "theorem_4_3": build_theorem_4_3,
-    "theorem_4_4": build_theorem_4_4,
-}
+    return Solution(u, v, w, p)

@@ -16,6 +16,7 @@ structurally identical tree.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -64,6 +65,8 @@ def _tokenize(src: str) -> list[_Tok]:
             m = _NUM_RE.match(src, i)
             if not m:
                 raise ParseError("malformed number", i, src)
+            if math.isinf(float(m.group(0))):
+                raise ParseError(f"number {m.group(0)} is not finite", i, src)
             toks.append(_Tok("num", m.group(0), i))
             i = m.end()
             continue

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
@@ -36,8 +35,7 @@ class Meta:
 @dataclass(frozen=True)
 class Solution:
     """Exact flow fields as expressions in (t, x, y, z).  rho is the
-    z-derivative of p unless an explicit override is supplied (used only
-    to compare against an externally stated density)."""
+    z-derivative of p."""
 
     u: Expr
     v: Expr
@@ -45,12 +43,9 @@ class Solution:
     p: Expr
     guards: tuple[Guard, ...] = ()
     meta: Meta = field(default_factory=lambda: Meta("custom", {}))
-    rho_override: Optional[Expr] = None
 
     @property
     def rho(self) -> Expr:
-        if self.rho_override is not None:
-            return self.rho_override
         return diff(self.p, "z")
 
     def fields(self) -> dict[str, Expr]:

@@ -102,5 +102,4 @@ def apply_symmetry(sol: Solution, kind: SymmetryKind,
         transforms=sol.meta.transforms + ((k, alpha_source(a)),),
     )
     return Solution(u=fields["u"], v=fields["v"], w=fields["w"],
-                    p=fields["p"], guards=guards, meta=meta,
-                    rho_override=None)
+                    p=fields["p"], guards=guards, meta=meta)

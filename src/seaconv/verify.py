@@ -1,7 +1,7 @@
 """Residual certification of Solutions against the governing system.
 
 r1 = u_x + v_y + w_z
-r2 = p_z - rho                (identically zero unless rho is overridden)
+r2 = p_z - rho                (identically zero: rho is p_z)
 r3 = rho_t + u rho_x + v rho_y + w rho_z
 r4 = u_t + u u_x + v u_y + w u_z + v + p_x / rho
 r5 = v_t + u v_x + v v_y + w v_z - u + p_y / rho
@@ -37,8 +37,12 @@ class Grid:
     def __post_init__(self):
         for name in VARS4:
             lo, hi, n = getattr(self, name)
-            if int(n) < 1:
-                raise ValueError(f"axis {name}: count must be >= 1")
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise ValueError(f"axis {name}: bounds must be finite, got "
+                                 f"{lo!r}:{hi!r}")
+            if not isinstance(n, (int, np.integer)) or n < 1:
+                raise ValueError(f"axis {name}: count must be an integer "
+                                 f">= 1, got {n!r}")
             if lo > hi:
                 raise ValueError(f"axis {name}: min must be <= max")
 
@@ -103,17 +107,11 @@ def residual_batch(sol: Solution, points) -> np.ndarray:
     wz = jw.partial(unit[3])
     px, py, pz = (jp.partial(m) for m in unit[1:])
 
-    if sol.rho_override is None:
-        rho = pz
-        rho_t, rho_x, rho_y, rho_z = (
-            jp.partial(m) for m in ((1, 0, 0, 1), (0, 1, 0, 1),
-                                    (0, 0, 1, 1), (0, 0, 0, 2)))
-        r2 = np.zeros_like(pz)
-    else:
-        jr = eval_jet_batch(sol.rho_override, VARS4, pts, 2, memo=memo)
-        rho = jr.value
-        rho_t, rho_x, rho_y, rho_z = (jr.partial(m) for m in unit)
-        r2 = pz - rho
+    rho = pz
+    rho_t, rho_x, rho_y, rho_z = (
+        jp.partial(m) for m in ((1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1),
+                                (0, 0, 0, 2)))
+    r2 = np.zeros_like(pz)
 
     r1 = ux + vy + wz
     r3 = rho_t + u * rho_x + v * rho_y + w * rho_z

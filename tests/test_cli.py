@@ -4,6 +4,9 @@ import contextlib
 import io
 import warnings
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,8 @@ from seaconv.cli import build_from_config, load_config, main, \
 from seaconv.errors import ConfigError
 from seaconv.evaluate import eval_values
 from seaconv.expr import print_expr
-from seaconv.families import rigid_rotation
+from seaconv.families import FAMILIES, KIND_VARS, param_key, \
+    rigid_rotation
 
 V4 = ("t", "x", "y", "z")
 
@@ -56,14 +60,18 @@ def write(tmp_path, name, text):
     return str(p)
 
 
+LIST_FAMILIES = """\
+theorem_2_1: alpha(t), beta(t), b1, b2, Im(s), iota(s), sigma(s)
+theorem_3_1: alpha(t), Im(s)
+prop_4_1: theta(t,x,y) harmonic, zeta(t,x,y)
+theorem_4_2: alpha(t), gamma(t), Im(s), zeta(t,x,y)
+theorem_4_3: alpha(t), beta(t), Im(s), theta(t,x), zeta(t,x,y)
+theorem_4_4: alpha(t), beta(t), phi(t), Im(s), zeta(t,x,y)
+"""
+
+
 def test_list_families():
-    code, out, err = run(["list-families"])
-    assert code == 0 and err == ""
-    lines = out.strip().splitlines()
-    assert len(lines) == 6
-    assert ("theorem_2_1: alpha(t), beta(t), b1, b2, Im(s), iota(s), "
-            "sigma(s)") in lines
-    assert "prop_4_1: theta(t,x,y) harmonic, zeta(t,x,y)" in lines
+    assert run(["list-families"]) == (0, LIST_FAMILIES, "")
 
 
 def test_build_descriptor_is_canonical_stable(tmp_path):
@@ -350,7 +358,8 @@ def test_overflow_in_evaluation_prints_only_the_error(tmp_path):
     RIGID_CFG + "t_range = 0:inf\n",
     RIGID_CFG + "tol = nan\n",
     VORTEX_CFG + "guard = radicand; nan\n",
-], ids=["constant", "constant-inf", "t_range", "tol", "guard"])
+    RIGID_CFG.replace("Im(s) = 0", "Im(s) = 1e999 * s"),
+], ids=["constant", "constant-inf", "t_range", "tol", "guard", "dsl-literal"])
 def test_non_finite_config_number_exits_2(tmp_path, text):
     cfg = write(tmp_path, "bad.cfg", text)
     code, _, err = run(["build", "--config", cfg])
@@ -415,3 +424,203 @@ def test_unexpected_exception_exits_2(tmp_path, monkeypatch):
     assert out == ""
     assert_one_error_line(err)
     assert err == "error: RuntimeError: kernel fault\n"
+
+
+# One config per family, three of them with keys out of order, and the
+# descriptor `seaconv build` writes for it: declared parameters first in
+# signature order, then the keyword constants, numbers at 17 significant
+# digits.
+# prop_4_1, theorem_4_2 and theorem_4_4 set every keyword constant and
+# zeta; theorem_4_3 sets none of them.
+GOLDEN = {
+    "theorem_2_1": ("""\
+family = theorem_2_1
+alpha(t) = sin(t)
+beta(t) = cos(t)
+b1 = 0.5
+b2 = -0.3
+Im(s) = tanh(s)
+iota(s) = s
+sigma(s) = exp(s)
+t_range = 0:1
+""", """\
+family = theorem_2_1
+alpha(t) = sin(t)
+beta(t) = cos(t)
+b1 = 0.5
+b2 = -0.29999999999999999
+Im(s) = tanh(s)
+iota(s) = s
+sigma(s) = exp(s)
+t_range = 0:1
+"""),
+    "theorem_3_1": ("""\
+family = theorem_3_1
+Im(s) = tanh(s)
+alpha(t) = t^2 / 2
+tol = 1e-9
+""", """\
+family = theorem_3_1
+alpha(t) = t^2/2
+Im(s) = tanh(s)
+tol = 1.0000000000000001e-09
+"""),
+    "prop_4_1": ("""\
+family = prop_4_1
+probe_tol = 1e-9
+zeta(t,x,y) = x * y
+theta(t,x,y) = t * (x^3 - 3*x*y^2)
+""", """\
+family = prop_4_1
+theta(t,x,y) = t*(x^3 - 3*x*y^2)
+zeta(t,x,y) = x*y
+probe_tol = 1.0000000000000001e-09
+"""),
+    "theorem_4_2": ("""\
+family = theorem_4_2
+quad_tol = 1e-11
+varpi0 = 2
+alpha(t) = exp(t)
+gamma(t) = 1
+Im(s) = s
+zeta(t,x,y) = t*x
+""", """\
+family = theorem_4_2
+alpha(t) = exp(t)
+gamma(t) = 1
+Im(s) = s
+zeta(t,x,y) = t*x
+varpi0 = 2
+quad_tol = 9.9999999999999994e-12
+"""),
+    "theorem_4_3": ("""\
+family = theorem_4_3
+alpha(t) = t
+beta(t) = 1
+Im(s) = s
+theta(t,x) = x + t
+""", """\
+family = theorem_4_3
+alpha(t) = t
+beta(t) = 1
+Im(s) = s
+theta(t,x) = x + t
+"""),
+    "theorem_4_4": ("""\
+family = theorem_4_4
+alpha(t) = 2 + sin(t)
+beta(t) = 1
+phi(t) = t
+Im(s) = tanh(s)
+zeta(t,x,y) = 0.5 * y
+t0 = 0.25
+quad_tol = 1e-9
+""", """\
+family = theorem_4_4
+alpha(t) = 2 + sin(t)
+beta(t) = 1
+phi(t) = t
+Im(s) = tanh(s)
+zeta(t,x,y) = 0.5*y
+t0 = 0.25
+quad_tol = 1.0000000000000001e-09
+"""),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(FAMILIES))
+def test_golden_descriptor_and_rebuild(tmp_path, tag):
+    config, descriptor = GOLDEN[tag]
+    cfg = write(tmp_path, "in.cfg", config)
+    assert run(["build", "--config", cfg]) == (0, descriptor, "")
+    desc = write(tmp_path, "out.desc", descriptor)
+    assert run(["build", "--config", desc]) == (0, descriptor, "")
+
+
+# The property test of `seaconv build` below draws a config from a family's
+# declaration: a valid config, then up to two faults.
+
+def _dsl(atoms):
+    return st.recursive(
+        st.sampled_from(atoms),
+        lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from(["+", "-", "*", "/"]),
+                      inner).map(lambda t: f"{t[0]} {t[1]} {t[2]}"),
+            st.tuples(st.sampled_from(["sin", "exp", "tanh", "-"]),
+                      inner).map(lambda t: f"{t[0]}({t[1]})"),
+            inner.map(lambda e: f"({e})^2"),
+        ),
+        max_leaves=4)
+
+
+NUMBERS = ["0", "1", "-0.25", "2.5", "1e-3"]
+# Values each family accepts for every parameter of the kind: the fn_t
+# ones are smooth and nonvanishing, the field ones harmonic.
+GOOD = {
+    "real": st.sampled_from(NUMBERS) | st.floats(-1e3, 1e3).map(repr),
+    "fn_t": st.sampled_from(["1", "2 + sin(t)", "exp(t)", "1.5 + t^2"]),
+    "fn_s": st.sampled_from(["s", "0", "tanh(s)", "s^2/2"]) | _dsl(
+        NUMBERS + ["s"]),
+    "field_tx": st.sampled_from(["x", "x + t", "2*x - t"]),
+    "field_txy": st.sampled_from(["0", "x*y", "t*x - y", "x^2 - y^2"]),
+}
+BAD = st.sampled_from(["nan", "inf", "-inf", "1e999", "", "(", "t +",
+                       "2 * * x", "sin(", "x^t", "@", "t", "sqrt(t)",
+                       "1/0"]) | _dsl(NUMBERS + list("tsxyz"))
+WRONG_VARS = [(), ("t",), ("s",), ("x",), ("t", "x"), ("t", "x", "y"),
+              ("t", "x", "y", "z")]
+UNDECLARED = ["volume = 3", "foo(t) = t", "zeta(t,x,y) = x", "b1 = 1",
+              "Im(s) = s", "t_range = -0.5:0.5", "tol = 1e-9",
+              "t_range = 1:0"] + [
+    f"{c} = 0.5" for c in sorted({c for f in FAMILIES.values()
+                                  for c in f.constants})]
+
+
+def _key(name, vars):
+    return f"{name}({','.join(vars)})" if vars else name
+
+
+@st.composite
+def configs(draw):
+    tag = draw(st.sampled_from(sorted(FAMILIES)))
+    fam = FAMILIES[tag]
+    lines = [[param_key(name, kind), draw(GOOD[kind])]
+             for name, kind in fam.params
+             if name not in fam.optional or draw(st.booleans())]
+    lines += [[c, draw(GOOD["real"])] for c in fam.constants
+              if draw(st.booleans())]
+    for _ in range(draw(st.integers(0, 2))):
+        fault = draw(st.sampled_from(
+            ["leave out", "duplicate", "wrong vars", "value", "undeclared"]))
+        i = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if fault == "undeclared" or not lines:
+            lines.append(draw(st.sampled_from(UNDECLARED)).split(" = "))
+        elif fault == "leave out":
+            del lines[i]
+        elif fault == "duplicate":
+            lines.append(list(lines[i]))
+        elif fault == "wrong vars":
+            name = lines[i][0].split("(")[0]
+            lines[i][0] = _key(name, draw(st.sampled_from(WRONG_VARS)))
+        else:
+            lines[i][1] = draw(BAD)
+    lines = draw(st.permutations(lines))
+    return "".join(f"{line[0]} = {line[1]}\n"
+                   for line in [["family", tag]] + lines)
+
+
+@given(text=configs())
+@settings(max_examples=60, deadline=None)
+def test_build_contract(tmp_path_factory, text):
+    """Exit 0 with a descriptor that rebuilds byte for byte, or exit 2
+    with one error line and nothing on stdout."""
+    tmp = tmp_path_factory.getbasetemp()
+    code, out, err = run(["build", "--config", write(tmp, "fuzz.cfg", text)])
+    assert code in (0, 2), (text, err)
+    if code == 2:
+        assert out == "", text
+        assert_one_error_line(err)
+        return
+    assert err == ""
+    desc = write(tmp, "fuzz.desc", out)
+    assert run(["build", "--config", desc]) == (0, out, ""), text

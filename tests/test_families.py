@@ -155,6 +155,13 @@ def test_prop_4_1_rejects_non_harmonic():
     assert "harmonic" in str(exc.value)
 
 
+def test_prop_4_1_probe_tol_sets_the_harmonic_bound():
+    # |theta_xx + theta_yy| = 2e-6 everywhere.
+    with pytest.raises(HypothesisError):
+        build_prop_4_1(theta="x^2 - y^2 + 1e-6*x^2")
+    build_prop_4_1(theta="x^2 - y^2 + 1e-6*x^2", probe_tol=1e-5)
+
+
 def test_theorem_4_2_trivial_spot():
     sol = build_theorem_4_2(alpha=1.0, gamma=0.0, Im=0.0)
     got = fields_at(sol, (0.0, 2.0, 2.0, 1.0))
@@ -236,6 +243,28 @@ def test_meta_records_family_and_params():
     assert sol.meta.family == "theorem_3_1"
     assert "alpha" in sol.meta.params
     assert sol.meta.transforms == ()
+
+
+def test_meta_records_parameters_and_base_points_not_tolerances(
+        instance_matrix):
+    want = {
+        "theorem_2_1": "alpha beta b1 b2 Im iota sigma",
+        "theorem_3_1": "alpha Im",
+        "prop_4_1": "theta zeta",
+        "theorem_4_2": "alpha gamma Im zeta varpi0",
+        "theorem_4_3": "alpha beta Im theta zeta x0",
+        "theorem_4_4": "alpha beta phi Im zeta t0",
+    }
+    for name, sol, _grid, _tol in instance_matrix:
+        assert " ".join(sol.meta.params) == want[sol.meta.family], name
+
+
+def test_builders_take_positional_arguments():
+    a = build_theorem_4_3(0.0, 0.0, "s", "x", 0.0, (0.0, 1.0), 1e-9, 0.5)
+    b = build_theorem_4_3(alpha=0.0, beta=0.0, Im="s", theta="x",
+                          t_range=(0.0, 1.0), tol=1e-9, x0=0.5)
+    assert repr(a) == repr(b)
+    assert a.meta.params["x0"] == 0.5 and a.meta.tol_default == 1e-9
 
 
 def test_residuals_vanish_at_in_guard_point():

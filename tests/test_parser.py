@@ -59,6 +59,16 @@ def test_syntax_error_offset():
     assert "(at offset 4)" in str(exc.value)
 
 
+def test_literal_that_overflows_is_rejected():
+    # 1e999 reads as inf, which prints as an identifier that no parse
+    # accepts, so a descriptor holding it could not be rebuilt.
+    for src in ("1e999", "x * 1e999", "x^1e999"):
+        with pytest.raises(ParseError) as exc:
+            parse_expr(src, None)
+        assert "1e999 is not finite" in str(exc.value)
+    assert _value("1e308") == 1e308
+
+
 def test_wrong_arity():
     with pytest.raises(ParseError) as exc:
         parse_expr("sin(x, y)", None)

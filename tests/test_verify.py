@@ -111,6 +111,17 @@ def test_grid_validation():
     assert g.points().shape == (8, 4)
 
 
+@pytest.mark.parametrize("axis, word", [
+    ((float("nan"), 1.0, 2), "finite"), ((0.0, float("inf"), 2), "finite"),
+    ((0.0, 1.0, 2.5), "count"), ((0.0, 1.0, 2.0), "count"),
+    ((0.0, 1.0, "3"), "count"),
+])
+def test_grid_rejects_non_finite_bounds_and_non_integer_counts(axis, word):
+    with pytest.raises(ValueError) as exc:
+        Grid(t=(0.0, 1.0, 2), x=axis, y=(0.0, 1.0, 2), z=(0.0, 1.0, 2))
+    assert str(exc.value).startswith("axis x:") and word in str(exc.value)
+
+
 def test_scan_rejects_fully_excluded_grid():
     sol = build_theorem_3_1(alpha=0.0, Im="s")
     g = Grid(t=(0.0, 1.0, 3), x=(0.0, 0.0, 1), y=(0.0, 0.0, 1),
