@@ -114,6 +114,9 @@ def parse_config_text(text: str) -> Config:
 
 
 def _parse_config_line(cfg: Config, key: str, value: str, where: str) -> None:
+    if key in ("family", "t_range", "tol", "grid") \
+            and getattr(cfg, key) is not None:
+        raise ConfigError(f"{where}: duplicate definition of {key!r}")
     if key == "family":
         cfg.family = value
         return
@@ -150,6 +153,8 @@ def _parse_config_line(cfg: Config, key: str, value: str, where: str) -> None:
         fname = key[len("override_"):]
         if fname not in FIELD_NAMES:
             raise ConfigError(f"{where}: unknown field in {key!r}")
+        if fname in cfg.overrides:
+            raise ConfigError(f"{where}: duplicate definition of {key!r}")
         cfg.overrides[fname] = parse_expr(value, cfg.ctx, allowed=VARS4)
         return
 

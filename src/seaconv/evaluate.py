@@ -1,9 +1,19 @@
 """Jet evaluation of expression trees.
 
 Every evaluator works on batches of points and returns truncated Taylor
-jets; scalar convenience wrappers sit on top.  A single evaluation pass
-shares subexpression jets through an identity-keyed memo, so expression
-trees built with shared substructure are evaluated once per node.
+jets; scalar convenience wrappers sit on top.
+
+A single evaluation pass shares subexpression jets through a memo keyed
+by structure: a node's key is its type, its own fields (floats by their
+bits, so 0.0 and -0.0 stay apart; a parameter function by identity) and
+the keys of its children.  Equal subtrees that are distinct objects, as
+a symmetry map or a second parse leaves them, get one jet per pass.
+Each node's key is computed once per memo, from its children's, so a
+lookup never walks a subtree.  The memo is order-aware: a jet held at a
+higher order answers a lower-order request by truncation, a slice of its
+coefficients (the graded layout makes a lower order a prefix); a jet
+held at a lower order is never used for a higher one, and the node is
+evaluated again.
 """
 from __future__ import annotations
 
@@ -49,8 +59,10 @@ def eval_jet_batch(e: Expr, vars, points, order: int,
     """Evaluate e at an (npoints, nvars) array of points, returning the
     jet batch of order `order` with respect to `vars`.  Extra variables
     may be bound to constant per-point values through `bindings`; those
-    enter with zero derivatives.  A caller-held memo dict may be reused
-    across calls that share vars, points, order, and bindings."""
+    enter with zero derivatives.  A caller-held memo dict (start it
+    empty; its contents are the evaluator's) may be reused across calls
+    that share vars, points and bindings, at any orders: evaluate the
+    highest order first, and the lower orders are truncations of it."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     if order > MAX_PUBLIC_ORDER:
@@ -89,19 +101,36 @@ def deriv_1d(f, s0: float, k: int) -> float:
 
 
 def _eval(e: Expr, ctx: _Ctx) -> JetBatch:
-    hit = ctx.memo.get(id(e))
-    if hit is not None:
-        return hit
-    handler = _HANDLERS.get(type(e))
-    if handler is None:
-        raise TypeError(f"cannot evaluate node of type {type(e).__name__}")
-    out = handler(e, ctx)
+    entry = _entry(e, ctx.memo)
+    held = entry[0]
+    if held is not None and held.space.order >= ctx.order:
+        if held.space is ctx.space:
+            return held
+        return JetBatch(ctx.space, held.coef[:, : ctx.space.ncoef])
+    out = _RULES[type(e)][0](e, ctx)
     if not np.isfinite(out.coef).all():
         raise EvalDomainError(
             "non-finite value during evaluation", e
         )
-    ctx.memo[id(e)] = out
+    entry[0] = out
     return out
+
+
+def _entry(e: Expr, memo: dict) -> list:
+    """The memo entry [jet or None, *nodes] that e shares with every
+    structurally equal node.  The memo maps id(node) to its entry, and
+    the structural key to the same entry; an entry holds its nodes, so
+    their ids are not reused while the memo lives."""
+    entry = memo.get(id(e))
+    if entry is None:
+        rule = _RULES.get(type(e))
+        if rule is None:
+            raise TypeError(f"cannot evaluate node of type {type(e).__name__}")
+        kids = tuple(id(_entry(c, memo)) for c in e.children())
+        entry = memo.setdefault((type(e), rule[1](e), kids), [None])
+        entry.append(e)
+        memo[id(e)] = entry
+    return entry
 
 
 def _ev_const(e: Const, ctx):
@@ -218,17 +247,23 @@ def _ev_antideriv(e: Antideriv, ctx):
     return compose_antideriv(e, G, ctx.vars, ctx.points, ctx.bindings)
 
 
-_HANDLERS = {
-    Const: _ev_const,
-    Var: _ev_var,
-    Add: _ev_add,
-    Sub: _ev_sub,
-    Mul: _ev_mul,
-    Div: _ev_div,
-    IntPow: _ev_intpow,
-    RealPow: _ev_realpow,
-    Call: _ev_call,
-    Atan2: _ev_atan2,
-    FnApp: _ev_fnapp,
-    Antideriv: _ev_antideriv,
+def _no_fields(e):
+    return None
+
+
+# Per node type: the jet rule, and the node's own fields for its memo key.
+_RULES = {
+    Const: (_ev_const, lambda e: e.value.hex()),
+    Var: (_ev_var, lambda e: e.name),
+    Add: (_ev_add, _no_fields),
+    Sub: (_ev_sub, _no_fields),
+    Mul: (_ev_mul, _no_fields),
+    Div: (_ev_div, _no_fields),
+    IntPow: (_ev_intpow, lambda e: e.n),
+    RealPow: (_ev_realpow, lambda e: float(e.e).hex()),
+    Call: (_ev_call, lambda e: e.kind),
+    Atan2: (_ev_atan2, _no_fields),
+    FnApp: (_ev_fnapp, lambda e: (id(e.fn), e.k)),
+    Antideriv: (_ev_antideriv,
+                lambda e: (float(e.base).hex(), float(e.tol).hex())),
 }

@@ -351,6 +351,10 @@ def build_theorem_4_3(alpha, beta, Im, theta, zeta=0.0, t_range=(-1.0, 1.0),
 
     th = theta
     thx = diff(th, "x")
+    if isinstance(thx, Const) and thx.value == 0.0:
+        raise HypothesisError(
+            "theta_x is identically 0: theorem_4_3 divides by theta_x, so "
+            "theta must depend on x")
     tht = diff(th, "t")
     thxx = diff(thx, "x")
     thxt = diff(thx, "t")
@@ -407,6 +411,11 @@ def build_theorem_4_4(alpha, beta, phi, Im, zeta=0.0, t_range=(-1.0, 1.0),
     K = Antideriv(g_s, T, t0, quad_tol)
     a0 = alpha.value_at(t0)
     b0 = beta.value_at(t0)
+    if a0 * b0 == 0.0:
+        raise HypothesisError(
+            f"alpha(t0)*beta(t0) is 0 at t0 = {t0!r} (alpha = {a0:.3g}, "
+            f"beta = {b0:.3g}), so c0 = (alpha + beta)/(alpha*beta) there "
+            "is undefined")
     c0 = (a0 + b0) / (a0 * b0)
     W = (a * b / s2ab) * (c0 * Call("exp", K))
     delta = (a * b1 - a1 * b) / s2ab

@@ -6,9 +6,12 @@ r3 = rho_t + u rho_x + v rho_y + w rho_z
 r4 = u_t + u u_x + v u_y + w u_z + v + p_x / rho
 r5 = v_t + u v_x + v v_y + w v_z - u + p_y / rho
 
-All derivatives come from order-2 jet evaluation with a shared
-subexpression memo; rho and its first partials are read off p's jet one
-derivative order higher, which makes r2 structural.
+Each field is evaluated at the order its residual terms read: p at
+order 2, because rho = p_z and r3 reads rho's first partials, then u, v
+and w at order 1, all through one structural, order-aware memo
+(evaluate.py), so a subtree p shares with a velocity is evaluated once
+and read by truncation.  Reading rho off p's jet one derivative order
+higher makes r2 structural.
 """
 from __future__ import annotations
 
@@ -95,10 +98,10 @@ def residual_batch(sol: Solution, points) -> np.ndarray:
     r4/r5 are NaN where |rho| < 1e-9."""
     pts = np.asarray(points, dtype=float)
     memo: dict = {}
-    ju = eval_jet_batch(sol.u, VARS4, pts, 2, memo=memo)
-    jv = eval_jet_batch(sol.v, VARS4, pts, 2, memo=memo)
-    jw = eval_jet_batch(sol.w, VARS4, pts, 2, memo=memo)
     jp = eval_jet_batch(sol.p, VARS4, pts, 2, memo=memo)
+    ju = eval_jet_batch(sol.u, VARS4, pts, 1, memo=memo)
+    jv = eval_jet_batch(sol.v, VARS4, pts, 1, memo=memo)
+    jw = eval_jet_batch(sol.w, VARS4, pts, 1, memo=memo)
 
     unit = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     u, v, w = ju.value, jv.value, jw.value
@@ -287,7 +290,7 @@ def check_reduced_2d(u: Expr, v: Expr, eta: Expr, points=None,
     memo: dict = {}
     ju = eval_jet_batch(u, VARS_TXY, pts, 2, memo=memo)
     jv = eval_jet_batch(v, VARS_TXY, pts, 2, memo=memo)
-    je = eval_jet_batch(eta, VARS_TXY, pts, 2, memo=memo)
+    je = eval_jet_batch(eta, VARS_TXY, pts, 1, memo=memo)
     et, ex, ey = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     uu, vv = ju.value, jv.value
     ut, ux, uy = (ju.partial(m) for m in (et, ex, ey))

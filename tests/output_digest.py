@@ -5,7 +5,9 @@
 imports seaconv from <tree>/src and the instance matrix from
 <tree>/tests/conftest.py, and prints one hex digest.  Two trees whose
 digests match produce byte-identical residual reports (sequential, and
-threaded with workers=2, chunk=97) and CSV field tables for every
+threaded with workers=2, chunk=97), raw residual arrays (every value
+residual_batch returns on the grid's in-guard points, not only the
+report's max, rms and worst point) and CSV field tables for every
 instance of conftest.build_instance_matrix().  The digest checks that
 a refactor or an optimisation leaves every output unchanged.
 """
@@ -18,7 +20,8 @@ from pathlib import Path
 def instance_matrix_digest() -> str:
     from conftest import build_instance_matrix
     from seaconv.cli import field_table
-    from seaconv.verify import residual_scan
+    from seaconv.solution import in_domain_mask
+    from seaconv.verify import residual_batch, residual_scan
 
     h = hashlib.sha256()
     for name, sol, grid, _tol in build_instance_matrix():
@@ -29,6 +32,8 @@ def instance_matrix_digest() -> str:
                                  "sequential one")
         h.update(name.encode())
         h.update(sequential.encode())
+        pts = grid.points()
+        h.update(residual_batch(sol, pts[in_domain_mask(sol, pts)]).tobytes())
         h.update(field_table(sol, grid).encode())
     return h.hexdigest()
 

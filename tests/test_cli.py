@@ -269,6 +269,48 @@ def test_duplicate_key_rejected():
     assert "duplicate" in str(exc.value)
 
 
+@pytest.mark.parametrize("key, first, second", [
+    ("family", "theorem_9_9", "prop_4_1"),
+    ("t_range", "-1:1", "0:2"),
+    ("tol", "1e-9", "1e-6"),
+    ("grid", "t=0:1:2,x=-1:1:3,y=-1:1:3,z=0:1:2",
+     "t=0:1:3,x=-1:1:3,y=-1:1:3,z=0:1:2"),
+    ("override_p", "z", "z + x"),
+])
+def test_repeated_setting_line_is_a_duplicate(tmp_path, key, first, second):
+    base = RIGID_CFG.replace("family = theorem_2_1\n", "") \
+        if key == "family" else RIGID_CFG
+    text = f"{base}{key} = {first}\n{key} = {second}\n"
+    code, _, err = run(["build", "--config", write(tmp_path, "dup.cfg", text)])
+    assert code == 2
+    assert_one_error_line(err)
+    last = len(text.splitlines())
+    assert f"line {last}: duplicate definition of '{key}'" in err
+
+
+def test_theta_without_x_is_a_rejected_hypothesis(tmp_path):
+    cfg = write(tmp_path, "thx.cfg",
+                "family = theorem_4_3\nalpha(t) = 0\nbeta(t) = 0\n"
+                "Im(s) = s\ntheta(t,x) = t\n")
+    code, _, err = run(["build", "--config", cfg])
+    assert code == 2
+    assert_one_error_line(err)
+    assert "theta_x is identically 0" in err
+    assert "ZeroDivisionError" not in err
+
+
+def test_alpha_beta_vanishing_at_t0_is_a_rejected_hypothesis(tmp_path):
+    # beta(t0) = exp(-746) underflows to 0 outside the probed t_range.
+    cfg = write(tmp_path, "t0.cfg",
+                "family = theorem_4_4\nalpha(t) = 1\nbeta(t) = exp(t)\n"
+                "phi(t) = 1\nIm(s) = 0\nt0 = -746\n")
+    code, _, err = run(["build", "--config", cfg])
+    assert code == 2
+    assert_one_error_line(err)
+    assert "alpha(t0)*beta(t0) is 0 at t0 = -746" in err
+    assert "ZeroDivisionError" not in err
+
+
 def test_unknown_family_and_key(tmp_path):
     code, _, err = run(["build", "--config",
                         write(tmp_path, "f.cfg", "family = theorem_9_9\n")])

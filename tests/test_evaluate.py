@@ -1,0 +1,61 @@
+"""The evaluator's memo: one jet per structurally distinct node, and a
+lower order read off a higher one by truncation."""
+
+import numpy as np
+
+from seaconv import jets
+from seaconv.evaluate import eval_jet_batch, eval_values
+from seaconv.expr import Add, Atan2, Const, Mul
+from seaconv.parser import parse_expr
+from seaconv.solution import in_domain_mask
+
+V4 = ("t", "x", "y", "z")
+PTS = np.random.default_rng(3).uniform(-1.0, 1.0, size=(40, 4))
+
+
+def test_order_1_jet_is_the_prefix_of_the_order_2_jet(instance_matrix):
+    for name, sol, grid, _tol in instance_matrix:
+        pts = grid.points()
+        live = pts[in_domain_mask(sol, pts)]
+        for f in ("u", "v", "w", "p"):
+            e = getattr(sol, f)
+            j1 = eval_jet_batch(e, V4, live, 1)
+            j2 = eval_jet_batch(e, V4, live, 2)
+            assert np.array_equal(j1.coef, j2.coef[:, :5]), (name, f)
+
+
+def test_memo_filled_at_order_1_answers_order_2_in_full():
+    e = parse_expr("sin(x*y) + t*z^2 + exp(x - t)*cos(y)")
+    fresh = eval_jet_batch(e, V4, PTS, 2).coef
+    memo = {}
+    j1 = eval_jet_batch(e, V4, PTS, 1, memo=memo)
+    j2 = eval_jet_batch(e, V4, PTS, 2, memo=memo)
+    assert j1.coef.shape == (40, 5)
+    assert j2.coef.shape == (40, 15)
+    assert np.array_equal(j2.coef, fresh)
+    # And back down: the order-2 jet now held answers order 1 by a slice.
+    assert np.array_equal(eval_jet_batch(e, V4, PTS, 1, memo=memo).coef,
+                          fresh[:, :5])
+
+
+def test_signed_zero_constants_are_not_merged():
+    # Const(0.0) == Const(-0.0), but atan2 tells them apart: pi and -pi.
+    e = Add(Atan2(Const(0.0), Const(-1.0)), Atan2(Const(-0.0), Const(-1.0)))
+    assert e.a == e.b
+    assert np.array_equal(eval_values(e, V4, PTS[:3]), np.zeros(3))
+
+
+def test_equal_subtrees_share_one_jet(monkeypatch):
+    calls = []
+    compose = jets.compose_smooth
+
+    def counted(u, derivs):
+        calls.append(u.space.order)
+        return compose(u, derivs)
+
+    monkeypatch.setattr(jets, "compose_smooth", counted)
+    e = Mul(parse_expr("sin(x)"), parse_expr("sin(x)"))
+    assert e.a is not e.b
+    j = eval_jet_batch(e, V4, PTS, 2)
+    assert calls == [2]
+    assert np.allclose(j.value, np.sin(PTS[:, 1]) ** 2, rtol=0, atol=1e-15)
