@@ -229,7 +229,8 @@ def _ev_atan2(e: Atan2, ctx):
     # atan2(b, a) = Im log(a + ib); the constant term is taken from
     # arctan2 itself so that order-0 values match it bit for bit.
     z = JetBatch(ctx.space, den.coef + 1j * num.coef)
-    coef = jets.compose_smooth(z, jets.d_log(z.value, ctx.order)).coef.imag
+    coef = np.asfortranarray(
+        jets.compose_smooth(z, jets.d_log(z.value, ctx.order)).coef.imag)
     coef[:, 0] = np.arctan2(b0, a0)
     return JetBatch(ctx.space, coef)
 

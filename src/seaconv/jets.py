@@ -5,7 +5,12 @@ c_m = (1/m!) d^m f, one per multi-index m with |m| <= n, in graded
 lexicographic order.  Grading by total degree makes the coefficient
 layout of a lower order a prefix of every higher order, so truncation
 is a slice.  A JetBatch vectorizes one jet computation over many
-evaluation points: coef has shape (npoints, ncoef).
+evaluation points: coef has shape (npoints, ncoef), stored column-major
+(order="F"), so each coefficient's values over the batch are one
+contiguous block and the column gathers and adds of mul_coef walk memory
+with unit stride.  Elementwise numpy operations and the prefix slice
+keep that layout.  A JetBatch built from a C-ordered array gives the
+same numbers, bit for bit, only slower.
 
 A product sums, for each coefficient k, a_i b_j over the pairs with
 mono_i + mono_j = mono_k.  JetSpace.mul_coef adds them in a fixed order:
@@ -136,7 +141,7 @@ class JetBatch:
 
 def const_batch(space: JetSpace, values) -> JetBatch:
     values = np.asarray(values, dtype=float)
-    coef = np.zeros((values.shape[0], space.ncoef))
+    coef = np.zeros((values.shape[0], space.ncoef), order="F")
     coef[:, 0] = values
     return JetBatch(space, coef)
 
@@ -160,7 +165,7 @@ def compose_smooth(u: JetBatch, derivs: np.ndarray) -> JetBatch:
     a = derivs / _FACT[: n + 1]
     if n == 0:
         return JetBatch(space, a[:, :1].copy())
-    uhat = u.coef.copy()
+    uhat = u.coef.copy(order="K")
     uhat[:, 0] = 0.0
     # Horner in uhat, starting from a_n * uhat + a_{n-1}: the product of
     # the constant jet a_n with uhat is a scaling.

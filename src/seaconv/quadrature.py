@@ -242,18 +242,18 @@ def compose_antideriv(node: Antideriv, G: JetBatch, vars: tuple[str, ...],
     lift, tables = _embed_tables(len(vars), tuple(map(vars.index, jv)), n)
     Q = _simpson_batched(f, np.full(rows.shape[0], node.base), rows[:, 0],
                          node.tol)
-    A = np.zeros((npts, space.ncoef))
+    A = np.zeros((npts, space.ncoef), order="F")
     A[:, lift] = Q[inv]
 
     if n >= 1:
         B = eval_jet_batch(node.body, ("s",) + jv,
                            np.column_stack([rows[:, 0], jpts]), n,
                            bindings=rbinds).coef[inv]
-        ghat = G.coef.copy()
+        ghat = G.coef.copy(order="K")
         ghat[:, 0] = 0.0
         gpow = ghat
         for k, (dst, src) in enumerate(tables, start=1):
-            Dk = np.zeros((npts, space.ncoef))
+            Dk = np.zeros((npts, space.ncoef), order="F")
             Dk[:, dst] = B[:, src]
             A += space.mul_coef(Dk, gpow) / k
             if k < n:

@@ -48,6 +48,9 @@ class Grid:
                                  f">= 1, got {n!r}")
             if lo > hi:
                 raise ValueError(f"axis {name}: min must be <= max")
+            if not np.isfinite(hi - lo):
+                raise ValueError(f"axis {name}: span {lo!r}:{hi!r} overflows "
+                                 f"a float")
 
     def axes(self):
         return tuple(
@@ -141,6 +144,10 @@ def residual_scan(sol: Solution, grid, *, workers: int | None = None,
     order are fixed, so sequential and threaded scans agree bitwise."""
     if not isinstance(chunk, (int, np.integer)) or chunk < 1:
         raise ValueError(f"chunk must be an integer >= 1, got {chunk!r}")
+    if workers is not None and (not isinstance(workers, (int, np.integer))
+                                or workers < 1):
+        raise ValueError(f"workers must be None or an integer >= 1, got "
+                         f"{workers!r}")
     pts = grid.points() if isinstance(grid, Grid) else np.asarray(grid, float)
     total = pts.shape[0]
     mask = in_domain_mask(sol, pts)

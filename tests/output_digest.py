@@ -7,9 +7,13 @@ imports seaconv from <tree>/src and the instance matrix from
 digests match produce byte-identical residual reports (sequential, and
 threaded with workers=2, chunk=97), raw residual arrays (every value
 residual_batch returns on the grid's in-guard points, not only the
-report's max, rms and worst point) and CSV field tables for every
-instance of conftest.build_instance_matrix().  The digest checks that
-a refactor or an optimisation leaves every output unchanged.
+report's max, rms and worst point), every order-2 jet coefficient of
+u, v, w and p on those points (p_xx included, which no residual reads)
+and CSV field tables for every instance of
+conftest.build_instance_matrix().  The digest checks that a refactor or
+an optimisation leaves every output unchanged.  tobytes() writes C
+order whatever an array's memory layout, so the digest does not depend
+on the layout.
 """
 
 import hashlib
@@ -20,6 +24,8 @@ from pathlib import Path
 def instance_matrix_digest() -> str:
     from conftest import build_instance_matrix
     from seaconv.cli import field_table
+    from seaconv.evaluate import eval_jet_batch
+    from seaconv.expr import VARS4
     from seaconv.solution import in_domain_mask
     from seaconv.verify import residual_batch, residual_scan
 
@@ -33,7 +39,11 @@ def instance_matrix_digest() -> str:
         h.update(name.encode())
         h.update(sequential.encode())
         pts = grid.points()
-        h.update(residual_batch(sol, pts[in_domain_mask(sol, pts)]).tobytes())
+        live = pts[in_domain_mask(sol, pts)]
+        h.update(residual_batch(sol, live).tobytes())
+        for f in ("u", "v", "w", "p"):
+            jet = eval_jet_batch(getattr(sol, f), VARS4, live, 2)
+            h.update(jet.coef.tobytes())
         h.update(field_table(sol, grid).encode())
     return h.hexdigest()
 

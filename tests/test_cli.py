@@ -420,6 +420,19 @@ def test_non_finite_grid_bound_exits_2(tmp_path, axis):
     assert axis in err and "finite" in err
 
 
+def test_grid_span_that_overflows_exits_2(tmp_path):
+    # Both bounds are finite, but np.linspace over their span would make
+    # the first grid value nan.
+    cfg = write(tmp_path, "rigid.cfg", RIGID_CFG)
+    grid = "t=-1e308:1e308:3,x=0:1:2,y=0:1:2,z=0:1:2"
+    for cmd in (["verify", "--descriptor", cfg, "--grid", grid],
+                ["export", "--descriptor", cfg, "--grid", grid]):
+        code, _, err = run(cmd)
+        assert code == 2
+        assert_one_error_line(err)
+        assert err.startswith("error: bad grid") and "axis t" in err
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 def test_bad_tol_flag_exits_2(tmp_path, tol):
     cfg = write(tmp_path, "rigid.cfg", RIGID_CFG)

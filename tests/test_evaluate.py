@@ -5,8 +5,9 @@ import numpy as np
 
 from seaconv import jets
 from seaconv.evaluate import eval_jet_batch, eval_values
-from seaconv.expr import Add, Atan2, Const, Mul
-from seaconv.parser import parse_expr
+from seaconv.expr import Add, Atan2, Const, FnContext, Mul
+from seaconv.parser import parse_expr, parse_paramfn
+from seaconv.quadrature import Antideriv
 from seaconv.solution import in_domain_mask
 
 V4 = ("t", "x", "y", "z")
@@ -22,6 +23,20 @@ def test_order_1_jet_is_the_prefix_of_the_order_2_jet(instance_matrix):
             j1 = eval_jet_batch(e, V4, live, 1)
             j2 = eval_jet_batch(e, V4, live, 2)
             assert np.array_equal(j1.coef, j2.coef[:, :5]), (name, f)
+            # Column-major: each coefficient contiguous over the points.
+            assert j1.coef.flags.f_contiguous, (name, f)
+            assert j2.coef.flags.f_contiguous, (name, f)
+
+
+def test_atan2_fnapp_and_antideriv_jets_are_column_major():
+    ctx = FnContext()
+    ctx.register(parse_paramfn("alpha", "t", "sin(t) * t^3", None))
+    pts = PTS + np.array([0.0, 0.0, 0.0, 2.0])
+    for e in (parse_expr("atan2(y, z)"), parse_expr("alpha''(t + x)", ctx),
+              Antideriv(parse_expr("exp(s * x)", allowed=("s", "x")),
+                        parse_expr("t + z"), 0.0)):
+        for order in (1, 2):
+            assert eval_jet_batch(e, V4, pts, order).coef.flags.f_contiguous
 
 
 def test_memo_filled_at_order_1_answers_order_2_in_full():

@@ -74,6 +74,11 @@ def test_mul_coef_matches_reduceat_and_double_loop(nvars, order, dtypes):
     b = random_coef(rng, space, 40, dtypes.endswith("complex"))
     got = space.mul_coef(a, b)
     assert got.dtype == np.result_type(a, b)
+    # The memory layout moves the numbers, never changes them, and the
+    # product keeps the layout of its inputs.
+    got_f = space.mul_coef(np.asfortranarray(a), np.asfortranarray(b))
+    assert got.flags.c_contiguous and got_f.flags.f_contiguous
+    assert got_f.tobytes() == got.tobytes()
     pairs = product_pairs(space)
     most_pairs = max(np.bincount([k for k, _, _ in pairs]))
     # reduceat sums a segment as its first term plus a plain left fold of
@@ -113,10 +118,14 @@ def test_compose_smooth_matches_horner_from_constant(nvars, order):
     rng = np.random.default_rng(10 * nvars + order)
     u = JetBatch(space, random_coef(rng, space, 60, False))
     derivs = rng.standard_normal((60, order + 1))
+    got = compose_smooth(u, derivs).coef
     # Equal as numbers; a coefficient that is exactly zero may differ in
     # the sign of its zero, since the constant product is skipped.
-    assert np.array_equal(compose_smooth(u, derivs).coef,
-                          horner_from_constant(u, derivs))
+    assert np.array_equal(got, horner_from_constant(u, derivs))
+    got_f = compose_smooth(JetBatch(space, np.asfortranarray(u.coef)),
+                           derivs).coef
+    assert got.flags.c_contiguous and got_f.flags.f_contiguous
+    assert got_f.tobytes() == got.tobytes()
 
 
 def test_eval_jet_polynomial_example():

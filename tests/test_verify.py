@@ -70,6 +70,12 @@ def test_scan_rejects_a_chunk_that_is_not_a_positive_integer(chunk):
     assert abs(residual_scan(sol, g).eqs["r4"].max_abs - 0.1) < 1e-15
 
 
+@pytest.mark.parametrize("workers", [-3, 0, 2.5, "2"])
+def test_scan_rejects_workers_that_is_not_none_or_a_positive_integer(workers):
+    with pytest.raises(ValueError, match="workers"):
+        residual_scan(rigid_rotation(), UNIT_GRID, workers=workers)
+
+
 def test_scan_vortex_family_on_stated_window():
     sol = build_theorem_3_1(alpha=0.0, Im="s")
     g = Grid(t=(0.0, 1.0, 5), x=(1.0, 2.0, 5), y=(1.0, 2.0, 5),
@@ -114,7 +120,7 @@ def test_grid_validation():
 @pytest.mark.parametrize("axis, word", [
     ((float("nan"), 1.0, 2), "finite"), ((0.0, float("inf"), 2), "finite"),
     ((0.0, 1.0, 2.5), "count"), ((0.0, 1.0, 2.0), "count"),
-    ((0.0, 1.0, "3"), "count"),
+    ((0.0, 1.0, "3"), "count"), ((-1e308, 1e308, 3), "overflows"),
 ])
 def test_grid_rejects_non_finite_bounds_and_non_integer_counts(axis, word):
     with pytest.raises(ValueError) as exc:
