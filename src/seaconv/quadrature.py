@@ -24,7 +24,13 @@ from .expr import Const, Expr, add, mul
 from .jets import JetBatch, jet_space
 
 DEFAULT_TOL = 1e-10
+# Below MIN_TOL rounding in each subinterval's Simpson estimates outgrows
+# its share of the tolerance even on smooth integrands.
+MIN_TOL = 1e-15
 MAX_DEPTH = 40
+# Live subintervals of one integral.  A singular integrand doubles them
+# every few levels, and memory would run out long before MAX_DEPTH.
+MAX_PIECES = 4096
 
 
 def _simpson_batched(f, a, b, tol):
@@ -64,13 +70,15 @@ def _simpson_batched(f, a, b, tol):
         err = np.max(np.abs(S2 - S), axis=1)
         mag = np.max(np.abs(S2), axis=1)
         done = err <= 15.0 * tolr * (1.0 + mag)
-        if np.any(~done & (depth >= MAX_DEPTH)):
+        keep = ~done
+        most = np.bincount(rowid[keep]).max(initial=0)  # of one integral
+        if np.any(keep & (depth >= MAX_DEPTH)) or 2 * most > MAX_PIECES:
             raise QuadratureError(
-                f"quadrature did not converge within depth {MAX_DEPTH}"
+                f"quadrature did not converge within depth {MAX_DEPTH} "
+                f"and {MAX_PIECES} subintervals per integral"
             )
         piece = S2[done] + (S2[done] - S[done]) / 15.0
         np.add.at(result, rowid[done], piece)
-        keep = ~done
         rowid = np.concatenate([rowid[keep], rowid[keep]])
         ra, rb = (
             np.concatenate([ra[keep], c[keep]]),
@@ -117,6 +125,12 @@ class Antideriv(Expr):
     inner: Expr
     base: float
     tol: float = DEFAULT_TOL
+
+    def __post_init__(self):
+        if not MIN_TOL <= self.tol < np.inf:
+            raise QuadratureError(
+                f"quad_tol must be a finite number >= {MIN_TOL:g}, got "
+                f"{self.tol!r}")
 
     def children(self):
         return (self.body, self.inner)

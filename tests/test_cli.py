@@ -2,7 +2,11 @@
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,13 +14,15 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from seaconv.cli import build_from_config, load_config, main, \
-    parse_config_text, serialize_config
+from seaconv.cli import build_from_config, field_table, load_config, main, \
+    parse_config_text, parse_grid_spec, serialize_config
 from seaconv.errors import ConfigError
 from seaconv.evaluate import eval_values
 from seaconv.expr import print_expr
-from seaconv.families import FAMILIES, KIND_VARS, param_key, \
-    rigid_rotation
+from seaconv.families import FAMILIES, KIND_VARS, build_theorem_3_1, \
+    param_key, rigid_rotation
+from seaconv.solution import in_domain_mask
+from seaconv.verify import Grid
 
 V4 = ("t", "x", "y", "z")
 
@@ -254,6 +260,55 @@ def test_export_is_deterministic(tmp_path):
     assert a == b
 
 
+def reference_field_table(sol, grid):
+    """The export table cell by cell, as field_table once built it."""
+    pts = grid.points()
+    mask = in_domain_mask(sol, pts)
+    cols = []
+    for expr in (sol.u, sol.v, sol.w, sol.p, sol.rho):
+        col = np.full(len(pts), np.nan)
+        if mask.any():
+            col[mask] = eval_values(expr, V4, pts[mask])
+        cols.append(col)
+    lines = ["t,x,y,z,u,v,w,p,rho,in_domain"]
+    for i, pt in enumerate(pts):
+        cells = [format(float(c), ".17g") for c in pt]
+        if mask[i]:
+            cells += [format(float(col[i]), ".17g") for col in cols]
+            cells.append("true")
+        else:
+            cells += ["", "", "", "", "", "false"]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def test_field_table_matches_the_per_cell_reference(instance_matrix):
+    for name, sol, grid, _tol in instance_matrix:
+        assert field_table(sol, grid) == reference_field_table(sol, grid), \
+            name
+
+
+def test_field_table_edge_grids_match_the_per_cell_reference():
+    # theorem_3_1 guards exclude the axis x = y = 0 entirely.
+    vortex = build_theorem_3_1(alpha="t^2 / 2", Im="tanh(s)")
+    on_axis = Grid(t=(0.0, 1.0, 3), x=(0.0, 0.0, 1), y=(0.0, 0.0, 1),
+                   z=(-1.0, 1.0, 3))
+    assert not in_domain_mask(vortex, on_axis.points()).any()
+    single = Grid(t=(0.5, 0.5, 1), x=(1.0, 1.0, 1), y=(-2.0, -2.0, 1),
+                  z=(3.0, 3.0, 1))
+    # linspace ends an axis of two or more points on its max: -0.0 here.
+    signed_zero = Grid(t=(-1.0, -0.0, 2), x=(-0.0, -0.0, 2),
+                       y=(-1.0, 1.0, 3), z=(0.5, 0.5, 1))
+    cases = [(vortex, on_axis), (rigid_rotation(), single),
+             (vortex, single), (rigid_rotation(), signed_zero)]
+    for sol, grid in cases:
+        table = field_table(sol, grid)
+        assert table == reference_field_table(sol, grid), grid
+        assert len(table.splitlines()) == 1 + grid.size
+    last = field_table(rigid_rotation(), signed_zero).splitlines()[-1]
+    assert last.startswith("-0,-0,1,0.5,")
+
+
 def test_config_error_carries_line_number(tmp_path):
     cfg = write(tmp_path, "bad.cfg",
                 "family = theorem_2_1\nb1 = 0\nb2 = 0\nalpha(t) = 0\n"
@@ -365,6 +420,49 @@ def test_unreadable_config_exits_2(tmp_path):
     assert "error:" in err
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_process(*args, module="seaconv"):
+    """Run `python -m <module> args` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", module, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_process_round_trip_matches_in_process_export(tmp_path):
+    cfg = write(tmp_path, "thm31.cfg", VORTEX_CFG)
+    desc, shifted = str(tmp_path / "d.desc"), str(tmp_path / "s.desc")
+    grid = "t=0:1:3,x=-1:1:5,y=-1:1:4,z=0:1:2"
+    for args in (["build", "--config", cfg, "--out", desc],
+                 ["transform", "--descriptor", desc, "--k", "3",
+                  "--alpha", "sin(t)", "--out", shifted],
+                 ["export", "--descriptor", shifted, "--grid", grid,
+                  "--out", str(tmp_path / "process.csv")]):
+        proc = run_process(*args)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", ""), \
+            args
+    assert run(["export", "--descriptor", shifted, "--grid", grid, "--out",
+                str(tmp_path / "main.csv")]) == (0, "", "")
+    process = (tmp_path / "process.csv").read_bytes()
+    assert process == (tmp_path / "main.csv").read_bytes()
+    assert len(process.splitlines()) == 1 + 3 * 5 * 4 * 2
+
+
+def test_process_missing_config_exits_2(tmp_path):
+    proc = run_process("build", "--config", str(tmp_path / "missing.cfg"),
+                       "--out", str(tmp_path / "d.desc"))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert_one_error_line(proc.stderr)
+    assert not (tmp_path / "d.desc").exists()
+
+
+def test_cli_module_runs_as_a_script():
+    proc = run_process("list-families", module="seaconv.cli")
+    assert (proc.returncode, proc.stdout) == (0, LIST_FAMILIES)
+
+
 def test_argparse_errors_exit_2():
     # A bad float, a missing required flag, an unknown flag, no command
     # and an unknown command: one error line each, no usage block.
@@ -392,6 +490,40 @@ def test_overflow_in_evaluation_prints_only_the_error(tmp_path):
     assert code == 2
     assert_one_error_line(err)
     assert [str(w.message) for w in caught] == []
+
+
+POLE_CFG = ("family = theorem_4_3\nalpha(t) = 1.5 + t^2\n"
+            "beta(t) = 2 + sin(t)\nIm(s) = s^2/2\ntheta(t,x) = 2*x - t\n")
+
+
+@pytest.mark.parametrize("quad_tol", ["0", "-0.25", "1e-300"])
+def test_unreachable_quad_tol_exits_2(tmp_path, quad_tol):
+    # No subinterval could meet such a tolerance: build rejects it, and so
+    # does every command that reads it from a descriptor.
+    cfg = write(tmp_path, "q.cfg", POLE_CFG + f"quad_tol = {quad_tol}\n")
+    out_path = tmp_path / "q.desc"
+    for args in (["build", "--config", cfg, "--out", str(out_path)],
+                 ["verify", "--descriptor", cfg],
+                 ["export", "--descriptor", cfg]):
+        code, out, err = run(args)
+        assert (code, out) == (2, ""), args
+        assert_one_error_line(err)
+        assert "quad_tol must be a finite number >= 1e-15" in err
+    assert not out_path.exists()
+
+
+def test_integral_through_a_pole_exits_2(tmp_path):
+    # Im'(theta) = 2*x - t vanishes at x = t/2, inside the path of the
+    # pressure integral from x0 = 0 to x = 0.8; its integrand has a double
+    # pole there.  The quadrature must stop with an error, not exhaust
+    # memory on the way to its depth limit.
+    desc = write(tmp_path, "pole.desc", POLE_CFG)
+    for command in ("verify", "export"):
+        code, out, err = run([command, "--descriptor", desc, "--grid",
+                              "t=1.2:1.6:2,x=-1.7:0.8:3,y=0:0.5:2,z=0:0:1"])
+        assert (code, out) == (2, ""), command
+        assert_one_error_line(err)
+        assert "4096 subintervals per integral" in err
 
 
 @pytest.mark.parametrize("text", [
@@ -679,3 +811,56 @@ def test_build_contract(tmp_path_factory, text):
     assert err == ""
     desc = write(tmp, "fuzz.desc", out)
     assert run(["build", "--config", desc]) == (0, out, ""), text
+
+
+# The property test of verify, transform and export draws a descriptor
+# from configs() and grids of at most 4 points per axis, so no draw
+# allocates a large grid.
+
+@st.composite
+def grid_specs(draw):
+    axes = []
+    for a in V4:
+        lo = draw(st.floats(-2, 2))
+        hi = lo + draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 3))
+        axes.append(f"{a}={lo!r}:{hi!r}:{draw(st.integers(1, 4))}")
+    if draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, 3))
+        axes[i] = draw(st.sampled_from(
+            ["", "x=1:0:2", "y=0:1:0", "z=0:1:-1", "t=nan:1:2", "x=0:1",
+             "q=0:1:2", "t=0:1:1.5", axes[i - 1]]))
+    return ",".join(axes)
+
+
+K_FLAGS = st.sampled_from(["1", "2", "3", "4", "0", "5", "-1", "1.5", "k",
+                           ""])
+ALPHAS = GOOD["fn_t"] | st.sampled_from(["t", "t^2/2", "sin(t)"]) | BAD
+
+
+@pytest.mark.parametrize("command", ["verify", "transform", "export"])
+@given(text=configs(), grid=grid_specs(), k=K_FLAGS, alpha=ALPHAS)
+@settings(max_examples=40, deadline=None)
+def test_command_contract(tmp_path_factory, command, text, grid, k, alpha):
+    """Exit 0, 1 (verify only) or 2; exit 2 prints one error line and
+    nothing on stdout; an export prints a row for every grid point and a
+    transform a descriptor that rebuilds byte for byte."""
+    tmp = tmp_path_factory.getbasetemp()
+    desc = write(tmp, "fuzz.desc", text)
+    if command == "transform":
+        args = ["transform", "--descriptor", desc, "--k", k, "--alpha", alpha]
+    else:
+        args = [command, "--descriptor", desc, "--grid", grid]
+    code, out, err = run(args)
+    assert code in ((0, 1, 2) if command == "verify" else (0, 2)), (args, err)
+    if code == 2:
+        assert out == "", args
+        assert_one_error_line(err)
+        return
+    assert err == ""
+    if command == "export":
+        lines = out.splitlines()
+        assert lines[0] == "t,x,y,z,u,v,w,p,rho,in_domain"
+        assert len(lines) == 1 + parse_grid_spec(grid).size
+    elif command == "transform":
+        shifted = write(tmp, "fuzz-shifted.desc", out)
+        assert run(["build", "--config", shifted]) == (0, out, ""), args

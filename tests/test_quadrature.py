@@ -90,6 +90,27 @@ def test_nonconvergence_raises():
     assert "depth" in str(exc.value)
 
 
+def test_oscillatory_integral_beyond_a_thousand_subintervals_converges():
+    # sin(20 s) over [0, 3] holds 1874 live subintervals at its finest level.
+    got = adaptive_simpson(lambda s: np.sin(20.0 * s), 0.0, 3.0)
+    assert abs(got - (1.0 - np.cos(60.0)) / 20.0) < 1e-12
+
+
+def test_pole_stops_at_the_subinterval_limit():
+    # Each level doubles the subintervals around the double pole at 0.3,
+    # so the limit is reached long before MAX_DEPTH.
+    with pytest.raises(QuadratureError) as exc:
+        adaptive_simpson(lambda s: (s - 0.3) ** -2, 0.0, 1.0)
+    assert "4096 subintervals per integral" in str(exc.value)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, 1e-16, float("nan"),
+                                 float("inf")])
+def test_antideriv_rejects_a_tolerance_out_of_reach(tol):
+    with pytest.raises(QuadratureError, match="quad_tol must be"):
+        Antideriv(_integrand("s"), parse_expr("x", None), 0.0, tol)
+
+
 def test_jet_rule_ftc_square():
     node = Antideriv(_integrand("s^2"), parse_expr("x", None), 0.0, 1e-12)
     out = eval_jet(node, (0.0, 2.0, 0.0, 0.0), 1)
