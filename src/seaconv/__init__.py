@@ -19,9 +19,15 @@ from .families import (BUILDERS, FAMILIES, build_prop_4_1,
 from .symmetry import SymmetryKind, apply_symmetry
 from .verify import (Grid, ResidualReport, check_harmonic, check_reduced_2d,
                      fd_cross_check, residual_at, residual_scan)
-from .cli import main
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name):  # lazy, so `python -m seaconv.cli` finds cli unloaded
+    if name != "main":
+        raise AttributeError(f"module 'seaconv' has no attribute {name!r}")
+    from .cli import main
+    return main
 
 __all__ = [
     "Antideriv", "BUILDERS", "ConfigError", "Const", "EvalDomainError",

@@ -17,6 +17,9 @@ evaluated again.
 """
 from __future__ import annotations
 
+import operator
+from dataclasses import fields
+
 import numpy as np
 
 from . import jets
@@ -107,11 +110,9 @@ def _eval(e: Expr, ctx: _Ctx) -> JetBatch:
         if held.space is ctx.space:
             return held
         return JetBatch(ctx.space, held.coef[:, : ctx.space.ncoef])
-    out = _RULES[type(e)][0](e, ctx)
+    out = _RULES[type(e)](e, ctx)
     if not np.isfinite(out.coef).all():
-        raise EvalDomainError(
-            "non-finite value during evaluation", e
-        )
+        raise EvalDomainError("non-finite value during evaluation", e)
     entry[0] = out
     return out
 
@@ -123,11 +124,11 @@ def _entry(e: Expr, memo: dict) -> list:
     their ids are not reused while the memo lives."""
     entry = memo.get(id(e))
     if entry is None:
-        rule = _RULES.get(type(e))
-        if rule is None:
+        own = _OWN_KEYS.get(type(e))
+        if own is None:
             raise TypeError(f"cannot evaluate node of type {type(e).__name__}")
         kids = tuple(id(_entry(c, memo)) for c in e.children())
-        entry = memo.setdefault((type(e), rule[1](e), kids), [None])
+        entry = memo.setdefault((type(e), own(e), kids), [None])
         entry.append(e)
         memo[id(e)] = entry
     return entry
@@ -146,24 +147,15 @@ def _ev_var(e: Var, ctx):
     raise EvalDomainError(f"variable {e.name} is not bound", e)
 
 
-def _ev_add(e: Add, ctx):
-    return _eval(e.a, ctx) + _eval(e.b, ctx)
-
-
-def _ev_sub(e: Sub, ctx):
-    return _eval(e.a, ctx) - _eval(e.b, ctx)
-
-
-def _ev_mul(e: Mul, ctx):
-    return _eval(e.a, ctx) * _eval(e.b, ctx)
+def _ev_arith(op):
+    """The jet rule of Add, Sub or Mul: op of the operands' jets."""
+    return lambda e, ctx: op(_eval(e.a, ctx), _eval(e.b, ctx))
 
 
 def _recip(b: JetBatch, site: Expr) -> JetBatch:
     b0 = b.value
     if np.any(b0 == 0.0):
-        raise EvalDomainError(
-            "division by zero", site
-        )
+        raise EvalDomainError("division by zero", site)
     return jets.compose_smooth(b, jets.d_recip(b0, b.space.order))
 
 
@@ -189,33 +181,24 @@ def _ev_realpow(e: RealPow, ctx):
     )
 
 
+# Per builtin: the generator of its derivatives, and the message of its
+# domain error when it is defined for positive arguments only.
+_CALLS = {
+    "exp": (jets.d_exp, None),
+    "log": (jets.d_log, "log of a non-positive value"),
+    "sin": (jets.d_sin, None),
+    "cos": (jets.d_cos, None),
+    "tanh": (jets.d_tanh, None),
+    "sqrt": (jets.d_sqrt, "square root of a non-positive value"),
+}
+
+
 def _ev_call(e: Call, ctx):
     u = _eval(e.arg, ctx)
-    u0 = u.value
-    name = e.kind
-    if name == "exp":
-        d = jets.d_exp(u0, ctx.order)
-    elif name == "log":
-        if np.any(u0 <= 0.0):
-            raise EvalDomainError(
-                "log of a non-positive value", e
-            )
-        d = jets.d_log(u0, ctx.order)
-    elif name == "sin":
-        d = jets.d_sin(u0, ctx.order)
-    elif name == "cos":
-        d = jets.d_cos(u0, ctx.order)
-    elif name == "tanh":
-        d = jets.d_tanh(u0, ctx.order)
-    elif name == "sqrt":
-        if np.any(u0 <= 0.0):
-            raise EvalDomainError(
-                "square root of a non-positive value", e
-            )
-        d = jets.d_sqrt(u0, ctx.order)
-    else:
-        raise TypeError(f"unsupported builtin {name}")
-    return jets.compose_smooth(u, d)
+    derivs, domain = _CALLS[e.kind]
+    if domain and np.any(u.value <= 0.0):
+        raise EvalDomainError(domain, e)
+    return jets.compose_smooth(u, derivs(u.value, ctx.order))
 
 
 def _ev_atan2(e: Atan2, ctx):
@@ -223,9 +206,7 @@ def _ev_atan2(e: Atan2, ctx):
     den = _eval(e.den, ctx)
     b0, a0 = num.value, den.value
     if np.any((b0 == 0.0) & (a0 == 0.0)):
-        raise EvalDomainError(
-            "atan2 at the origin", e
-        )
+        raise EvalDomainError("atan2 at the origin", e)
     # atan2(b, a) = Im log(a + ib); the constant term is taken from
     # arctan2 itself so that order-0 values match it bit for bit.
     z = JetBatch(ctx.space, den.coef + 1j * num.coef)
@@ -248,23 +229,39 @@ def _ev_antideriv(e: Antideriv, ctx):
     return compose_antideriv(e, G, ctx.vars, ctx.points, ctx.bindings)
 
 
-def _no_fields(e):
-    return None
-
-
-# Per node type: the jet rule, and the node's own fields for its memo key.
 _RULES = {
-    Const: (_ev_const, lambda e: e.value.hex()),
-    Var: (_ev_var, lambda e: e.name),
-    Add: (_ev_add, _no_fields),
-    Sub: (_ev_sub, _no_fields),
-    Mul: (_ev_mul, _no_fields),
-    Div: (_ev_div, _no_fields),
-    IntPow: (_ev_intpow, lambda e: e.n),
-    RealPow: (_ev_realpow, lambda e: float(e.e).hex()),
-    Call: (_ev_call, lambda e: e.kind),
-    Atan2: (_ev_atan2, _no_fields),
-    FnApp: (_ev_fnapp, lambda e: (id(e.fn), e.k)),
-    Antideriv: (_ev_antideriv,
-                lambda e: (float(e.base).hex(), float(e.tol).hex())),
+    Const: _ev_const,
+    Var: _ev_var,
+    Add: _ev_arith(operator.add),
+    Sub: _ev_arith(operator.sub),
+    Mul: _ev_arith(operator.mul),
+    Div: _ev_div,
+    IntPow: _ev_intpow,
+    RealPow: _ev_realpow,
+    Call: _ev_call,
+    Atan2: _ev_atan2,
+    FnApp: _ev_fnapp,
+    Antideriv: _ev_antideriv,
 }
+
+
+# Per annotation of an own field: the function name -> (node -> the
+# field's part of the memo key).  Any other field enters by value.
+_FIELD_KEYS = {
+    "float": lambda name: lambda e: float(getattr(e, name)).hex(),
+    "ParamFn": lambda name: lambda e: id(getattr(e, name)),
+}
+
+
+def _own_key(cls):
+    """The function node -> key of its own fields (see the module
+    docstring), with converters chosen once per type from annotations."""
+    types = {f.name: getattr(f.type, "__name__", f.type) for f in fields(cls)}
+    parts = [_FIELD_KEYS.get(types[n], operator.attrgetter)(n)
+             for n in cls._own]
+    if len(parts) < 2:
+        return parts[0] if parts else lambda e: None
+    return lambda e: tuple([part(e) for part in parts])
+
+
+_OWN_KEYS = {cls: _own_key(cls) for cls in _RULES}

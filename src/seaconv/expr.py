@@ -4,10 +4,10 @@ structure-preserving printer, capture-free substitution, and symbolic
 differentiation."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 VARS4 = ("t", "x", "y", "z")
-BUILTINS = ("exp", "log", "sin", "cos", "tanh", "sqrt")
 
 _PREC_ADD = 1
 _PREC_MUL = 2
@@ -61,7 +61,7 @@ class Expr:
         return neg(self)
 
     def children(self) -> tuple["Expr", ...]:
-        return ()
+        return self._get_kids(self)
 
     def free_vars(self) -> frozenset[str]:
         out = frozenset()
@@ -70,7 +70,20 @@ class Expr:
         return out
 
     def _subst(self, mapping: dict[str, "Expr"]) -> "Expr":
-        raise NotImplementedError
+        """The node with its children substituted; the node itself when
+        no child changed."""
+        if not self._kids:
+            return self
+        new, changed = [], False
+        for name in self._kids:
+            old = getattr(self, name)
+            new.append(old._subst(mapping))
+            changed = changed or new[-1] is not old
+        if not changed:
+            return self
+        for i, name in self._own_at:
+            new.insert(i, getattr(self, name))
+        return type(self)(*new)
 
     def _diff(self, var: str) -> "Expr":
         raise NotImplementedError
@@ -83,15 +96,42 @@ class Expr:
         return print_expr(self)
 
 
-@dataclass(frozen=True, repr=False)
+def node(cls=None, **options):
+    """Declare an expression node type: a frozen dataclass (options pass
+    through) whose fields annotated Expr are its children, in field order,
+    and whose other fields are its own data.  It records their names in
+    _kids and _own, and children, substitution and memo keys follow from
+    those; a node type supplies _diff and _print."""
+    if cls is None:
+        return lambda cls: node(cls, **options)
+    cls = dataclass(frozen=True, repr=False, **options)(cls)
+    kid = {f.name: f.type in ("Expr", Expr) for f in fields(cls)}
+    cls._kids = tuple(n for n in kid if kid[n])
+    cls._own = tuple(n for n in kid if not kid[n])
+    cls._own_at = tuple((i, n) for i, n in enumerate(kid) if not kid[n])
+    get = attrgetter(*cls._kids) if cls._kids else lambda e: ()
+    one = len(cls._kids) == 1
+    cls._get_kids = staticmethod((lambda e: (get(e),)) if one else get)
+    return cls
+
+
+def _infix(e, op: str, prec: float):
+    """Print e.a op e.b, for left-associative operators of precedence prec."""
+    la, pa = e.a._print()
+    lb, pb = e.b._print()
+    if pa < prec:
+        la = f"({la})"
+    if pb <= prec:
+        lb = f"({lb})"
+    return f"{la}{op}{lb}", prec
+
+
+@node
 class Const(Expr):
     value: float
 
     def __post_init__(self):
         object.__setattr__(self, "value", float(self.value))
-
-    def _subst(self, mapping):
-        return self
 
     def _diff(self, var):
         return Const(0.0)
@@ -105,7 +145,7 @@ class Const(Expr):
         return text, (_PREC_UNARY if v < 0 else _PREC_ATOM)
 
 
-@dataclass(frozen=True, repr=False)
+@node
 class Var(Expr):
     name: str
 
@@ -122,71 +162,34 @@ class Var(Expr):
         return self.name, _PREC_ATOM
 
 
-def _rebuild2(node, cls, a, b, mapping):
-    na, nb = a._subst(mapping), b._subst(mapping)
-    if na is a and nb is b:
-        return node
-    return cls(na, nb)
-
-
-@dataclass(frozen=True, repr=False)
+@node
 class Add(Expr):
     a: Expr
     b: Expr
-
-    def children(self):
-        return (self.a, self.b)
-
-    def _subst(self, mapping):
-        return _rebuild2(self, Add, self.a, self.b, mapping)
 
     def _diff(self, var):
         return add(self.a._diff(var), self.b._diff(var))
 
     def _print(self):
-        la, pa = self.a._print()
-        lb, pb = self.b._print()
-        if pa < _PREC_ADD:
-            la = f"({la})"
-        if pb <= _PREC_ADD:
-            lb = f"({lb})"
-        return f"{la} + {lb}", _PREC_ADD
+        return _infix(self, " + ", _PREC_ADD)
 
 
-@dataclass(frozen=True, repr=False)
+@node
 class Sub(Expr):
     a: Expr
     b: Expr
-
-    def children(self):
-        return (self.a, self.b)
-
-    def _subst(self, mapping):
-        return _rebuild2(self, Sub, self.a, self.b, mapping)
 
     def _diff(self, var):
         return sub(self.a._diff(var), self.b._diff(var))
 
     def _print(self):
-        la, pa = self.a._print()
-        lb, pb = self.b._print()
-        if pa < _PREC_ADD:
-            la = f"({la})"
-        if pb <= _PREC_ADD:
-            lb = f"({lb})"
-        return f"{la} - {lb}", _PREC_ADD
+        return _infix(self, " - ", _PREC_ADD)
 
 
-@dataclass(frozen=True, repr=False)
+@node
 class Mul(Expr):
     a: Expr
     b: Expr
-
-    def children(self):
-        return (self.a, self.b)
-
-    def _subst(self, mapping):
-        return _rebuild2(self, Mul, self.a, self.b, mapping)
 
     def _diff(self, var):
         return add(
@@ -201,25 +204,13 @@ class Mul(Expr):
             if pb <= _PREC_UNARY:
                 lb = f"({lb})"
             return f"-{lb}", _PREC_UNARY
-        la, pa = self.a._print()
-        lb, pb = self.b._print()
-        if pa < _PREC_MUL:
-            la = f"({la})"
-        if pb <= _PREC_MUL:
-            lb = f"({lb})"
-        return f"{la}*{lb}", _PREC_MUL
+        return _infix(self, "*", _PREC_MUL)
 
 
-@dataclass(frozen=True, repr=False)
+@node
 class Div(Expr):
     a: Expr
     b: Expr
-
-    def children(self):
-        return (self.a, self.b)
-
-    def _subst(self, mapping):
-        return _rebuild2(self, Div, self.a, self.b, mapping)
 
     def _diff(self, var):
         da, db = self.a._diff(var), self.b._diff(var)
@@ -227,13 +218,7 @@ class Div(Expr):
         return div(num, mul(self.b, self.b))
 
     def _print(self):
-        la, pa = self.a._print()
-        lb, pb = self.b._print()
-        if pa < _PREC_MUL:
-            la = f"({la})"
-        if pb <= _PREC_MUL:
-            lb = f"({lb})"
-        return f"{la}/{lb}", _PREC_MUL
+        return _infix(self, "/", _PREC_MUL)
 
 
 def _pow_print(base: Expr, etext: str):
@@ -243,51 +228,35 @@ def _pow_print(base: Expr, etext: str):
     return f"{lb}^{etext}", _PREC_POW
 
 
-@dataclass(frozen=True, repr=False)
+def _pow_diff(base: Expr, e, var: str):
+    return mul(mul(Const(float(e)), pow_node(base, e - 1)), base._diff(var))
+
+
+@node
 class IntPow(Expr):
     base: Expr
     n: int
 
-    def children(self):
-        return (self.base,)
-
-    def _subst(self, mapping):
-        nb = self.base._subst(mapping)
-        return self if nb is self.base else IntPow(nb, self.n)
-
     def _diff(self, var):
-        return mul(
-            mul(Const(float(self.n)), pow_node(self.base, self.n - 1)),
-            self.base._diff(var),
-        )
+        return _pow_diff(self.base, self.n, var)
 
     def _print(self):
         return _pow_print(self.base, str(self.n))
 
 
-@dataclass(frozen=True, repr=False)
+@node
 class RealPow(Expr):
     base: Expr
     e: float
 
-    def children(self):
-        return (self.base,)
-
-    def _subst(self, mapping):
-        nb = self.base._subst(mapping)
-        return self if nb is self.base else RealPow(nb, self.e)
-
     def _diff(self, var):
-        return mul(
-            mul(Const(self.e), pow_node(self.base, self.e - 1)),
-            self.base._diff(var),
-        )
+        return _pow_diff(self.base, self.e, var)
 
     def _print(self):
         return _pow_print(self.base, repr(self.e))
 
 
-@dataclass(frozen=True, repr=False)
+@node
 class Call(Expr):
     kind: str
     arg: Expr
@@ -296,50 +265,34 @@ class Call(Expr):
         if self.kind not in BUILTINS:
             raise ValueError(f"unknown builtin {self.kind!r}")
 
-    def children(self):
-        return (self.arg,)
-
-    def _subst(self, mapping):
-        na = self.arg._subst(mapping)
-        return self if na is self.arg else Call(self.kind, na)
-
     def _diff(self, var):
-        u, du = self.arg, self.arg._diff(var)
-        k = self.kind
-        if k == "exp":
-            outer = Call("exp", u)
-        elif k == "log":
-            return div(du, u)
-        elif k == "sin":
-            outer = Call("cos", u)
-        elif k == "cos":
-            outer = neg(Call("sin", u))
-        elif k == "tanh":
-            outer = sub(Const(1.0), IntPow(Call("tanh", u), 2))
-        elif k == "sqrt":
-            return div(du, mul(Const(2.0), Call("sqrt", u)))
-        else:  # pragma: no cover
-            raise ValueError(k)
-        return mul(outer, du)
+        return _CALL_DIFF[self.kind](self.arg, self.arg._diff(var))
 
     def _print(self):
         la, _ = self.arg._print()
         return f"{self.kind}({la})", _PREC_ATOM
 
 
-@dataclass(frozen=True, repr=False)
+# Per builtin: its derivative, d kind(u) = f(u, du), as a folded tree.
+_CALL_DIFF = {
+    "exp": lambda u, du: mul(Call("exp", u), du),
+    "log": lambda u, du: div(du, u),
+    "sin": lambda u, du: mul(Call("cos", u), du),
+    "cos": lambda u, du: mul(neg(Call("sin", u)), du),
+    "tanh": lambda u, du: mul(sub(Const(1.0), IntPow(Call("tanh", u), 2)),
+                              du),
+    "sqrt": lambda u, du: div(du, mul(Const(2.0), Call("sqrt", u))),
+}
+BUILTINS = tuple(_CALL_DIFF)
+
+
+@node
 class Atan2(Expr):
     """Two-argument angle atan2(num, den): the smooth branch of
     arctan(num/den) away from num = den = 0."""
 
     num: Expr
     den: Expr
-
-    def children(self):
-        return (self.num, self.den)
-
-    def _subst(self, mapping):
-        return _rebuild2(self, Atan2, self.num, self.den, mapping)
 
     def _diff(self, var):
         b, a = self.num, self.den
@@ -379,7 +332,7 @@ class ParamFn:
         return deriv_1d(self, float(s0), k)
 
 
-@dataclass(frozen=True, repr=False)
+@node
 class FnApp(Expr):
     """Application of the k-th derivative of a ParamFn to a sub-expression."""
 
@@ -390,13 +343,6 @@ class FnApp(Expr):
     def __post_init__(self):
         if self.k < 0:
             raise ValueError("derivative order must be non-negative")
-
-    def children(self):
-        return (self.arg,)
-
-    def _subst(self, mapping):
-        na = self.arg._subst(mapping)
-        return self if na is self.arg else FnApp(self.fn, self.k, na)
 
     def _diff(self, var):
         return mul(FnApp(self.fn, self.k + 1, self.arg), self.arg._diff(var))

@@ -114,6 +114,8 @@ def _probe_nonvanishing(fn: ParamFn, t_range) -> None:
 
 
 def _probe_harmonic(name: str, field: Expr, t_range, probe_tol) -> None:
+    if not probe_tol >= 0.0:
+        raise HypothesisError(f"probe_tol must be >= 0, got {probe_tol:g}")
     report = check_harmonic(field, t_range=t_range)
     if report.max_abs > probe_tol:
         raise HypothesisError(
@@ -321,6 +323,8 @@ def build_prop_4_1(theta, zeta=0.0, t_range=(-1.0, 1.0), tol=1e-8,
          zeta="field_txy", nonvanishing=("alpha",))
 def build_theorem_4_2(alpha, gamma, Im, zeta=0.0, t_range=(-1.0, 1.0),
                       tol=1e-8, varpi0=1.0, quad_tol=1e-10) -> Solution:
+    if not varpi0 > 0.0:  # K integrates (...)/s^2 from varpi0 to x^2 + y^2
+        raise HypothesisError(f"varpi0 must be > 0, got {varpi0:g}")
     a, a1, a2 = alpha(T), alpha(T, 1), alpha(T, 2)
     g, g1 = gamma(T), gamma(T, 1)
     varpi = X ** 2 + Y ** 2

@@ -14,13 +14,12 @@ across scans, and a repeated scan recomputes its integrals.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import QuadratureError
-from .expr import Const, Expr, add, mul
+from .expr import Const, Expr, add, mul, node
 from .jets import JetBatch, jet_space
 
 DEFAULT_TOL = 1e-10
@@ -116,7 +115,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float = DEFAULT_TOL) -> float:
     return float(out[0, 0])
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@node(eq=False)
 class Antideriv(Expr):
     """Definite integral of body (an Expr in s plus ambient variables)
     from the fixed base to the value of the inner expression."""
@@ -132,9 +131,6 @@ class Antideriv(Expr):
                 f"quad_tol must be a finite number >= {MIN_TOL:g}, got "
                 f"{self.tol!r}")
 
-    def children(self):
-        return (self.body, self.inner)
-
     def free_vars(self):
         return (self.body.free_vars() - {"s"}) | self.inner.free_vars()
 
@@ -142,8 +138,8 @@ class Antideriv(Expr):
         return tuple(sorted(self.body.free_vars() - {"s"}))
 
     def _subst(self, mapping):
-        amb_map = {k: v for k, v in mapping.items() if k != "s"}
-        nb = self.body._subst(amb_map)
+        # s is bound in the body: only the ambient variables enter it.
+        nb = self.body._subst({k: v for k, v in mapping.items() if k != "s"})
         ni = self.inner._subst(mapping)
         if nb is self.body and ni is self.inner:
             return self

@@ -366,6 +366,37 @@ def test_alpha_beta_vanishing_at_t0_is_a_rejected_hypothesis(tmp_path):
     assert "ZeroDivisionError" not in err
 
 
+GROWING_CFG = ("family = theorem_4_2\nalpha(t) = 1.5 + 0.3*sin(t)\n"
+               "gamma(t) = 0.5*cos(t)\nIm(s) = tanh(s)\n")
+HARMONIC_CFG = "family = prop_4_1\ntheta(t,x,y) = x^2 - y^2\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (GROWING_CFG + "varpi0 = 0\n", "varpi0 must be > 0, got 0"),
+    (GROWING_CFG + "varpi0 = -1\n", "varpi0 must be > 0, got -1"),
+    (HARMONIC_CFG + "probe_tol = -1\n", "probe_tol must be >= 0, got -1"),
+], ids=["varpi0-zero", "varpi0-negative", "probe_tol-negative"])
+def test_out_of_range_keyword_constant_exits_2(tmp_path, text, message):
+    # Each used to build with exit 0: a zero or negative varpi0 puts the
+    # pressure integral's 1/s^2 pole on its path, and a negative probe_tol
+    # rejects every theta, even an exactly harmonic one.
+    cfg = write(tmp_path, "c.cfg", text)
+    out_path = tmp_path / "c.desc"
+    code, out, err = run(["build", "--config", cfg, "--out", str(out_path)])
+    assert (code, out) == (2, "")
+    assert_one_error_line(err)
+    assert message in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("text", [GROWING_CFG + "varpi0 = 0.5\n",
+                                  HARMONIC_CFG + "probe_tol = 0\n"])
+def test_in_range_keyword_constant_builds(tmp_path, text):
+    code, _, err = run(["build", "--config", write(tmp_path, "c.cfg", text),
+                        "--out", str(tmp_path / "c.desc")])
+    assert (code, err) == (0, "")
+
+
 def test_unknown_family_and_key(tmp_path):
     code, _, err = run(["build", "--config",
                         write(tmp_path, "f.cfg", "family = theorem_9_9\n")])
@@ -461,6 +492,15 @@ def test_process_missing_config_exits_2(tmp_path):
 def test_cli_module_runs_as_a_script():
     proc = run_process("list-families", module="seaconv.cli")
     assert (proc.returncode, proc.stdout) == (0, LIST_FAMILIES)
+
+
+@pytest.mark.parametrize("module", ["seaconv", "seaconv.cli"])
+def test_module_forms_write_nothing_to_stderr(module):
+    # Importing the package must not load seaconv.cli: runpy would warn
+    # on stderr before running it as __main__.
+    proc = run_process("list-families", module=module)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (0, LIST_FAMILIES, "")
 
 
 def test_argparse_errors_exit_2():
