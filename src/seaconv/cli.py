@@ -377,12 +377,12 @@ def field_table(sol: Solution, grid: Grid) -> str:
     mask = in_domain_mask(sol, pts)
     values = iter(())
     if mask.any():
-        memo: dict = {}
         inside, fields = pts[mask], sol.fields()
+        roots = [fields[name] for name in FIELD_NAMES + ("rho",)]
+        memo = evaluate.shared_memo(*roots)
         values = iter(np.column_stack([
-            evaluate.eval_jet_batch(fields[name], VARS4, inside, 0,
-                                    memo=memo).value
-            for name in FIELD_NAMES + ("rho",)]).tolist())
+            evaluate.eval_jet_batch(e, VARS4, inside, 0, memo=memo).value
+            for e in roots]).tolist())
     prefixes = map(",".join, itertools.product(
         *([_fmt(c) for c in axis] for axis in grid.axes())))
     rows = [_ROW % (prefix, *next(values)) if live else prefix + ",,,,,,false"

@@ -14,6 +14,11 @@ higher order answers a lower-order request by truncation, a slice of its
 coefficients (the graded layout makes a lower order a prefix); a jet
 held at a lower order is never used for a higher one, and the node is
 evaluated again.
+
+Each entry counts its reads to come: one per root (shared_memo), and
+one per child slot of each structurally distinct parent.  A read takes
+one off, and the jet is dropped at zero, so a pass holds only the jets
+that are still to be read, not one per node.
 """
 from __future__ import annotations
 
@@ -62,10 +67,10 @@ def eval_jet_batch(e: Expr, vars, points, order: int,
     """Evaluate e at an (npoints, nvars) array of points, returning the
     jet batch of order `order` with respect to `vars`.  Extra variables
     may be bound to constant per-point values through `bindings`; those
-    enter with zero derivatives.  A caller-held memo dict (start it
-    empty; its contents are the evaluator's) may be reused across calls
-    that share vars, points and bindings, at any orders: evaluate the
-    highest order first, and the lower orders are truncations of it."""
+    enter with zero derivatives.  Calls that share vars, points and
+    bindings share jets through one `memo = shared_memo(*roots)`, one call
+    per root: evaluate the highest order first, and the lower orders are
+    truncations of it.  Once every root is read, the memo holds no jet."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     if order > MAX_PUBLIC_ORDER:
@@ -75,11 +80,20 @@ def eval_jet_batch(e: Expr, vars, points, order: int,
     return _eval_raw(e, vars, points, order, bindings, memo)
 
 
+def shared_memo(*roots: Expr) -> dict:
+    """A memo for one eval_jet_batch call per root (see the module
+    docstring); a root listed twice is read twice."""
+    memo: dict = {}
+    for root in roots:
+        _entry(root, memo)[1] += 1
+    return memo
+
+
 def _eval_raw(e, vars, points, order, bindings=None, memo=None) -> JetBatch:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != len(tuple(vars)):
         raise ValueError("points must have shape (npoints, nvars)")
-    ctx = _Ctx(vars, pts, order, bindings, {} if memo is None else memo)
+    ctx = _Ctx(vars, pts, order, bindings, memo or shared_memo(e))
     return _eval(e, ctx)
 
 
@@ -105,30 +119,41 @@ def deriv_1d(f, s0: float, k: int) -> float:
 
 def _eval(e: Expr, ctx: _Ctx) -> JetBatch:
     entry = _entry(e, ctx.memo)
+    entry[1] -= 1
     held = entry[0]
-    if held is not None and held.space.order >= ctx.order:
-        if held.space is ctx.space:
-            return held
-        return JetBatch(ctx.space, held.coef[:, : ctx.space.ncoef])
-    out = _RULES[type(e)](e, ctx)
-    if not np.isfinite(out.coef).all():
-        raise EvalDomainError("non-finite value during evaluation", e)
-    entry[0] = out
-    return out
+    if held is None or held.space.order < ctx.order:
+        held = _RULES[type(e)](e, ctx)
+        if not np.isfinite(held.coef).all():
+            raise EvalDomainError("non-finite value during evaluation", e)
+    entry[0] = held if entry[1] > 0 else None
+    if held.space is ctx.space:
+        return held
+    return JetBatch(ctx.space, held.coef[:, : ctx.space.ncoef])
 
 
 def _entry(e: Expr, memo: dict) -> list:
-    """The memo entry [jet or None, *nodes] that e shares with every
-    structurally equal node.  The memo maps id(node) to its entry, and
-    the structural key to the same entry; an entry holds its nodes, so
-    their ids are not reused while the memo lives."""
+    """The memo entry [jet or None, reads to come, *nodes] that e shares
+    with every structurally equal node.  The memo maps id(node) to its
+    entry, and the structural key to the same entry; an entry holds its
+    nodes, so their ids are not reused while the memo lives.  A new key
+    adds a read to each child.  An Antideriv's body, which
+    compose_antideriv evaluates on its own, is keyed in memo[Antideriv]
+    instead, where its nodes add no reads to the evaluated ones."""
     entry = memo.get(id(e))
     if entry is None:
         own = _OWN_KEYS.get(type(e))
         if own is None:
             raise TypeError(f"cannot evaluate node of type {type(e).__name__}")
-        kids = tuple(id(_entry(c, memo)) for c in e.children())
-        entry = memo.setdefault((type(e), own(e), kids), [None])
+        integral = type(e) is Antideriv
+        kids = [_entry(c, memo)
+                for c in ((e.inner,) if integral else e.children())]
+        key = (type(e), own(e), tuple(map(id, kids)))
+        if integral:
+            key += (id(_entry(e.body, memo.setdefault(Antideriv, {}))),)
+        entry = memo.setdefault(key, [None, 0])
+        if len(entry) == 2:  # a new key, read by no node before e
+            for kid in kids:
+                kid[1] += 1
         entry.append(e)
         memo[id(e)] = entry
     return entry

@@ -30,6 +30,9 @@ MAX_DEPTH = 40
 # Live subintervals of one integral.  A singular integrand doubles them
 # every few levels, and memory would run out long before MAX_DEPTH.
 MAX_PIECES = 4096
+# Integrand samples per call of the integrand: its jets at every sample
+# of a wide Simpson level are live at once, and would set the peak memory.
+MAX_SAMPLES = 4096
 
 
 def _simpson_batched(f, a, b, tol):
@@ -96,7 +99,11 @@ def _simpson_batched(f, a, b, tol):
 
 
 def _feval(f, svals, rows):
-    out = np.asarray(f(svals, rows), dtype=float)
+    n = svals.shape[0]
+    step = min(n, MAX_SAMPLES) or 1
+    parts = [np.asarray(f(svals[i : i + step], rows[i : i + step]),
+                        dtype=float) for i in range(0, n or 1, step)]
+    out = parts[0] if len(parts) == 1 else np.concatenate(parts)
     if out.ndim == 1:
         out = out[:, None]
     if not np.isfinite(out).all():

@@ -20,12 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluate import eval_jet_batch, eval_values
+from .evaluate import eval_jet_batch, eval_values, shared_memo
 from .expr import VARS4, Expr
 from .solution import Solution, assert_in_domain, in_domain_mask
 
 LOW_RHO = 1e-9
 CHUNK = 512
+BLOCK_CHUNKS = 2  # chunks per residual_batch call of a scan
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,7 @@ def residual_batch(sol: Solution, points) -> np.ndarray:
     """(n, 5) residual values at the given points (assumed in-guard).
     r4/r5 are NaN where |rho| < 1e-9."""
     pts = np.asarray(points, dtype=float)
-    memo: dict = {}
+    memo = shared_memo(sol.p, sol.u, sol.v, sol.w)
     jp = eval_jet_batch(sol.p, VARS4, pts, 2, memo=memo)
     ju = eval_jet_batch(sol.u, VARS4, pts, 1, memo=memo)
     jv = eval_jet_batch(sol.v, VARS4, pts, 1, memo=memo)
@@ -140,8 +141,12 @@ def residual_at(sol: Solution, point) -> np.ndarray:
 def residual_scan(sol: Solution, grid, *, workers: int | None = None,
                   chunk: int = CHUNK) -> ResidualReport:
     """Aggregate residuals over the in-guard subset of a grid (or an
-    explicit (n, 4) point array).  Chunk boundaries and the reduction
-    order are fixed, so sequential and threaded scans agree bitwise."""
+    explicit (n, 4) point array).  Each residual_batch call (split among
+    the workers when threaded) evaluates BLOCK_CHUNKS consecutive chunks;
+    max, rms and worst point are reduced chunk by chunk, in order.  A
+    point's residuals do not depend on its batch, and chunk boundaries and
+    the reduction order are fixed, so sequential and threaded scans agree
+    bitwise."""
     if not isinstance(chunk, (int, np.integer)) or chunk < 1:
         raise ValueError(f"chunk must be an integer >= 1, got {chunk!r}")
     if workers is not None and (not isinstance(workers, (int, np.integer))
@@ -156,12 +161,15 @@ def residual_scan(sol: Solution, grid, *, workers: int | None = None,
     if live.shape[0] == 0:
         raise ValueError("no in-guard points in grid")
 
-    chunks = [live[i : i + chunk] for i in range(0, live.shape[0], chunk)]
-    if workers and workers > 1 and len(chunks) > 1:
+    span = BLOCK_CHUNKS * chunk
+    blocks = [live[i : i + span] for i in range(0, live.shape[0], span)]
+    if workers and workers > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(lambda c: residual_batch(sol, c), chunks))
+            values = list(ex.map(lambda b: residual_batch(sol, b), blocks))
     else:
-        parts = [residual_batch(sol, c) for c in chunks]
+        values = [residual_batch(sol, b) for b in blocks]
+    chunks = [live[i : i + chunk] for i in range(0, live.shape[0], chunk)]
+    parts = [r[i : i + chunk] for r in values for i in range(0, len(r), chunk)]
 
     max_abs = np.zeros(5)
     sumsq = np.zeros(5)
@@ -294,7 +302,7 @@ def check_reduced_2d(u: Expr, v: Expr, eta: Expr, points=None,
     for e, lbl in ((u, "u"), (v, "v"), (eta, "eta")):
         _require_txy(e, lbl)
     pts = _txy_points(t_range, points)
-    memo: dict = {}
+    memo = shared_memo(u, v, eta)
     ju = eval_jet_batch(u, VARS_TXY, pts, 2, memo=memo)
     jv = eval_jet_batch(v, VARS_TXY, pts, 2, memo=memo)
     je = eval_jet_batch(eta, VARS_TXY, pts, 1, memo=memo)

@@ -10,15 +10,27 @@ residual_batch returns on the grid's in-guard points, not only the
 report's max, rms and worst point), every order-2 jet coefficient of
 u, v, w and p on those points (p_xx included, which no residual reads)
 and CSV field tables for every instance of
-conftest.build_instance_matrix().  The digest checks that a refactor or
-an optimisation leaves every output unchanged.  tobytes() writes C
-order whatever an array's memory layout, so the digest does not depend
-on the layout.
+conftest.build_instance_matrix(), and the sequential and threaded
+(workers=2) reports of the MULTI_BLOCK instances on their grids refined
+to 8 points per axis (4096 points, several residual_batch calls per
+scan).  The digest checks that a refactor or an optimisation leaves
+every output unchanged.  tobytes() writes C order whatever an array's
+memory layout, so the digest does not depend on the layout.
 """
 
 import hashlib
 import sys
 from pathlib import Path
+
+MULTI_BLOCK = ("theorem_4_2[growing]", "theorem_2_1[full]")
+
+
+def refined(grid, count=8):
+    """grid with the same bounds and count points per axis."""
+    from seaconv.verify import Grid
+
+    return Grid(*((lo, hi, count) for lo, hi, _ in
+                  (grid.t, grid.x, grid.y, grid.z)))
 
 
 def instance_matrix_digest() -> str:
@@ -45,6 +57,10 @@ def instance_matrix_digest() -> str:
             jet = eval_jet_batch(getattr(sol, f), VARS4, live, 2)
             h.update(jet.coef.tobytes())
         h.update(field_table(sol, grid).encode())
+        if name in MULTI_BLOCK:
+            for workers in (None, 2):
+                report = residual_scan(sol, refined(grid), workers=workers)
+                h.update(repr(report).encode())
     return h.hexdigest()
 
 

@@ -1,11 +1,15 @@
-"""The evaluator's memo: one jet per structurally distinct node, and a
-lower order read off a higher one by truncation."""
+"""The evaluator's memo: one jet per structurally distinct node, a lower
+order read off a higher one by truncation, and each jet dropped after
+its last read."""
+
+import tracemalloc
 
 import numpy as np
 
 from seaconv import jets
-from seaconv.evaluate import eval_jet_batch, eval_values
-from seaconv.expr import Add, Atan2, Const, FnContext, Mul
+from seaconv.evaluate import eval_jet_batch, eval_values, shared_memo
+from seaconv.expr import Add, Atan2, Const, FnContext, Mul, Var
+from seaconv.jets import JetBatch
 from seaconv.parser import parse_expr, parse_paramfn
 from seaconv.quadrature import Antideriv
 from seaconv.solution import in_domain_mask
@@ -42,7 +46,7 @@ def test_atan2_fnapp_and_antideriv_jets_are_column_major():
 def test_memo_filled_at_order_1_answers_order_2_in_full():
     e = parse_expr("sin(x*y) + t*z^2 + exp(x - t)*cos(y)")
     fresh = eval_jet_batch(e, V4, PTS, 2).coef
-    memo = {}
+    memo = shared_memo(e, e, e)
     j1 = eval_jet_batch(e, V4, PTS, 1, memo=memo)
     j2 = eval_jet_batch(e, V4, PTS, 2, memo=memo)
     assert j1.coef.shape == (40, 5)
@@ -51,6 +55,49 @@ def test_memo_filled_at_order_1_answers_order_2_in_full():
     # And back down: the order-2 jet now held answers order 1 by a slice.
     assert np.array_equal(eval_jet_batch(e, V4, PTS, 1, memo=memo).coef,
                           fresh[:, :5])
+
+
+def held_jets(memo):
+    return {id(x) for entry in memo.values() for x in entry
+            if isinstance(x, JetBatch)}
+
+
+def test_shared_memo_holds_no_jet_after_its_last_root(instance_matrix):
+    shared = 0
+    for name, sol, grid, _tol in instance_matrix:
+        pts = grid.points()
+        live = pts[in_domain_mask(sol, pts)]
+        memo = shared_memo(sol.p, sol.u, sol.v, sol.w)
+        fresh = eval_jet_batch(sol.u, V4, live, 1).coef
+        eval_jet_batch(sol.p, V4, live, 2, memo=memo)
+        shared += len(held_jets(memo))
+        ju = eval_jet_batch(sol.u, V4, live, 1, memo=memo)
+        assert ju.coef.tobytes() == fresh.tobytes(), name
+        eval_jet_batch(sol.v, V4, live, 1, memo=memo)
+        eval_jet_batch(sol.w, V4, live, 1, memo=memo)
+        assert not held_jets(memo), name
+    # Subtrees of p that the velocities read are held until then.
+    assert shared > 0
+
+
+def test_a_chain_holds_a_few_jets_not_one_per_node():
+    # 200 structurally distinct products x*y*...*y: every link is read
+    # once, so it can be dropped as soon as its parent is computed.
+    e = Var("x")
+    for _ in range(200):
+        e = Mul(e, Var("y"))
+    pts = np.random.default_rng(4).uniform(-1.0, 1.0, size=(2000, 4))
+    jet_bytes = 2000 * 15 * 8
+    want = pts[:, 1] * pts[:, 2] ** 200
+    eval_jet_batch(e, V4, pts[:10], 2)  # warm the lazily built tables
+    tracemalloc.start()
+    try:
+        j = eval_jet_batch(e, V4, pts, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.allclose(j.value, want, rtol=1e-12, atol=0)
+    assert peak < 10 * jet_bytes, peak / jet_bytes
 
 
 def test_signed_zero_constants_are_not_merged():

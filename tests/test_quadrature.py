@@ -1,11 +1,14 @@
 """Adaptive Simpson quadrature and the antiderivative node."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import partial_at
+from seaconv import quadrature
 from seaconv.errors import EvalDomainError, QuadratureError
 from seaconv.evaluate import eval_jet, eval_jet_batch, eval_values
 from seaconv.expr import FnContext, diff
@@ -283,3 +286,35 @@ def test_repeated_rows_and_no_state_on_the_node():
     (K,) = set(antiderivs(sol.p))
     assert set(K.__dict__) == {"body", "inner", "base", "tol"}
     assert repr(residual_scan(sol, grid)) == first
+
+
+def test_integrand_slices_leave_coefficients_and_samples_unchanged(
+        monkeypatch):
+    # 1500 distinct upper limits: the first Simpson level alone asks for
+    # 4500 integrand samples, more than one slice.
+    body = parse_expr("exp(s * x)", None, allowed=("s", "x"))
+    node = Antideriv(body, parse_expr("t + z", None), 0.0, 1e-8)
+    pts = np.random.default_rng(5).uniform(0.0, 1.5, size=(1500, 4))
+    feval = quadrature._feval
+
+    def run():
+        asked, called = [], []
+
+        def counted(f, svals, rows):
+            asked.append(svals.shape[0])
+            return feval(lambda s, r: called.append(s.shape[0]) or f(s, r),
+                         svals, rows)
+
+        monkeypatch.setattr(quadrature, "_feval", counted)
+        coef = eval_jet_batch(node, V4, pts, 2).coef
+        monkeypatch.setattr(quadrature, "_feval", feval)
+        return coef, asked, called
+
+    sliced, asked, called = run()
+    assert max(asked) > quadrature.MAX_SAMPLES
+    assert max(called) <= quadrature.MAX_SAMPLES
+    assert sum(called) == sum(asked)
+    monkeypatch.setattr(quadrature, "MAX_SAMPLES", math.inf)
+    whole, asked_whole, called_whole = run()
+    assert called_whole == asked_whole == asked
+    assert whole.tobytes() == sliced.tobytes()

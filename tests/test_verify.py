@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
+from output_digest import MULTI_BLOCK, refined
 from seaconv.errors import GuardError
 from seaconv.families import (build_theorem_2_1, build_theorem_3_1,
                               build_theorem_4_4, harmonic_poly,
                               rigid_rotation)
 from seaconv.parser import parse_expr
-from seaconv.verify import (Grid, check_harmonic, check_reduced_2d,
-                            fd_cross_check, residual_at, residual_scan)
+from seaconv.solution import in_domain_mask
+from seaconv.verify import (CHUNK, EQ_NAMES, EqStat, Grid, ResidualReport,
+                            check_harmonic, check_reduced_2d,
+                            fd_cross_check, residual_at, residual_batch,
+                            residual_scan)
 
 V4 = ("t", "x", "y", "z")
 UNIT_GRID = Grid(t=(0.0, 1.0, 5), x=(0.0, 1.0, 5), y=(0.0, 1.0, 5),
@@ -150,6 +154,55 @@ def test_scan_threaded_matches_sequential_bitwise():
         assert seq.eqs[name].worst_point == par.eqs[name].worst_point
     assert (seq.total, seq.evaluated, seq.excluded, seq.low_rho) == (
         par.total, par.evaluated, par.excluded, par.low_rho)
+
+
+def chunkwise_report(sol, live, total, chunk):
+    """The report a scan must give, reduced here from one residual_batch
+    call per chunk: max, rms and worst point folded chunk by chunk."""
+    max_abs, sumsq, counts = [0.0] * 5, [0.0] * 5, [0] * 5
+    worst, low_rho = [None] * 5, 0
+    for i in range(0, len(live), chunk):
+        pts = live[i : i + chunk]
+        r = residual_batch(sol, pts)
+        low_rho += int(np.isnan(r[:, 3]).sum())
+        for j in range(5):
+            valid = ~np.isnan(r[:, j])
+            if not valid.any():
+                continue
+            counts[j] += int(valid.sum())
+            sumsq[j] += float(np.sum(r[valid, j] ** 2))
+            k = int(np.nanargmax(np.abs(r[:, j])))
+            if worst[j] is None or abs(r[k, j]) > max_abs[j]:
+                max_abs[j] = float(abs(r[k, j]))
+                worst[j] = tuple(float(q) for q in pts[k])
+    eqs = {name: EqStat(max_abs[j], float(np.sqrt(sumsq[j] / counts[j])),
+                        worst[j]) for j, name in enumerate(EQ_NAMES)}
+    return ResidualReport(eqs, total, len(live), total - len(live), low_rho)
+
+
+@pytest.mark.parametrize("chunk", [CHUNK, 97])
+@pytest.mark.parametrize("name", MULTI_BLOCK)
+def test_multi_block_scan_equals_the_chunkwise_reduction(instance_matrix,
+                                                         name, chunk):
+    # 4096 in-guard points: several blocks, each of several chunks, and a
+    # last block that is cut short when chunk does not divide them.
+    (sol, grid), = [(s, g) for n, s, g, _ in instance_matrix if n == name]
+    grid = refined(grid)
+    pts = grid.points()
+    live = pts[in_domain_mask(sol, pts)]
+    assert len(live) == 4096
+    want = chunkwise_report(sol, live, grid.size, chunk)
+    seq = residual_scan(sol, grid, chunk=chunk)
+    par = residual_scan(sol, grid, workers=2, chunk=chunk)
+    for got in (seq, par):
+        assert got.eqs.keys() == want.eqs.keys()
+        for eq in EQ_NAMES:
+            assert got.eqs[eq].max_abs == want.eqs[eq].max_abs, eq
+            assert got.eqs[eq].rms == want.eqs[eq].rms, eq
+            assert got.eqs[eq].worst_point == want.eqs[eq].worst_point, eq
+        assert (got.total, got.evaluated, got.excluded, got.low_rho) == (
+            want.total, want.evaluated, want.excluded, want.low_rho)
+    assert par == seq
 
 
 def test_low_rho_points_are_counted_not_crashed():
