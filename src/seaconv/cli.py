@@ -334,9 +334,8 @@ def report_csv(report) -> str:
     lines = ["eq,max_abs,rms,worst_t,worst_x,worst_y,worst_z"]
     for name in EQ_NAMES:
         st = report.eqs[name]
-        wp = st.worst_point or (float("nan"),) * 4
         lines.append(",".join([name, _fmt(st.max_abs), _fmt(st.rms)]
-                              + [_fmt(c) for c in wp]))
+                              + [_fmt(c) for c in st.worst_point]))
     return "\n".join(lines) + "\n"
 
 
@@ -344,9 +343,8 @@ def report_text(report, tol: float) -> str:
     lines = [f"{'eq':<4} {'max_abs':<24} {'rms':<24} worst (t,x,y,z)"]
     for name in EQ_NAMES:
         st = report.eqs[name]
-        wp = st.worst_point or (float("nan"),) * 4
         lines.append(f"{name:<4} {st.max_abs:<24.17g} {st.rms:<24.17g} "
-                     f"({', '.join(_fmt(c) for c in wp)})")
+                     f"({', '.join(_fmt(c) for c in st.worst_point)})")
     lines.append(f"points: total {report.total}, evaluated "
                  f"{report.evaluated}, excluded {report.excluded}, "
                  f"low rho {report.low_rho}")
@@ -378,11 +376,10 @@ def field_table(sol: Solution, grid: Grid) -> str:
     values = iter(())
     if mask.any():
         inside, fields = pts[mask], sol.fields()
-        roots = [fields[name] for name in FIELD_NAMES + ("rho",)]
-        memo = evaluate.shared_memo(*roots)
-        values = iter(np.column_stack([
-            evaluate.eval_jet_batch(e, VARS4, inside, 0, memo=memo).value
-            for e in roots]).tolist())
+        roots = tuple(fields[name] for name in FIELD_NAMES + ("rho",))
+        batches = evaluate.eval_jet_batch(roots, VARS4, inside,
+                                          (0,) * len(roots))
+        values = iter(np.column_stack([b.value for b in batches]).tolist())
     prefixes = map(",".join, itertools.product(
         *([_fmt(c) for c in axis] for axis in grid.axes())))
     rows = [_ROW % (prefix, *next(values)) if live else prefix + ",,,,,,false"

@@ -9,16 +9,18 @@ bits, so 0.0 and -0.0 stay apart; a parameter function by identity) and
 the keys of its children.  Equal subtrees that are distinct objects, as
 a symmetry map or a second parse leaves them, get one jet per pass.
 Each node's key is computed once per memo, from its children's, so a
-lookup never walks a subtree.  The memo is order-aware: a jet held at a
-higher order answers a lower-order request by truncation, a slice of its
-coefficients (the graded layout makes a lower order a prefix); a jet
-held at a lower order is never used for a higher one, and the node is
-evaluated again.
+lookup never walks a subtree.
 
-Each entry counts its reads to come: one per root (shared_memo), and
-one per child slot of each structurally distinct parent.  A read takes
-one off, and the jet is dropped at zero, so a pass holds only the jets
-that are still to be read, not one per node.
+One call may evaluate several roots, each at its own order, through one
+memo.  The roots are evaluated highest order first, so a node is first
+evaluated at the highest order any root needs, and a lower order reads
+its jet by truncation, a slice of its coefficients (the graded layout
+makes a lower order a prefix).
+
+Each entry counts its reads to come: one per root, and one per child
+slot of each structurally distinct parent.  A read takes one off, and
+the jet is dropped at zero, so a pass holds only the jets that are
+still to be read, not one per node.
 """
 from __future__ import annotations
 
@@ -52,49 +54,51 @@ class _Ctx:
     __slots__ = ("vars", "points", "order", "space", "bindings", "memo")
 
     def __init__(self, vars, points, order, bindings, memo):
-        self.vars = tuple(vars)
+        self.vars = vars
         self.points = points
         self.order = order
-        self.space = jet_space(len(self.vars), order)
-        self.bindings = {
-            k: np.asarray(v, dtype=float) for k, v in (bindings or {}).items()
-        }
+        self.space = jet_space(len(vars), order)
+        self.bindings = bindings
         self.memo = memo
 
 
-def eval_jet_batch(e: Expr, vars, points, order: int,
-                   bindings=None, memo=None) -> JetBatch:
+def eval_jet_batch(e, vars, points, order, bindings=None):
     """Evaluate e at an (npoints, nvars) array of points, returning the
     jet batch of order `order` with respect to `vars`.  Extra variables
     may be bound to constant per-point values through `bindings`; those
-    enter with zero derivatives.  Calls that share vars, points and
-    bindings share jets through one `memo = shared_memo(*roots)`, one call
-    per root: evaluate the highest order first, and the lower orders are
-    truncations of it.  Once every root is read, the memo holds no jet."""
-    if order < 0:
+    enter with zero derivatives.  Given a tuple of roots and a tuple of
+    orders of the same length, returns a list of their jets in that
+    order; the roots share one memo (see the module docstring)."""
+    single = not isinstance(e, tuple)
+    roots, orders = ((e,), (order,)) if single else (e, order)
+    if not isinstance(orders, tuple) or len(orders) != len(roots):
+        raise ValueError("roots and orders must be tuples of one length")
+    if min(orders, default=0) < 0:
         raise ValueError("order must be nonnegative")
-    if order > MAX_PUBLIC_ORDER:
+    if max(orders, default=0) > MAX_PUBLIC_ORDER:
         raise ValueError(
             f"order exceeds supported maximum ({MAX_PUBLIC_ORDER})"
         )
-    return _eval_raw(e, vars, points, order, bindings, memo)
+    out = _eval_roots(roots, vars, points, orders, bindings)
+    return out[0] if single else out
 
 
-def shared_memo(*roots: Expr) -> dict:
-    """A memo for one eval_jet_batch call per root (see the module
-    docstring); a root listed twice is read twice."""
+def _eval_roots(roots, vars, points, orders, bindings=None) -> list:
+    """The jets of roots at their orders, through one memo."""
+    vars = tuple(vars)
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != len(vars):
+        raise ValueError("points must have shape (npoints, nvars)")
+    bindings = {k: np.asarray(v, dtype=float)
+                for k, v in (bindings or {}).items()}
     memo: dict = {}
     for root in roots:
         _entry(root, memo)[1] += 1
-    return memo
-
-
-def _eval_raw(e, vars, points, order, bindings=None, memo=None) -> JetBatch:
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != len(tuple(vars)):
-        raise ValueError("points must have shape (npoints, nvars)")
-    ctx = _Ctx(vars, pts, order, bindings, memo or shared_memo(e))
-    return _eval(e, ctx)
+    out = [None] * len(roots)
+    for i in sorted(range(len(roots)), key=orders.__getitem__, reverse=True):
+        ctx = _Ctx(vars, pts, orders[i], bindings, memo)
+        out[i] = _eval(roots[i], ctx)
+    return out
 
 
 def eval_jet(e: Expr, point, order: int, vars=VARS4) -> JetBatch:
@@ -121,7 +125,7 @@ def _eval(e: Expr, ctx: _Ctx) -> JetBatch:
     entry = _entry(e, ctx.memo)
     entry[1] -= 1
     held = entry[0]
-    if held is None or held.space.order < ctx.order:
+    if held is None:
         held = _RULES[type(e)](e, ctx)
         if not np.isfinite(held.coef).all():
             raise EvalDomainError("non-finite value during evaluation", e)
@@ -244,7 +248,7 @@ def _ev_atan2(e: Atan2, ctx):
 def _ev_fnapp(e: FnApp, ctx):
     inner = _eval(e.arg, ctx)
     need = e.k + ctx.order
-    body = _eval_raw(e.fn.body, ("s",), inner.value[:, None], need)
+    [body] = _eval_roots((e.fn.body,), ("s",), inner.value[:, None], (need,))
     derivs = body.coef[:, e.k : need + 1] * jets._FACT[e.k : need + 1]
     return jets.compose_smooth(inner, derivs)
 

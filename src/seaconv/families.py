@@ -279,7 +279,8 @@ def harmonic_poly(terms) -> Expr:
     """Sum of c(t) * {Re|Im}((x+iy)^n) expanded into real polynomials in
     x, y; harmonic in (x, y) for every choice of time coefficients.
     terms: iterable of (degree, part, coefficient) with part "Re"/"Im"
-    and coefficient a ParamFn of t, a DSL string in t, or a number."""
+    and coefficient a ParamFn of t, or a DSL string, number or Expr in
+    t alone."""
     total: Expr = Const(0.0)
     for idx, (n, part, coef) in enumerate(terms):
         n = int(n)
@@ -287,16 +288,8 @@ def harmonic_poly(terms) -> Expr:
             raise ValueError("degree must be nonnegative")
         if part not in ("Re", "Im"):
             raise ValueError(f"part must be 'Re' or 'Im', got {part!r}")
-        if isinstance(coef, ParamFn):
-            cexpr: Expr = coef(T)
-        elif isinstance(coef, str):
-            cexpr = parse_expr(coef, None, allowed=("t",))
-        elif isinstance(coef, (int, float)):
-            cexpr = Const(float(coef))
-        elif isinstance(coef, Expr):
-            cexpr = coef
-        else:
-            raise TypeError("coefficient must be ParamFn, str, number, or Expr")
+        cexpr = coef(T) if isinstance(coef, ParamFn) else as_field(
+            f"coefficient {idx}", coef, ("t",))
         start = 0 if part == "Re" else 1
         poly: Expr = Const(0.0)
         for j in range(start, n + 1, 2):

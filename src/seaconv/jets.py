@@ -126,9 +126,6 @@ class JetBatch:
     def __sub__(self, other: "JetBatch") -> "JetBatch":
         return JetBatch(self.space, self.coef - other.coef)
 
-    def __neg__(self) -> "JetBatch":
-        return JetBatch(self.space, -self.coef)
-
     def __mul__(self, other: "JetBatch") -> "JetBatch":
         return JetBatch(self.space, self.space.mul_coef(self.coef, other.coef))
 

@@ -56,8 +56,7 @@ def _simpson_batched(f, a, b, tol):
     width = fa.shape[1]
     S = ((rb - ra) / 6.0)[:, None] * (fa + 4.0 * fm + fb)
     result = np.zeros((n, width))
-    tolr = np.full(m, tol)
-    depth = np.zeros(m, dtype=int)
+    depth = 0  # every live interval is at this depth, with tolerance tol
 
     while rowid.size:
         c = 0.5 * (ra + rb)
@@ -71,10 +70,10 @@ def _simpson_batched(f, a, b, tol):
         S2 = Sl + Sr
         err = np.max(np.abs(S2 - S), axis=1)
         mag = np.max(np.abs(S2), axis=1)
-        done = err <= 15.0 * tolr * (1.0 + mag)
+        done = err <= 15.0 * tol * (1.0 + mag)
         keep = ~done
         most = np.bincount(rowid[keep]).max(initial=0)  # of one integral
-        if np.any(keep & (depth >= MAX_DEPTH)) or 2 * most > MAX_PIECES:
+        if (depth >= MAX_DEPTH and keep.any()) or 2 * most > MAX_PIECES:
             raise QuadratureError(
                 f"quadrature did not converge within depth {MAX_DEPTH} "
                 f"and {MAX_PIECES} subintervals per integral"
@@ -92,8 +91,8 @@ def _simpson_batched(f, a, b, tol):
         )
         fm = np.concatenate([flm[keep], frm[keep]])
         S = np.concatenate([Sl[keep], Sr[keep]])
-        tolr = np.concatenate([tolr[keep], tolr[keep]]) * 0.5
-        depth = np.concatenate([depth[keep], depth[keep]]) + 1
+        tol *= 0.5
+        depth += 1
 
     return result * sign[:, None]
 

@@ -7,11 +7,11 @@ r4 = u_t + u u_x + v u_y + w u_z + v + p_x / rho
 r5 = v_t + u v_x + v v_y + w v_z - u + p_y / rho
 
 Each field is evaluated at the order its residual terms read: p at
-order 2, because rho = p_z and r3 reads rho's first partials, then u, v
-and w at order 1, all through one structural, order-aware memo
-(evaluate.py), so a subtree p shares with a velocity is evaluated once
-and read by truncation.  Reading rho off p's jet one derivative order
-higher makes r2 structural.
+order 2, because rho = p_z and r3 reads rho's first partials, and u, v
+and w at order 1, in one eval_jet_batch call whose roots share one
+structural, order-aware memo (evaluate.py), so a subtree p shares with
+a velocity is evaluated once and read by truncation.  Reading rho off
+p's jet one derivative order higher makes r2 structural.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluate import eval_jet_batch, eval_values, shared_memo
+from .evaluate import eval_jet_batch, eval_values
 from .expr import VARS4, Expr
 from .solution import Solution, assert_in_domain, in_domain_mask
 
@@ -98,14 +98,12 @@ class ResidualReport:
 
 
 def residual_batch(sol: Solution, points) -> np.ndarray:
-    """(n, 5) residual values at the given points (assumed in-guard).
+    """(n, 5) residual values at the given points (assumed in-guard),
+    from one eval_jet_batch call: p at order 2, u, v, w at order 1.
     r4/r5 are NaN where |rho| < 1e-9."""
     pts = np.asarray(points, dtype=float)
-    memo = shared_memo(sol.p, sol.u, sol.v, sol.w)
-    jp = eval_jet_batch(sol.p, VARS4, pts, 2, memo=memo)
-    ju = eval_jet_batch(sol.u, VARS4, pts, 1, memo=memo)
-    jv = eval_jet_batch(sol.v, VARS4, pts, 1, memo=memo)
-    jw = eval_jet_batch(sol.w, VARS4, pts, 1, memo=memo)
+    jp, ju, jv, jw = eval_jet_batch((sol.p, sol.u, sol.v, sol.w), VARS4,
+                                    pts, (2, 1, 1, 1))
 
     unit = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     u, v, w = ju.value, jv.value, jw.value
@@ -302,10 +300,7 @@ def check_reduced_2d(u: Expr, v: Expr, eta: Expr, points=None,
     for e, lbl in ((u, "u"), (v, "v"), (eta, "eta")):
         _require_txy(e, lbl)
     pts = _txy_points(t_range, points)
-    memo = shared_memo(u, v, eta)
-    ju = eval_jet_batch(u, VARS_TXY, pts, 2, memo=memo)
-    jv = eval_jet_batch(v, VARS_TXY, pts, 2, memo=memo)
-    je = eval_jet_batch(eta, VARS_TXY, pts, 1, memo=memo)
+    ju, jv, je = eval_jet_batch((u, v, eta), VARS_TXY, pts, (2, 2, 1))
     et, ex, ey = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     uu, vv = ju.value, jv.value
     ut, ux, uy = (ju.partial(m) for m in (et, ex, ey))

@@ -13,9 +13,11 @@ and CSV field tables for every instance of
 conftest.build_instance_matrix(), and the sequential and threaded
 (workers=2) reports of the MULTI_BLOCK instances on their grids refined
 to 8 points per axis (4096 points, several residual_batch calls per
-scan).  The digest checks that a refactor or an optimisation leaves
-every output unchanged.  tobytes() writes C order whatever an array's
-memory layout, so the digest does not depend on the layout.
+scan), and the check_harmonic and check_reduced_2d reports of the
+REDUCED_2D instance on their default probe grid.  The digest checks
+that a refactor or an optimisation leaves every output unchanged.
+tobytes() writes C order whatever an array's memory layout, so the
+digest does not depend on the layout.
 """
 
 import hashlib
@@ -23,6 +25,7 @@ import sys
 from pathlib import Path
 
 MULTI_BLOCK = ("theorem_4_2[growing]", "theorem_2_1[full]")
+REDUCED_2D = "prop_4_1[cubic]"
 
 
 def refined(grid, count=8):
@@ -31,6 +34,18 @@ def refined(grid, count=8):
 
     return Grid(*((lo, hi, count) for lo, hi, _ in
                   (grid.t, grid.x, grid.y, grid.z)))
+
+
+def reduced_2d_reports(sol):
+    """check_harmonic of the REDUCED_2D instance's theta, and
+    check_reduced_2d of its u, v and eta = p at z = 0, fields of (t, x, y)."""
+    from seaconv.expr import Const, substitute
+    from seaconv.families import harmonic_poly
+    from seaconv.verify import check_harmonic, check_reduced_2d
+
+    eta = substitute(sol.p, {"z": Const(0.0)})
+    return (check_harmonic(harmonic_poly([(3, "Re", "t")])),
+            check_reduced_2d(sol.u, sol.v, eta))
 
 
 def instance_matrix_digest() -> str:
@@ -61,6 +76,8 @@ def instance_matrix_digest() -> str:
             for workers in (None, 2):
                 report = residual_scan(sol, refined(grid), workers=workers)
                 h.update(repr(report).encode())
+        if name == REDUCED_2D:
+            h.update(repr(reduced_2d_reports(sol)).encode())
     return h.hexdigest()
 
 

@@ -2,14 +2,16 @@
 order read off a higher one by truncation, and each jet dropped after
 its last read."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from seaconv import jets
-from seaconv.evaluate import eval_jet_batch, eval_values, shared_memo
+from seaconv.evaluate import eval_jet_batch, eval_values
 from seaconv.expr import Add, Atan2, Const, FnContext, Mul, Var
-from seaconv.jets import JetBatch
+from seaconv.jets import MAX_PUBLIC_ORDER
 from seaconv.parser import parse_expr, parse_paramfn
 from seaconv.quadrature import Antideriv
 from seaconv.solution import in_domain_mask
@@ -43,41 +45,55 @@ def test_atan2_fnapp_and_antideriv_jets_are_column_major():
             assert eval_jet_batch(e, V4, pts, order).coef.flags.f_contiguous
 
 
-def test_memo_filled_at_order_1_answers_order_2_in_full():
+def test_a_root_repeated_at_orders_1_2_1_is_read_off_its_order_2_jet():
     e = parse_expr("sin(x*y) + t*z^2 + exp(x - t)*cos(y)")
     fresh = eval_jet_batch(e, V4, PTS, 2).coef
-    memo = shared_memo(e, e, e)
-    j1 = eval_jet_batch(e, V4, PTS, 1, memo=memo)
-    j2 = eval_jet_batch(e, V4, PTS, 2, memo=memo)
-    assert j1.coef.shape == (40, 5)
+    j1, j2, j1b = eval_jet_batch((e, e, e), V4, PTS, (1, 2, 1))
     assert j2.coef.shape == (40, 15)
-    assert np.array_equal(j2.coef, fresh)
-    # And back down: the order-2 jet now held answers order 1 by a slice.
-    assert np.array_equal(eval_jet_batch(e, V4, PTS, 1, memo=memo).coef,
-                          fresh[:, :5])
+    assert j2.coef.tobytes() == fresh.tobytes()
+    for j in (j1, j1b):
+        assert j.coef.tobytes() == fresh[:, :5].tobytes()
 
 
-def held_jets(memo):
-    return {id(x) for entry in memo.values() for x in entry
-            if isinstance(x, JetBatch)}
+def live_points(sol, grid):
+    pts = grid.points()
+    return pts[in_domain_mask(sol, pts)]
 
 
-def test_shared_memo_holds_no_jet_after_its_last_root(instance_matrix):
-    shared = 0
+def test_roots_sharing_subtrees_match_single_root_calls(instance_matrix):
     for name, sol, grid, _tol in instance_matrix:
-        pts = grid.points()
-        live = pts[in_domain_mask(sol, pts)]
-        memo = shared_memo(sol.p, sol.u, sol.v, sol.w)
-        fresh = eval_jet_batch(sol.u, V4, live, 1).coef
-        eval_jet_batch(sol.p, V4, live, 2, memo=memo)
-        shared += len(held_jets(memo))
-        ju = eval_jet_batch(sol.u, V4, live, 1, memo=memo)
-        assert ju.coef.tobytes() == fresh.tobytes(), name
-        eval_jet_batch(sol.v, V4, live, 1, memo=memo)
-        eval_jet_batch(sol.w, V4, live, 1, memo=memo)
-        assert not held_jets(memo), name
-    # Subtrees of p that the velocities read are held until then.
-    assert shared > 0
+        live = live_points(sol, grid)
+        roots = (sol.p, sol.u, sol.v, sol.w)
+        got = eval_jet_batch(roots, V4, live, (2, 1, 1, 1))
+        for e, order, jet in zip(roots, (2, 1, 1, 1), got):
+            fresh = eval_jet_batch(e, V4, live, order).coef
+            assert jet.coef.tobytes() == fresh.tobytes(), name
+
+
+def test_the_four_roots_in_any_order_give_the_same_bytes(instance_matrix):
+    fields = ("p", "u", "v", "w")
+    orders = dict(zip(fields, (2, 1, 1, 1)))
+    for name, sol, grid, _tol in instance_matrix:
+        live = live_points(sol, grid)
+        want = [j.coef.tobytes() for j in eval_jet_batch(
+            tuple(getattr(sol, f) for f in fields), V4, live, (2, 1, 1, 1))]
+        for perm in itertools.permutations(fields):
+            got = [j.coef.tobytes() for j in eval_jet_batch(
+                tuple(getattr(sol, f) for f in perm), V4, live,
+                tuple(orders[f] for f in perm))]
+            assert got == [want[fields.index(f)] for f in perm], (name, perm)
+
+
+@pytest.mark.parametrize("roots, orders", [
+    ((Var("x"), Var("y")), (1,)),
+    ((Var("x"),), (1, 2)),
+    ((Var("x"), Var("y")), 1),
+    ((Var("x"), Var("y")), (1, -1)),
+    ((Var("x"), Var("y")), (0, MAX_PUBLIC_ORDER + 1)),
+])
+def test_bad_root_and_order_tuples_raise(roots, orders):
+    with pytest.raises(ValueError):
+        eval_jet_batch(roots, V4, PTS, orders)
 
 
 def test_a_chain_holds_a_few_jets_not_one_per_node():

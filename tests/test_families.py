@@ -5,7 +5,7 @@ import pytest
 
 from seaconv.errors import GuardError, HypothesisError
 from seaconv.evaluate import eval_values
-from seaconv.expr import print_expr
+from seaconv.expr import Var, print_expr
 from seaconv.families import (build_prop_4_1, build_theorem_2_1,
                               build_theorem_3_1, build_theorem_4_2,
                               build_theorem_4_3, build_theorem_4_4,
@@ -108,6 +108,7 @@ def test_harmonic_poly_examples():
         ([(1, "Im", 1.0)], "y"),
         ([(3, "Re", "t")], "t * (x^3 - 3 * (x * y^2))"),
         ([(2, "Im", 1.0)], "2 * (x * y)"),
+        ([(2, "Re", parse_expr("sin(t)"))], "sin(t) * (x^2 - y^2)"),
     ]
     pts = np.random.default_rng(1).uniform(-2, 2, size=(64, 3))
     for spec_terms, src in cases:
@@ -123,6 +124,13 @@ def test_harmonic_poly_is_harmonic_at_random_points():
                            (2, "Im", "t^2")])
     rep = check_harmonic(theta)
     assert rep.max_abs <= 1e-10
+
+
+@pytest.mark.parametrize("coef", [Var("x"), parse_expr("t * y")])
+def test_harmonic_poly_rejects_a_coefficient_in_x_or_y(coef):
+    # x * (x^2 - y^2) is not harmonic: the coefficient may depend on t only.
+    with pytest.raises(ValueError):
+        harmonic_poly([(2, "Re", coef)])
 
 
 def test_prop_4_1_spot():
