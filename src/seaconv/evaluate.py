@@ -3,28 +3,29 @@
 Every evaluator works on batches of points and returns truncated Taylor
 jets; scalar convenience wrappers sit on top.
 
-A single evaluation pass shares subexpression jets through a memo keyed
-by structure: a node's key is its type, its own fields (floats by their
-bits, so 0.0 and -0.0 stay apart; a parameter function by identity) and
-the keys of its children.  Equal subtrees that are distinct objects, as
-a symmetry map or a second parse leaves them, get one jet per pass.
-Each node's key is computed once per memo, from its children's, so a
-lookup never walks a subtree.
+One call evaluates one or more roots, each at its own order, in two
+steps.  It first compiles the roots into a tape: one entry per
+structurally distinct node, children first.  A node's key is its type,
+its own fields (floats by their bits, so 0.0 and -0.0 stay apart; a
+parameter function by identity) and its children's slots; it is
+computed once per node object, so a lookup never walks a subtree.
+Equal subtrees that are distinct objects, as a symmetry map or a second
+parse leaves them, share one entry.  The roots are walked highest order
+first, so each node is evaluated at the highest order any reader
+needs, and a lower order reads its jet by truncation, a slice of its
+coefficients (the graded layout makes a lower order a prefix).
 
-One call may evaluate several roots, each at its own order, through one
-memo.  The roots are evaluated highest order first, so a node is first
-evaluated at the highest order any root needs, and a lower order reads
-its jet by truncation, a slice of its coefficients (the graded layout
-makes a lower order a prefix).
-
-Each entry counts its reads to come: one per root, and one per child
-slot of each structurally distinct parent.  A read takes one off, and
-the jet is dropped at zero, so a pass holds only the jets that are
-still to be read, not one per node.
+It then runs the tape, entry by entry: the node's rule on its
+children's jets, and a check that the jet is finite.  Each entry lists
+the slots it reads last, and drops their jets, so a run holds only the
+jets still to be read, not one per node.  The tape is in the post-order
+of the walk, so the error raised is that of the first node in this
+order that leaves its domain.
 """
 from __future__ import annotations
 
 import operator
+from collections import namedtuple
 from dataclasses import fields
 
 import numpy as np
@@ -50,16 +51,8 @@ from .jets import MAX_PUBLIC_ORDER, JetBatch, const_batch, jet_space, var_batch
 from .quadrature import Antideriv, compose_antideriv
 
 
-class _Ctx:
-    __slots__ = ("vars", "points", "order", "space", "bindings", "memo")
-
-    def __init__(self, vars, points, order, bindings, memo):
-        self.vars = vars
-        self.points = points
-        self.order = order
-        self.space = jet_space(len(vars), order)
-        self.bindings = bindings
-        self.memo = memo
+# What a rule reads besides its children's jets, in its node's space.
+_Ctx = namedtuple("_Ctx", "vars points space bindings")
 
 
 def eval_jet_batch(e, vars, points, order, bindings=None):
@@ -68,7 +61,7 @@ def eval_jet_batch(e, vars, points, order, bindings=None):
     may be bound to constant per-point values through `bindings`; those
     enter with zero derivatives.  Given a tuple of roots and a tuple of
     orders of the same length, returns a list of their jets in that
-    order; the roots share one memo (see the module docstring)."""
+    order; the roots share one tape (see the module docstring)."""
     single = not isinstance(e, tuple)
     roots, orders = ((e,), (order,)) if single else (e, order)
     if not isinstance(orders, tuple) or len(orders) != len(roots):
@@ -79,26 +72,8 @@ def eval_jet_batch(e, vars, points, order, bindings=None):
         raise ValueError(
             f"order exceeds supported maximum ({MAX_PUBLIC_ORDER})"
         )
-    out = _eval_roots(roots, vars, points, orders, bindings)
+    out = _run(roots, vars, points, orders, bindings)
     return out[0] if single else out
-
-
-def _eval_roots(roots, vars, points, orders, bindings=None) -> list:
-    """The jets of roots at their orders, through one memo."""
-    vars = tuple(vars)
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != len(vars):
-        raise ValueError("points must have shape (npoints, nvars)")
-    bindings = {k: np.asarray(v, dtype=float)
-                for k, v in (bindings or {}).items()}
-    memo: dict = {}
-    for root in roots:
-        _entry(root, memo)[1] += 1
-    out = [None] * len(roots)
-    for i in sorted(range(len(roots)), key=orders.__getitem__, reverse=True):
-        ctx = _Ctx(vars, pts, orders[i], bindings, memo)
-        out[i] = _eval(roots[i], ctx)
-    return out
 
 
 def eval_jet(e: Expr, point, order: int, vars=VARS4) -> JetBatch:
@@ -121,46 +96,80 @@ def deriv_1d(f, s0: float, k: int) -> float:
     return float(batch.partial((k,))[0])
 
 
-def _eval(e: Expr, ctx: _Ctx) -> JetBatch:
-    entry = _entry(e, ctx.memo)
-    entry[1] -= 1
-    held = entry[0]
-    if held is None:
-        held = _RULES[type(e)](e, ctx)
-        if not np.isfinite(held.coef).all():
+def _run(roots, vars, points, orders, bindings=None) -> list:
+    """The jets of roots at their orders: compile the roots' tape, then
+    run it entry by entry, each node's rule on its children's jets."""
+    vars = tuple(vars)
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != len(vars):
+        raise ValueError("points must have shape (npoints, nvars)")
+    bindings = {k: np.asarray(v, dtype=float)
+                for k, v in (bindings or {}).items()}
+    tape, slots = _tape(roots, orders)
+    ctxs = {n: _Ctx(vars, pts, jet_space(len(vars), n), bindings)
+            for n in set(orders)}
+    held = [None] * len(tape)
+    for i, (e, kids, order, frees) in enumerate(tape):
+        ctx = ctxs[order]
+        space = ctx.space
+        args = []
+        for k in kids:  # each child read at this node's order
+            jet = held[k]
+            args.append(jet if jet.space is space
+                        else JetBatch(space, jet.coef[:, : space.ncoef]))
+        jet = held[i] = _RULES[type(e)](e, ctx, *args)
+        if not np.isfinite(jet.coef).all():
             raise EvalDomainError("non-finite value during evaluation", e)
-    entry[0] = held if entry[1] > 0 else None
-    if held.space is ctx.space:
-        return held
-    return JetBatch(ctx.space, held.coef[:, : ctx.space.ncoef])
+        for k in frees:
+            held[k] = None
+    out = []
+    for k, order in zip(slots, orders):
+        jet, space = held[k], ctxs[order].space
+        out.append(jet if jet.space is space
+                   else JetBatch(space, jet.coef[:, : space.ncoef]))
+    return out
 
 
-def _entry(e: Expr, memo: dict) -> list:
-    """The memo entry [jet or None, reads to come, *nodes] that e shares
-    with every structurally equal node.  The memo maps id(node) to its
-    entry, and the structural key to the same entry; an entry holds its
-    nodes, so their ids are not reused while the memo lives.  A new key
-    adds a read to each child.  An Antideriv's body, which
-    compose_antideriv evaluates on its own, is keyed in memo[Antideriv]
-    instead, where its nodes add no reads to the evaluated ones."""
-    entry = memo.get(id(e))
-    if entry is None:
+def _tape(roots, orders):
+    """The tape of roots read at orders, and each root's slot in it.  The
+    roots are walked highest order first (a stable sort), and a node
+    with a new key appends [node, its children's slots, the walking
+    root's order, the slots it reads last] after its children's.  A
+    root's slot is read at the end, and so never freed."""
+    table, tape = {}, []
+    slots = [None] * len(roots)
+    for i in sorted(range(len(roots)), key=orders.__getitem__, reverse=True):
+        slots[i] = _slot(roots[i], table, tape, orders[i])
+    last = {k: i for i, (_, kids, _, _) in enumerate(tape) for k in kids}
+    for k in set(last).difference(slots):
+        tape[last[k]][3].append(k)
+    return tape, slots
+
+
+def _slot(e, table, tape, order) -> int:
+    """The slot of e in tape, shared by every structurally equal node.
+    table maps id(node) and a node's key to its slot; the roots keep its
+    nodes alive, so no id is reused.  An Antideriv's body, which
+    compose_antideriv evaluates on its own, is keyed in a table and a
+    tape of its own, table[Antideriv], which are never run."""
+    got = table.get(id(e))
+    if got is None:
         own = _OWN_KEYS.get(type(e))
         if own is None:
             raise TypeError(f"cannot evaluate node of type {type(e).__name__}")
         integral = type(e) is Antideriv
-        kids = [_entry(c, memo)
-                for c in ((e.inner,) if integral else e.children())]
-        key = (type(e), own(e), tuple(map(id, kids)))
+        kids = tuple([_slot(c, table, tape, order)
+                      for c in ((e.inner,) if integral else e.children())])
+        key = (type(e), own(e), kids)
         if integral:
-            key += (id(_entry(e.body, memo.setdefault(Antideriv, {}))),)
-        entry = memo.setdefault(key, [None, 0])
-        if len(entry) == 2:  # a new key, read by no node before e
-            for kid in kids:
-                kid[1] += 1
-        entry.append(e)
-        memo[id(e)] = entry
-    return entry
+            body = table.setdefault(Antideriv, ({}, []))
+            key += (_slot(e.body, *body, order),)
+        got = table.get(key)
+        if got is None:
+            got = table[key] = len(tape)
+            tape.append([e, kids, order, []])
+        table[id(e)] = got
+    return got
 
 
 def _ev_const(e: Const, ctx):
@@ -178,7 +187,7 @@ def _ev_var(e: Var, ctx):
 
 def _ev_arith(op):
     """The jet rule of Add, Sub or Mul: op of the operands' jets."""
-    return lambda e, ctx: op(_eval(e.a, ctx), _eval(e.b, ctx))
+    return lambda e, ctx, a, b: op(a, b)
 
 
 def _recip(b: JetBatch, site: Expr) -> JetBatch:
@@ -188,25 +197,21 @@ def _recip(b: JetBatch, site: Expr) -> JetBatch:
     return jets.compose_smooth(b, jets.d_recip(b0, b.space.order))
 
 
-def _ev_div(e: Div, ctx):
-    return _eval(e.a, ctx) * _recip(_eval(e.b, ctx), e)
+def _ev_div(e: Div, ctx, a, b):
+    return a * _recip(b, e)
 
 
-def _ev_intpow(e: IntPow, ctx):
-    base = _eval(e.base, ctx)
+def _ev_intpow(e: IntPow, ctx, base):
     if e.n >= 0:
         return jets.int_power(base, e.n)
     return _recip(jets.int_power(base, -e.n), e)
 
 
-def _ev_realpow(e: RealPow, ctx):
-    base = _eval(e.base, ctx)
+def _ev_realpow(e: RealPow, ctx, base):
     if np.any(base.value <= 0.0):
-        raise EvalDomainError(
-            "real power of a non-positive base", e
-        )
+        raise EvalDomainError("real power of a non-positive base", e)
     return jets.compose_smooth(
-        base, jets.d_realpow(base.value, ctx.order, e.e)
+        base, jets.d_realpow(base.value, ctx.space.order, e.e)
     )
 
 
@@ -222,17 +227,14 @@ _CALLS = {
 }
 
 
-def _ev_call(e: Call, ctx):
-    u = _eval(e.arg, ctx)
+def _ev_call(e: Call, ctx, u):
     derivs, domain = _CALLS[e.kind]
     if domain and np.any(u.value <= 0.0):
         raise EvalDomainError(domain, e)
-    return jets.compose_smooth(u, derivs(u.value, ctx.order))
+    return jets.compose_smooth(u, derivs(u.value, ctx.space.order))
 
 
-def _ev_atan2(e: Atan2, ctx):
-    num = _eval(e.num, ctx)
-    den = _eval(e.den, ctx)
+def _ev_atan2(e: Atan2, ctx, num, den):
     b0, a0 = num.value, den.value
     if np.any((b0 == 0.0) & (a0 == 0.0)):
         raise EvalDomainError("atan2 at the origin", e)
@@ -240,21 +242,19 @@ def _ev_atan2(e: Atan2, ctx):
     # arctan2 itself so that order-0 values match it bit for bit.
     z = JetBatch(ctx.space, den.coef + 1j * num.coef)
     coef = np.asfortranarray(
-        jets.compose_smooth(z, jets.d_log(z.value, ctx.order)).coef.imag)
+        jets.compose_smooth(z, jets.d_log(z.value, ctx.space.order)).coef.imag)
     coef[:, 0] = np.arctan2(b0, a0)
     return JetBatch(ctx.space, coef)
 
 
-def _ev_fnapp(e: FnApp, ctx):
-    inner = _eval(e.arg, ctx)
-    need = e.k + ctx.order
-    [body] = _eval_roots((e.fn.body,), ("s",), inner.value[:, None], (need,))
+def _ev_fnapp(e: FnApp, ctx, inner):
+    need = e.k + ctx.space.order
+    [body] = _run((e.fn.body,), ("s",), inner.value[:, None], (need,))
     derivs = body.coef[:, e.k : need + 1] * jets._FACT[e.k : need + 1]
     return jets.compose_smooth(inner, derivs)
 
 
-def _ev_antideriv(e: Antideriv, ctx):
-    G = _eval(e.inner, ctx)
+def _ev_antideriv(e: Antideriv, ctx, G):
     return compose_antideriv(e, G, ctx.vars, ctx.points, ctx.bindings)
 
 
@@ -275,7 +275,7 @@ _RULES = {
 
 
 # Per annotation of an own field: the function name -> (node -> the
-# field's part of the memo key).  Any other field enters by value.
+# field's part of the node's key).  Any other field enters by value.
 _FIELD_KEYS = {
     "float": lambda name: lambda e: float(getattr(e, name)).hex(),
     "ParamFn": lambda name: lambda e: id(getattr(e, name)),

@@ -100,8 +100,8 @@ def node(cls=None, **options):
     """Declare an expression node type: a frozen dataclass (options pass
     through) whose fields annotated Expr are its children, in field order,
     and whose other fields are its own data.  It records their names in
-    _kids and _own, and children, substitution and memo keys follow from
-    those; a node type supplies _diff and _print."""
+    _kids and _own, and children, substitution and the evaluator's keys
+    follow from those; a node type supplies _diff and _print."""
     if cls is None:
         return lambda cls: node(cls, **options)
     cls = dataclass(frozen=True, repr=False, **options)(cls)
@@ -215,7 +215,10 @@ class Div(Expr):
     def _diff(self, var):
         da, db = self.a._diff(var), self.b._diff(var)
         num = sub(mul(da, self.b), mul(self.a, db))
-        return div(num, mul(self.b, self.b))
+        den = mul(self.b, self.b)
+        if den == Const(0.0):  # the square of a tiny constant underflows
+            return div(div(num, self.b), self.b)
+        return div(num, den)
 
     def _print(self):
         return _infix(self, "/", _PREC_MUL)
@@ -298,7 +301,10 @@ class Atan2(Expr):
         b, a = self.num, self.den
         db, da = b._diff(var), a._diff(var)
         num = sub(mul(db, a), mul(b, da))
-        return div(num, add(mul(a, a), mul(b, b)))
+        den = add(mul(a, a), mul(b, b))
+        if den == Const(0.0):  # two tiny constants: num is the constant 0
+            return num
+        return div(num, den)
 
     def _print(self):
         ln, _ = self.num._print()

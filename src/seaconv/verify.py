@@ -9,7 +9,7 @@ r5 = v_t + u v_x + v v_y + w v_z - u + p_y / rho
 Each field is evaluated at the order its residual terms read: p at
 order 2, because rho = p_z and r3 reads rho's first partials, and u, v
 and w at order 1, in one eval_jet_batch call whose roots share one
-structural, order-aware memo (evaluate.py), so a subtree p shares with
+structural, order-aware tape (evaluate.py), so a subtree p shares with
 a velocity is evaluated once and read by truncation.  Reading rho off
 p's jet one derivative order higher makes r2 structural.
 """

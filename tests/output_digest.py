@@ -14,8 +14,10 @@ conftest.build_instance_matrix(), and the sequential and threaded
 (workers=2) reports of the MULTI_BLOCK instances on their grids refined
 to 8 points per axis (4096 points, several residual_batch calls per
 scan), and the check_harmonic and check_reduced_2d reports of the
-REDUCED_2D instance on their default probe grid.  The digest checks
-that a refactor or an optimisation leaves every output unchanged.
+REDUCED_2D instance on their default probe grid, and the first error
+each of error_cases() raises at ERROR_POINT, which fixes the order in
+which the evaluator visits the nodes.  The digest checks that a
+refactor or an optimisation leaves every output unchanged.
 tobytes() writes C order whatever an array's memory layout, so the
 digest does not depend on the layout.
 """
@@ -26,6 +28,7 @@ from pathlib import Path
 
 MULTI_BLOCK = ("theorem_4_2[growing]", "theorem_2_1[full]")
 REDUCED_2D = "prop_4_1[cubic]"
+ERROR_POINT = (0.1, 0.2, 0.3, 0.4)
 
 
 def refined(grid, count=8):
@@ -46,6 +49,44 @@ def reduced_2d_reports(sol):
     eta = substitute(sol.p, {"z": Const(0.0)})
     return (check_harmonic(harmonic_poly([(3, "Re", "t")])),
             check_reduced_2d(sol.u, sol.v, eta))
+
+
+def error_cases():
+    """(roots, orders) for eval_jet_batch that leave the domain at
+    ERROR_POINT in more than one node (a log, a square root, a division
+    by zero, an overflow, a parameter function's body), so that the
+    first error raised tells which node is evaluated first."""
+    from seaconv.expr import FnContext
+    from seaconv.parser import parse_expr, parse_paramfn
+
+    fns = FnContext()
+    fns.register(parse_paramfn("f", "s", "log(s - 3)"))
+    return [
+        (parse_expr("log(x - 5) + sqrt(y - 5)"), 1),
+        (parse_expr("1/(x - x) * log(x - 5)"), 1),
+        (parse_expr("f(x) + log(y - 9)", fns), 1),
+        (parse_expr("exp(1000*x*1000)"), 1),
+        (tuple(map(parse_expr, ("sin(x)", "log(y - 5)", "sqrt(z - 7)"))),
+         (1, 2, 0)),
+    ]
+
+
+def first_errors() -> list:
+    """'<type>: <message>' of the error each of error_cases() raises."""
+    import numpy as np
+    from seaconv.evaluate import eval_jet_batch
+    from seaconv.expr import VARS4
+
+    out = []
+    for roots, orders in error_cases():
+        try:
+            with np.errstate(all="ignore"):
+                eval_jet_batch(roots, VARS4, np.array([ERROR_POINT]), orders)
+        except Exception as ex:
+            out.append(f"{type(ex).__name__}: {ex}")
+        else:
+            out.append("no error")
+    return out
 
 
 def instance_matrix_digest() -> str:
@@ -78,6 +119,8 @@ def instance_matrix_digest() -> str:
                 h.update(repr(report).encode())
         if name == REDUCED_2D:
             h.update(repr(reduced_2d_reports(sol)).encode())
+    for text in first_errors():
+        h.update(text.encode())
     return h.hexdigest()
 
 

@@ -1,6 +1,7 @@
-"""The evaluator's memo: one jet per structurally distinct node, a lower
-order read off a higher one by truncation, and each jet dropped after
-its last read."""
+"""The evaluator's tape: one jet per structurally distinct node, a lower
+order read off a higher one by truncation, each jet dropped after its
+last read, and the nodes evaluated children first, in the order of a
+walk over the roots highest order first."""
 
 import itertools
 import tracemalloc
@@ -8,9 +9,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from seaconv import jets
+from output_digest import first_errors
+from seaconv import evaluate, jets
 from seaconv.evaluate import eval_jet_batch, eval_values
-from seaconv.expr import Add, Atan2, Const, FnContext, Mul, Var
+from seaconv.expr import Add, Atan2, Const, FnContext, Mul, ParamFn, Var
 from seaconv.jets import MAX_PUBLIC_ORDER
 from seaconv.parser import parse_expr, parse_paramfn
 from seaconv.quadrature import Antideriv
@@ -137,3 +139,61 @@ def test_equal_subtrees_share_one_jet(monkeypatch):
     j = eval_jet_batch(e, V4, PTS, 2)
     assert calls == [2]
     assert np.allclose(j.value, np.sin(PTS[:, 1]) ** 2, rtol=0, atol=1e-15)
+
+
+def _structure(e, seen):
+    """A structural key of e made apart from the evaluator's: its type,
+    its own fields (floats by their bits, a parameter function by
+    identity) and its children's keys.  Adds to seen the key of every
+    node of e that its evaluation runs a rule for: not those inside an
+    Antideriv's body, which the Antideriv rule evaluates on its own."""
+    own = [getattr(e, name) for name in type(e)._own]
+    own = tuple(v.hex() if isinstance(v, float) else
+                id(v) if isinstance(v, ParamFn) else v for v in own)
+    body = e.body if isinstance(e, Antideriv) else None
+    key = (type(e), own, tuple(_structure(c, set() if c is body else seen)
+                               for c in e.children()))
+    seen.add(key)
+    return key
+
+
+def test_each_distinct_node_s_rule_runs_once_per_call(instance_matrix,
+                                                      monkeypatch):
+    ran, depth = [], [0]
+
+    def counted(rule):
+        def run(e, ctx, *args):
+            if not depth[0]:  # not a body an FnApp or Antideriv evaluates
+                ran.append(_structure(e, set()))
+            depth[0] += 1
+            try:
+                return rule(e, ctx, *args)
+            finally:
+                depth[0] -= 1
+        return run
+
+    for cls, rule in list(evaluate._RULES.items()):
+        monkeypatch.setitem(evaluate._RULES, cls, counted(rule))
+    for name, sol, grid, _tol in instance_matrix:
+        roots = (sol.p, sol.u, sol.v, sol.w)
+        want = set()
+        for e in roots:
+            _structure(e, want)
+        pts = live_points(sol, grid)[:8]  # the guard runs rules too
+        ran.clear()
+        eval_jet_batch(roots, V4, pts, (2, 1, 1, 1))
+        assert len(ran) == len(want) and set(ran) == want, name
+
+
+def test_the_first_error_is_the_first_node_s_in_evaluation_order():
+    # The cases of tests/output_digest.py at its ERROR_POINT: children
+    # before parents, left before right, a parameter function's body
+    # inside its FnApp, and the highest-order root first.
+    assert first_errors() == [
+        "EvalDomainError: log of a non-positive value in log(x - 5)",
+        "EvalDomainError: division by zero in 1/(x - x)",
+        "EvalDomainError: log of a non-positive value in log(s - 3)",
+        "EvalDomainError: non-finite value during evaluation in "
+        "exp(1000*x*1000)",
+        "EvalDomainError: log of a non-positive value in log(y - 5)",
+    ]

@@ -33,10 +33,10 @@ def _positive(e):
     return Add(Const(2.0), Call("sin", e))
 
 
-# Constants are 0, -0.0, or at least 1e-6 in size: see
-# test_diff_of_a_quotient_by_a_tiny_constant_has_a_known_fault.
-constants = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-6, 3.0),
-                      st.floats(-3.0, -1e-6))
+# Constants are 0, -0.0, +-1e-200 (whose square underflows), or at
+# least 1e-6 in size.
+constants = st.one_of(st.sampled_from([0.0, -0.0, 1e-200, -1e-200]),
+                      st.floats(1e-6, 3.0), st.floats(-3.0, -1e-6))
 
 
 @st.composite
@@ -163,11 +163,13 @@ def test_real_power_jet_rule_has_a_known_fault():
     eval_jet(RealPow(Var("x"), 0.5), (0.0, 4.0, 0.0, 0.0), 1)
 
 
-@pytest.mark.xfail(raises=ZeroDivisionError, strict=True)
-def test_diff_of_a_quotient_by_a_tiny_constant_has_a_known_fault():
-    # d(x/c)/dx is built as (1*c - x*0)/(c*c), and c*c folds to the
-    # constant 0 when it underflows, so diff raises where x/c evaluates.
-    diff(Div(Var("x"), Const(1e-200)), "x")
+def test_diff_of_a_quotient_or_atan2_by_a_tiny_constant():
+    # d(x/c)/dx is (1*c - x*0)/(c*c), and c*c folds to the constant 0
+    # when it underflows; so does the a*a + b*b of atan2(b, a) when both
+    # arguments are tiny constants.
+    d = diff(Div(Var("x"), Const(1e-200)), "x")
+    assert isinstance(d, Const) and d.value == pytest.approx(1e200, rel=1e-15)
+    assert diff(Atan2(Const(0.0), Const(1e-280)), "t") == Const(0.0)
 
 
 def _node_types(cls=Expr):

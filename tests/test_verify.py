@@ -299,3 +299,30 @@ def test_report_invariants_on_matrix(instance_matrix):
         assert rep.evaluated + rep.excluded == rep.total, name
         for stat in rep.eqs.values():
             assert stat.max_abs >= stat.rms >= 0.0, name
+
+
+# max_abs of r1, r3, r4 and r5 per instance of the matrix when this floor
+# was set (rounded to two digits); every other instance read exactly 0,
+# and r2 read exactly 0 everywhere.
+MACHINE_LEVEL = {
+    "theorem_2_1[full]": (2.2e-16, 6.2e-15, 1.4e-15, 1.6e-15),
+    "theorem_3_1[trivial]": (1.1e-16, 5.6e-17, 6.7e-16, 6.7e-16),
+    "theorem_3_1[curved]": (2.2e-16, 8.3e-17, 2.2e-15, 2.7e-15),
+    "theorem_4_2[growing]": (8.9e-16, 0.0, 5.3e-15, 3.6e-15),
+    "theorem_4_3[drifting]": (0.0, 0.0, 8.9e-16, 1.3e-15),
+    "theorem_4_4[oscillating]": (4.4e-16, 0.0, 8.9e-16, 8.9e-16),
+}
+
+
+def test_residuals_stay_at_machine_precision(instance_matrix):
+    # Far below each instance's 1e-8 or 1e-7 gate: a change that loses
+    # accuracy shows here long before it fails a gate.
+    names = [name for name, _sol, _grid, _tol in instance_matrix]
+    assert set(MACHINE_LEVEL) <= set(names)
+    for name, sol, grid, _tol in instance_matrix:
+        eqs = residual_scan(sol, grid).eqs
+        assert eqs["r2"].max_abs == 0.0, name
+        level = MACHINE_LEVEL.get(name, (0.0,) * 4)
+        for eq, today in zip(("r1", "r3", "r4", "r5"), level):
+            bound = min(max(4.0 * today, 1e-15), 1e-13)
+            assert eqs[eq].max_abs <= bound, (name, eq, eqs[eq].max_abs)
