@@ -3,17 +3,18 @@
 Every evaluator works on batches of points and returns truncated Taylor
 jets; scalar convenience wrappers sit on top.
 
-One call evaluates one or more roots, each at its own order, in two
-steps.  It first compiles the roots into a tape: one entry per
+One call evaluates one or more roots, each in its own space (an order,
+or a lower set of monomials, jets.py; the spaces must be nested), in
+two steps.  It first compiles the roots into a tape: one entry per
 structurally distinct node, children first.  A node's key is its type,
 its own fields (floats by their bits, so 0.0 and -0.0 stay apart; a
 parameter function by identity) and its children's slots; it is
 computed once per node object, so a lookup never walks a subtree.
 Equal subtrees that are distinct objects, as a symmetry map or a second
-parse leaves them, share one entry.  The roots are walked highest order
-first, so each node is evaluated at the highest order any reader
-needs, and a lower order reads its jet by truncation, a slice of its
-coefficients (the graded layout makes a lower order a prefix).
+parse leaves them, share one entry.  The roots are walked largest space
+first, so each node is evaluated in the largest space any reader needs,
+and a smaller space reads its jet by truncation: a slice of its
+coefficients where its layout is a prefix, else a gather.
 
 It then runs the tape, entry by entry: the node's rule on its
 children's jets, and a check that the jet is finite.  Each entry lists
@@ -47,7 +48,8 @@ from .expr import (
     Sub,
     Var,
 )
-from .jets import MAX_PUBLIC_ORDER, JetBatch, const_batch, jet_space, var_batch
+from .jets import (MAX_PUBLIC_ORDER, JetBatch, JetSpace, const_batch,
+                   jet_space, var_batch)
 from .quadrature import Antideriv, compose_antideriv
 
 
@@ -57,23 +59,34 @@ _Ctx = namedtuple("_Ctx", "vars points space bindings")
 
 def eval_jet_batch(e, vars, points, order, bindings=None):
     """Evaluate e at an (npoints, nvars) array of points, returning the
-    jet batch of order `order` with respect to `vars`.  Extra variables
-    may be bound to constant per-point values through `bindings`; those
-    enter with zero derivatives.  Given a tuple of roots and a tuple of
-    orders of the same length, returns a list of their jets in that
+    jet batch of order `order` with respect to `vars`, or in `order` if
+    it is a JetSpace in as many variables.  Extra variables may be bound
+    to constant per-point values through `bindings`; those enter with
+    zero derivatives.  Given a tuple of roots and a tuple of orders (or
+    spaces) of the same length, returns a list of their jets in that
     order; the roots share one tape (see the module docstring)."""
     single = not isinstance(e, tuple)
     roots, orders = ((e,), (order,)) if single else (e, order)
     if not isinstance(orders, tuple) or len(orders) != len(roots):
         raise ValueError("roots and orders must be tuples of one length")
-    if min(orders, default=0) < 0:
-        raise ValueError("order must be nonnegative")
-    if max(orders, default=0) > MAX_PUBLIC_ORDER:
-        raise ValueError(
-            f"order exceeds supported maximum ({MAX_PUBLIC_ORDER})"
-        )
-    out = _run(roots, vars, points, orders, bindings)
+    vars = tuple(vars)
+    spaces = tuple(_space(n, len(vars)) for n in orders)
+    ranked = sorted(spaces, key=lambda s: s.ncoef, reverse=True)
+    if any(not b.index.keys() <= a.index.keys()
+           for a, b in zip(ranked, ranked[1:])):
+        raise ValueError("the roots' spaces must be nested")
+    out = _run(roots, vars, points, spaces, bindings)
     return out[0] if single else out
+
+
+def _space(order, nvars: int) -> JetSpace:
+    """A root's space: the JetSpace given, or that of an int order."""
+    space = order if isinstance(order, JetSpace) else None
+    if space is not None and space.nvars != nvars:
+        raise ValueError(f"a space in {space.nvars} variables for {nvars}")
+    if not 0 <= (order if space is None else space.order) <= MAX_PUBLIC_ORDER:
+        raise ValueError(f"order must be 0..{MAX_PUBLIC_ORDER}")
+    return space or jet_space(nvars, order)
 
 
 def eval_jet(e: Expr, point, order: int, vars=VARS4) -> JetBatch:
@@ -96,57 +109,45 @@ def deriv_1d(f, s0: float, k: int) -> float:
     return float(batch.partial((k,))[0])
 
 
-def _run(roots, vars, points, orders, bindings=None) -> list:
-    """The jets of roots at their orders: compile the roots' tape, then
+def _run(roots, vars, points, spaces, bindings=None) -> list:
+    """The jets of roots in their spaces: compile the roots' tape, then
     run it entry by entry, each node's rule on its children's jets."""
-    vars = tuple(vars)
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != len(vars):
         raise ValueError("points must have shape (npoints, nvars)")
     bindings = {k: np.asarray(v, dtype=float)
                 for k, v in (bindings or {}).items()}
-    tape, slots = _tape(roots, orders)
-    ctxs = {n: _Ctx(vars, pts, jet_space(len(vars), n), bindings)
-            for n in set(orders)}
+    tape, slots = _tape(roots, spaces)
+    ctxs = {s: _Ctx(vars, pts, s, bindings) for s in spaces}
     held = [None] * len(tape)
-    for i, (e, kids, order, frees) in enumerate(tape):
-        ctx = ctxs[order]
-        space = ctx.space
-        args = []
-        for k in kids:  # each child read at this node's order
-            jet = held[k]
-            args.append(jet if jet.space is space
-                        else JetBatch(space, jet.coef[:, : space.ncoef]))
-        jet = held[i] = _RULES[type(e)](e, ctx, *args)
+    for i, (e, kids, space, frees) in enumerate(tape):
+        args = [held[k].to(space) for k in kids]  # read in e's space
+        jet = held[i] = _RULES[type(e)](e, ctxs[space], *args)
         if not np.isfinite(jet.coef).all():
             raise EvalDomainError("non-finite value during evaluation", e)
         for k in frees:
             held[k] = None
-    out = []
-    for k, order in zip(slots, orders):
-        jet, space = held[k], ctxs[order].space
-        out.append(jet if jet.space is space
-                   else JetBatch(space, jet.coef[:, : space.ncoef]))
-    return out
+    return [held[k].to(space) for k, space in zip(slots, spaces)]
 
 
-def _tape(roots, orders):
-    """The tape of roots read at orders, and each root's slot in it.  The
-    roots are walked highest order first (a stable sort), and a node
+def _tape(roots, spaces):
+    """The tape of roots read in spaces, and each root's slot in it.  The
+    roots are walked largest space first (a stable sort), and a node
     with a new key appends [node, its children's slots, the walking
-    root's order, the slots it reads last] after its children's.  A
+    root's space, the slots it reads last] after its children's.  A
     root's slot is read at the end, and so never freed."""
     table, tape = {}, []
     slots = [None] * len(roots)
-    for i in sorted(range(len(roots)), key=orders.__getitem__, reverse=True):
-        slots[i] = _slot(roots[i], table, tape, orders[i])
+    for i in sorted(range(len(roots)), key=lambda i: spaces[i].ncoef,
+                    reverse=True):
+        slots[i] = _slot(roots[i], table, tape, spaces[i])
     last = {k: i for i, (_, kids, _, _) in enumerate(tape) for k in kids}
     for k in set(last).difference(slots):
         tape[last[k]][3].append(k)
     return tape, slots
 
 
-def _slot(e, table, tape, order) -> int:
+def _slot(e, table, tape, space) -> int:
     """The slot of e in tape, shared by every structurally equal node.
     table maps id(node) and a node's key to its slot; the roots keep its
     nodes alive, so no id is reused.  An Antideriv's body, which
@@ -158,16 +159,16 @@ def _slot(e, table, tape, order) -> int:
         if own is None:
             raise TypeError(f"cannot evaluate node of type {type(e).__name__}")
         integral = type(e) is Antideriv
-        kids = tuple([_slot(c, table, tape, order)
+        kids = tuple([_slot(c, table, tape, space)
                       for c in ((e.inner,) if integral else e.children())])
         key = (type(e), own(e), kids)
         if integral:
             body = table.setdefault(Antideriv, ({}, []))
-            key += (_slot(e.body, *body, order),)
+            key += (_slot(e.body, *body, space),)
         got = table.get(key)
         if got is None:
             got = table[key] = len(tape)
-            tape.append([e, kids, order, []])
+            tape.append([e, kids, space, []])
         table[id(e)] = got
     return got
 
@@ -249,7 +250,8 @@ def _ev_atan2(e: Atan2, ctx, num, den):
 
 def _ev_fnapp(e: FnApp, ctx, inner):
     need = e.k + ctx.space.order
-    [body] = _run((e.fn.body,), ("s",), inner.value[:, None], (need,))
+    [body] = _run((e.fn.body,), ("s",), inner.value[:, None],
+                  (jet_space(1, need),))
     derivs = body.coef[:, e.k : need + 1] * jets._FACT[e.k : need + 1]
     return jets.compose_smooth(inner, derivs)
 

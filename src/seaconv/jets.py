@@ -1,10 +1,14 @@
 """Truncated multivariate Taylor-jet arithmetic (forward-mode AD core).
 
-A jet of order n in d variables holds the Taylor coefficients
-c_m = (1/m!) d^m f, one per multi-index m with |m| <= n, in graded
-lexicographic order.  Grading by total degree makes the coefficient
-layout of a lower order a prefix of every higher order, so truncation
-is a slice.  A JetBatch vectorizes one jet computation over many
+A jet in d variables holds the Taylor coefficients c_m = (1/m!) d^m f,
+one per multi-index m of its space, in graded lexicographic order.  A
+space is a lower set of monomials (it holds every divisor of each of
+its monomials), total degree <= n being the common case.  Truncation to
+a lower set is a ring quotient, and its layout is a subsequence of the
+graded one, so it computes the coefficients it keeps bit for bit as the
+total-degree space of its order does.  A smaller space reads a larger
+one's jet by a slice where its layout is a prefix, else by a gather.
+A JetBatch vectorizes one jet computation over many
 evaluation points: coef has shape (npoints, ncoef), stored column-major
 (order="F"), so each coefficient's values over the batch are one
 contiguous block and the column gathers and adds of mul_coef walk memory
@@ -45,15 +49,25 @@ def _monos_of_degree(nvars: int, deg: int):
 
 
 class JetSpace:
-    """Coefficient layout plus precomputed product tables."""
+    """Coefficient layout plus precomputed product tables: the monomials
+    of degree <= order, or those of them in keep, a lower set whose
+    highest degree is then the space's order."""
 
-    def __init__(self, nvars: int, order: int):
+    def __init__(self, nvars: int, order: int, keep=None):
         self.nvars = nvars
-        self.order = order
         monos = []
         for deg in range(order + 1):
             monos.extend(_monos_of_degree(nvars, deg))
+        if keep is not None:
+            keep = set(keep)
+            if not (keep <= set(monos) and (0,) * nvars in keep and all(
+                    m[:i] + (m[i] - 1,) + m[i + 1:] in keep
+                    for m in keep for i in range(nvars) if m[i])):
+                raise ValueError(f"keep must be a lower set of {nvars}-"
+                                 f"variable monomials of degree <= {order}")
+            monos = [m for m in monos if m in keep]
         self.monos = tuple(monos)
+        self.order = max(map(sum, monos))
         self.ncoef = len(monos)
         self.index = {m: i for i, m in enumerate(monos)}
         self.mono_fact = np.array(
@@ -63,13 +77,12 @@ class JetSpace:
         # mono_k, in (i, j) order; the pair (0, k) is left out.  Every
         # k >= 1 has at least the pair (k, 0).  Step q of mul_coef adds the
         # q-th pair of every k that has one into column k - 1 of its sums.
-        degs = [sum(m) for m in monos]
         rest = [[] for _ in monos]
         for i, mi in enumerate(monos[1:], 1):
             for j, mj in enumerate(monos):
-                if degs[i] + degs[j] <= order:
-                    rest[self.index[tuple(a + b for a, b in zip(mi, mj))]] \
-                        .append((i, j))
+                k = self.index.get(tuple(a + b for a, b in zip(mi, mj)))
+                if k is not None:
+                    rest[k].append((i, j))
         self._steps = []
         for q in range(max(map(len, rest))):
             K, I, J = zip(*((k, *r[q]) for k, r in enumerate(rest[1:])
@@ -101,8 +114,13 @@ def _index(idx) -> slice | np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def jet_space(nvars: int, order: int) -> JetSpace:
-    return JetSpace(nvars, order)
+def _cols(space: JetSpace, sub: JetSpace) -> slice | np.ndarray:
+    return _index([space.index[m] for m in sub.monos])
+
+
+@lru_cache(maxsize=None)
+def jet_space(nvars: int, order: int, keep=None) -> JetSpace:
+    return JetSpace(nvars, order, keep)
 
 
 class JetBatch:
@@ -129,6 +147,13 @@ class JetBatch:
     def __mul__(self, other: "JetBatch") -> "JetBatch":
         return JetBatch(self.space, self.space.mul_coef(self.coef, other.coef))
 
+    def to(self, space: JetSpace) -> "JetBatch":
+        """This jet truncated to space, whose monomials it holds: a slice
+        where space's layout is a prefix of its own, else a gather."""
+        if space is self.space:
+            return self
+        return JetBatch(space, self.coef[:, _cols(self.space, space)])
+
     def partial(self, mono: tuple[int, ...]) -> np.ndarray:
         """Mixed partial d^mono f at every point (Taylor coefficient
         times mono!)."""
@@ -145,10 +170,10 @@ def const_batch(space: JetSpace, values) -> JetBatch:
 
 def var_batch(space: JetSpace, axis: int, values) -> JetBatch:
     out = const_batch(space, values)
-    if space.order >= 1:
-        e = tuple(1 if i == axis else 0 for i in range(space.nvars))
-        out.coef[:, space.index[e]] = 1.0
-    return JetBatch(space, out.coef)
+    i = space.index.get(tuple(int(i == axis) for i in range(space.nvars)))
+    if i is not None:
+        out.coef[:, i] = 1.0
+    return out
 
 
 _FACT = np.array([math.factorial(k) for k in range(64)], dtype=float)

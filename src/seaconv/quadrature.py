@@ -9,8 +9,12 @@ the fundamental theorem of calculus exactly).
 
 Each jet evaluation integrates each distinct (upper limit, ambient
 values) row once, expanding the integrand only in the ambient variables
-that are jet variables.  Nodes keep no cache: memory does not grow
-across scans, and a repeated scan recomputes its integrals.
+that are jet variables, in the node's space restricted to them: under a
+space whose second-order monomials all hold z, a z-free integrand runs
+at order 1.  Simpson's stopping test reads only those coefficients, so
+they agree with a larger space's to within the tolerance, not bit for
+bit.  Nodes keep no cache: memory does not grow across scans, and a
+repeated scan recomputes its integrals.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ import numpy as np
 
 from .errors import QuadratureError
 from .expr import Const, Expr, add, mul, node
-from .jets import JetBatch, jet_space
+from .jets import JetBatch, JetSpace, jet_space
 
 DEFAULT_TOL = 1e-10
 # Below MIN_TOL rounding in each subinterval's Simpson estimates outgrows
@@ -192,28 +196,28 @@ def antiderivative_value(node: Antideriv, s: float,
 
 
 @lru_cache(maxsize=None)
-def _embed_tables(nvars: int, pos: tuple[int, ...], order: int):
-    """Index maps from jets in the variables at positions pos of an
-    nvars-variable jet into that jet: lift[i] is the column of the i-th
-    coefficient of a jet in pos alone, and tables[k - 1] = (dst, src)
-    pulls the coefficients of d^(k-1)f/ds^(k-1) out of the (s, pos)
-    joint jet, for k = 1..order."""
-    full = jet_space(nvars, order)
-
+def _embed_tables(space: JetSpace, pos: tuple[int, ...]):
+    """The restriction of space to its variables at positions pos, and
+    index maps from jets in those variables into space: lift[i] is the
+    column of the restriction's i-th coefficient, and tables[k - 1] =
+    (dst, src) pulls the coefficients of d^(k-1)f/ds^(k-1) that space
+    holds out of the (s, pos) joint jet, for k = 1..space.order."""
     def col(m):
-        e = [0] * nvars
+        e = [0] * space.nvars
         for p, d in zip(pos, m):
             e[p] = d
-        return full.index[tuple(e)]
+        return space.index.get(tuple(e))
 
-    lift = np.array([col(m) for m in jet_space(len(pos), order).monos])
-    joint = jet_space(len(pos) + 1, order).monos
+    n = space.order
+    sub = jet_space(len(pos), n, frozenset(
+        m for m in jet_space(len(pos), n).monos if col(m) is not None))
+    joint = jet_space(len(pos) + 1, n).monos
     tables = []
-    for k in range(1, order + 1):
+    for k in range(1, n + 1):
         dst, src = zip(*((col(m[1:]), i) for i, m in enumerate(joint)
-                         if m[0] == k - 1))
+                         if m[0] == k - 1 and col(m[1:]) is not None))
         tables.append((np.array(dst), np.array(src)))
-    return lift, tuple(tables)
+    return sub, np.array([col(m) for m in sub.monos]), tuple(tables)
 
 
 def compose_antideriv(node: Antideriv, G: JetBatch, vars: tuple[str, ...],
@@ -253,9 +257,9 @@ def compose_antideriv(node: Antideriv, G: JetBatch, vars: tuple[str, ...],
     def f(svals, r):
         binds = {v: arr[r] for v, arr in rbinds.items()}
         binds["s"] = svals
-        return eval_jet_batch(node.body, jv, jpts[r], n, bindings=binds).coef
+        return eval_jet_batch(node.body, jv, jpts[r], sub, bindings=binds).coef
 
-    lift, tables = _embed_tables(len(vars), tuple(map(vars.index, jv)), n)
+    sub, lift, tables = _embed_tables(space, tuple(map(vars.index, jv)))
     Q = _simpson_batched(f, np.full(rows.shape[0], node.base), rows[:, 0],
                          node.tol)
     A = np.zeros((npts, space.ncoef), order="F")

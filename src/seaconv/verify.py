@@ -6,12 +6,13 @@ r3 = rho_t + u rho_x + v rho_y + w rho_z
 r4 = u_t + u u_x + v u_y + w u_z + v + p_x / rho
 r5 = v_t + u v_x + v v_y + w v_z - u + p_y / rho
 
-Each field is evaluated at the order its residual terms read: p at
-order 2, because rho = p_z and r3 reads rho's first partials, and u, v
-and w at order 1, in one eval_jet_batch call whose roots share one
-structural, order-aware tape (evaluate.py), so a subtree p shares with
-a velocity is evaluated once and read by truncation.  Reading rho off
-p's jet one derivative order higher makes r2 structural.
+Each field is evaluated in the monomials its residual terms read: u, v
+and w at order 1, and p in P_SPACE, order 1 plus the second-order
+monomials that hold z, because rho = p_z and r3 reads rho's first
+partials.  One eval_jet_batch call evaluates them on one structural
+tape (evaluate.py), so a subtree p shares with a velocity is evaluated
+once and read by truncation, a prefix of P_SPACE.  Reading rho off p's
+jet one derivative order higher makes r2 structural.
 """
 from __future__ import annotations
 
@@ -22,11 +23,14 @@ import numpy as np
 
 from .evaluate import eval_jet_batch, eval_values
 from .expr import VARS4, Expr
+from .jets import jet_space
 from .solution import Solution, assert_in_domain, in_domain_mask
 
 LOW_RHO = 1e-9
 CHUNK = 512
 BLOCK_CHUNKS = 2  # chunks per residual_batch call of a scan
+P_SPACE = jet_space(4, 2, frozenset(
+    m for m in jet_space(4, 2).monos if sum(m) < 2 or m[3]))
 
 
 @dataclass(frozen=True)
@@ -99,11 +103,11 @@ class ResidualReport:
 
 def residual_batch(sol: Solution, points) -> np.ndarray:
     """(n, 5) residual values at the given points (assumed in-guard),
-    from one eval_jet_batch call: p at order 2, u, v, w at order 1.
+    from one eval_jet_batch call: p in P_SPACE, u, v, w at order 1.
     r4/r5 are NaN where |rho| < 1e-9."""
     pts = np.asarray(points, dtype=float)
     jp, ju, jv, jw = eval_jet_batch((sol.p, sol.u, sol.v, sol.w), VARS4,
-                                    pts, (2, 1, 1, 1))
+                                    pts, (P_SPACE, 1, 1, 1))
 
     unit = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     u, v, w = ju.value, jv.value, jw.value
@@ -247,6 +251,9 @@ class ProbeReport:
 
 
 VARS_TXY = ("t", "x", "y")
+# 1, x, y, x^2 and y^2: what the Laplacian in (x, y) reads.
+LAPLACE_SPACE = jet_space(3, 2, frozenset(
+    m for m in jet_space(3, 2).monos if not m[0] and max(m) == sum(m)))
 
 
 def _txy_points(t_range=(-1.0, 1.0), points=None) -> np.ndarray:
@@ -273,7 +280,7 @@ def check_harmonic(theta: Expr, points=None,
     """Max of |theta_xx + theta_yy| over a probe grid in (t, x, y)."""
     _require_txy(theta, "theta")
     pts = _txy_points(t_range, points)
-    jb = eval_jet_batch(theta, VARS_TXY, pts, 2)
+    jb = eval_jet_batch(theta, VARS_TXY, pts, LAPLACE_SPACE)
     lap = jb.partial((0, 2, 0)) + jb.partial((0, 0, 2))
     i = int(np.argmax(np.abs(lap)))
     return ProbeReport(float(np.abs(lap[i])), tuple(float(q) for q in pts[i]))

@@ -1,7 +1,7 @@
-"""The evaluator's tape: one jet per structurally distinct node, a lower
-order read off a higher one by truncation, each jet dropped after its
-last read, and the nodes evaluated children first, in the order of a
-walk over the roots highest order first."""
+"""The evaluator's tape: one jet per structurally distinct node, a
+smaller space read off a larger one by truncation, each jet dropped
+after its last read, and the nodes evaluated children first, in the
+order of a walk over the roots largest space first."""
 
 import itertools
 import tracemalloc
@@ -13,10 +13,11 @@ from output_digest import first_errors
 from seaconv import evaluate, jets
 from seaconv.evaluate import eval_jet_batch, eval_values
 from seaconv.expr import Add, Atan2, Const, FnContext, Mul, ParamFn, Var
-from seaconv.jets import MAX_PUBLIC_ORDER
+from seaconv.jets import MAX_PUBLIC_ORDER, jet_space
 from seaconv.parser import parse_expr, parse_paramfn
 from seaconv.quadrature import Antideriv
 from seaconv.solution import in_domain_mask
+from seaconv.verify import LAPLACE_SPACE, P_SPACE
 
 V4 = ("t", "x", "y", "z")
 PTS = np.random.default_rng(3).uniform(-1.0, 1.0, size=(40, 4))
@@ -57,6 +58,18 @@ def test_a_root_repeated_at_orders_1_2_1_is_read_off_its_order_2_jet():
         assert j.coef.tobytes() == fresh[:, :5].tobytes()
 
 
+def test_a_lower_set_root_reads_an_order_2_jet_by_a_gather():
+    e = parse_expr("sin(x*y) + t*z^2 + exp(x - t)*cos(y)")
+    full = eval_jet_batch(e, V4, PTS, 2).coef
+    fresh = eval_jet_batch(e, V4, PTS, P_SPACE).coef
+    jf, jp = eval_jet_batch((e, e), V4, PTS, (2, P_SPACE))
+    cols = [jet_space(4, 2).index[m] for m in P_SPACE.monos]
+    assert cols != list(range(P_SPACE.ncoef))  # not a prefix
+    assert jp.space is P_SPACE and jp.coef.flags.f_contiguous
+    assert jf.coef.tobytes() == full.tobytes()
+    assert jp.coef.tobytes() == fresh.tobytes() == full[:, cols].tobytes()
+
+
 def live_points(sol, grid):
     pts = grid.points()
     return pts[in_domain_mask(sol, pts)]
@@ -92,6 +105,10 @@ def test_the_four_roots_in_any_order_give_the_same_bytes(instance_matrix):
     ((Var("x"), Var("y")), 1),
     ((Var("x"), Var("y")), (1, -1)),
     ((Var("x"), Var("y")), (0, MAX_PUBLIC_ORDER + 1)),
+    # Not nested: P_SPACE lacks t^2, and the other set lacks z^2.
+    ((Var("x"), Var("y")), (P_SPACE, jet_space(4, 2, frozenset(
+        {(0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0)})))),
+    ((Var("x"),), (LAPLACE_SPACE,)),  # a space in 3 variables for 4
 ])
 def test_bad_root_and_order_tuples_raise(roots, orders):
     with pytest.raises(ValueError):

@@ -11,7 +11,8 @@ from conftest import partial_at
 from seaconv.errors import EvalDomainError
 from seaconv.evaluate import deriv_1d, eval_jet, eval_jet_batch, eval_values
 from seaconv.expr import FnContext
-from seaconv.jets import JetBatch, compose_smooth, jet_space
+from seaconv.jets import (JetBatch, JetSpace, compose_smooth, jet_space,
+                          var_batch)
 from seaconv.parser import parse_expr, parse_paramfn
 
 V4 = ("t", "x", "y", "z")
@@ -126,6 +127,74 @@ def test_compose_smooth_matches_horner_from_constant(nvars, order):
                            derivs).coef
     assert got.flags.c_contiguous and got_f.flags.f_contiguous
     assert got_f.tobytes() == got.tobytes()
+
+
+@st.composite
+def lower_sets(draw):
+    """A total-degree space of 1-4 variables and order <= 3, and a random
+    lower set in it: the monomials dividing a few drawn ones."""
+    full = jet_space(draw(st.integers(1, 4)), draw(st.integers(0, 3)))
+    tops = draw(st.lists(st.sampled_from(full.monos), max_size=4))
+    keep = {m for m in full.monos
+            if any(all(a <= b for a, b in zip(m, t)) for t in tops)}
+    keep.add((0,) * full.nvars)
+    low = jet_space(full.nvars, full.order, frozenset(keep))
+    return jet_space(full.nvars, low.order), low
+
+
+def kept(full, low, coef):
+    return coef[:, [full.index[m] for m in low.monos]]
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@given(lower_sets(), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_a_lower_set_keeps_its_columns_of_products_bit_for_bit(spaces, seed):
+    full, low = spaces
+    assert [m for m in full.monos if m in low.index] == list(low.monos)
+    rng = np.random.default_rng(seed)
+    a, b = (random_coef(rng, full, 30, False) for _ in "ab")
+    assert_same_bits(low.mul_coef(kept(full, low, a), kept(full, low, b)),
+                     kept(full, low, full.mul_coef(a, b)))
+
+
+@given(lower_sets(), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_a_lower_set_keeps_its_columns_of_compositions_bit_for_bit(spaces,
+                                                                  seed):
+    full, low = spaces
+    rng = np.random.default_rng(seed)
+    u = random_coef(rng, full, 30, False)
+    derivs = random_coef(rng, jet_space(1, full.order), 30, False)
+    want = compose_smooth(JetBatch(full, u), derivs).coef
+    got = compose_smooth(JetBatch(low, kept(full, low, u)), derivs).coef
+    assert_same_bits(got, kept(full, low, want))
+
+
+@pytest.mark.parametrize("keep", [
+    {(0, 0), (1, 1)},            # not downward closed
+    {(0, 0), (0, 1), (0, 2)},    # a degree above the order
+    {(0, 1), (1, 0)},            # no constant
+    {(0, 0), (0, 1), (1,)},      # a tuple of the wrong length
+    {(0, 0, 0), (0, 0, 1)},      # likewise
+])
+def test_a_keep_that_is_not_a_lower_set_is_rejected(keep):
+    with pytest.raises(ValueError):
+        JetSpace(2, 1, keep)
+
+
+def test_var_batch_leaves_out_a_unit_monomial_the_space_lacks():
+    space = jet_space(3, 2, frozenset({(0, 0, 0), (0, 1, 0), (0, 2, 0)}))
+    assert space.order == 2 and space.ncoef == 3
+    vals = np.array([0.5, -2.0])
+    assert np.array_equal(var_batch(space, 0, vals).coef,
+                          [[0.5, 0.0, 0.0], [-2.0, 0.0, 0.0]])
+    assert np.array_equal(var_batch(space, 1, vals).coef,
+                          [[0.5, 1.0, 0.0], [-2.0, 1.0, 0.0]])
 
 
 def test_eval_jet_polynomial_example():

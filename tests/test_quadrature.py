@@ -318,3 +318,33 @@ def test_integrand_slices_leave_coefficients_and_samples_unchanged(
     whole, asked_whole, called_whole = run()
     assert called_whole == asked_whole == asked
     assert whole.tobytes() == sliced.tobytes()
+
+
+def test_a_t_only_integrand_runs_in_1_and_t_under_p_space(monkeypatch):
+    # P_SPACE's second-order monomials all hold z, so an integrand whose
+    # only jet variable is t needs 1 and t alone: order 1, not 2.
+    from seaconv import evaluate
+    from seaconv.verify import P_SPACE
+
+    seen = set()
+
+    def recorded(rule):
+        def run(e, ctx, *args):
+            if ctx.vars == ("t",):
+                seen.add(ctx.space.monos)
+            return rule(e, ctx, *args)
+        return run
+
+    node = Antideriv(parse_expr("exp(s*t) * cos(s)", None,
+                                allowed=("s", "t")),
+                     parse_expr("x + z^2"), 0.0)
+    pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(30, 4))
+    full = eval_jet_batch(node, V4, pts, 2)
+    for cls, rule in list(evaluate._RULES.items()):
+        monkeypatch.setitem(evaluate._RULES, cls, recorded(rule))
+    got = eval_jet_batch(node, V4, pts, P_SPACE)
+    assert seen == {((0,), (1,))}
+    # Simpson's stopping test reads fewer columns here: equal to within
+    # the tolerance, not bit for bit.
+    cols = [full.space.index[m] for m in P_SPACE.monos]
+    assert np.allclose(got.coef, full.coef[:, cols], rtol=1e-12, atol=1e-12)

@@ -8,12 +8,13 @@ from seaconv.errors import GuardError
 from seaconv.families import (build_theorem_2_1, build_theorem_3_1,
                               build_theorem_4_4, harmonic_poly,
                               rigid_rotation)
+from seaconv.jets import JetSpace
 from seaconv.parser import parse_expr
 from seaconv.solution import in_domain_mask
-from seaconv.verify import (CHUNK, EQ_NAMES, EqStat, Grid, ResidualReport,
-                            check_harmonic, check_reduced_2d,
-                            fd_cross_check, residual_at, residual_batch,
-                            residual_scan)
+from seaconv.verify import (CHUNK, EQ_NAMES, P_SPACE, EqStat, Grid,
+                            ResidualReport, check_harmonic,
+                            check_reduced_2d, fd_cross_check, residual_at,
+                            residual_batch, residual_scan)
 
 V4 = ("t", "x", "y", "z")
 UNIT_GRID = Grid(t=(0.0, 1.0, 5), x=(0.0, 1.0, 5), y=(0.0, 1.0, 5),
@@ -22,6 +23,24 @@ UNIT_GRID = Grid(t=(0.0, 1.0, 5), x=(0.0, 1.0, 5), y=(0.0, 1.0, 5),
 
 def field(src):
     return parse_expr(src, None, allowed=V4)
+
+
+def test_residual_batch_multiplies_in_no_space_wider_than_9(instance_matrix,
+                                                            monkeypatch):
+    # p needs 9 of its 15 order-2 coefficients, and u, v and w 5; on
+    # these instances FnApp bodies and Antideriv integrands need fewer.
+    widths = []
+    mul_coef = JetSpace.mul_coef
+
+    def recorded(space, a, b):
+        widths.append(space.ncoef)
+        return mul_coef(space, a, b)
+
+    monkeypatch.setattr(JetSpace, "mul_coef", recorded)
+    for name, sol, grid, _tol in instance_matrix:
+        pts = grid.points()
+        residual_batch(sol, pts[in_domain_mask(sol, pts)][:64])
+    assert widths and max(widths) <= P_SPACE.ncoef == 9
 
 
 def test_rigid_rotation_residuals_are_zero():
