@@ -1,11 +1,10 @@
-"""Jet evaluation of expression trees.
+"""Jet evaluation of expression trees over batches of points: truncated
+Taylor jets, with scalar convenience wrappers on top.
 
-Every evaluator works on batches of points and returns truncated Taylor
-jets; scalar convenience wrappers sit on top.
-
-One call evaluates one or more roots, each in its own space (an order,
-or a lower set of monomials, jets.py; the spaces must be nested), in
-two steps.  It first compiles the roots into a tape: one entry per
+A Tape is compiled once for one or more roots, each in its own space (an
+order, or a lower set of monomials, jets.py; the spaces must be nested),
+and run on any number of batches; a run leaves it unchanged, so threads
+may share one.  Compiling walks the roots into entries: one per
 structurally distinct node, children first.  A node's key is its type,
 its own fields (floats by their bits, so 0.0 and -0.0 stay apart; a
 parameter function by identity) and its children's slots; it is
@@ -14,14 +13,15 @@ Equal subtrees that are distinct objects, as a symmetry map or a second
 parse leaves them, share one entry.  The roots are walked largest space
 first, so each node is evaluated in the largest space any reader needs,
 and a smaller space reads its jet by truncation: a slice of its
-coefficients where its layout is a prefix, else a gather.
+coefficients where its layout is a prefix, else a gather.  An FnApp's
+body gets a tape of its own, once per (function, order) a tape needs.
 
-It then runs the tape, entry by entry: the node's rule on its
-children's jets, and a check that the jet is finite.  Each entry lists
-the slots it reads last, and drops their jets, so a run holds only the
-jets still to be read, not one per node.  The tape is in the post-order
-of the walk, so the error raised is that of the first node in this
-order that leaves its domain.
+A run goes entry by entry: the node's rule on its children's jets, and
+a check that the jet is finite.  Each entry lists the slots it reads
+last, and drops their jets, so a run holds only the jets still to be
+read, not one per node.  The entries are in the post-order of the walk,
+so the error raised is that of the first node in this order to leave
+its domain.
 """
 from __future__ import annotations
 
@@ -54,7 +54,7 @@ from .quadrature import Antideriv, compose_antideriv
 
 
 # What a rule reads besides its children's jets, in its node's space.
-_Ctx = namedtuple("_Ctx", "vars points space bindings")
+_Ctx = namedtuple("_Ctx", "vars points space bindings bodies")
 
 
 def eval_jet_batch(e, vars, points, order, bindings=None):
@@ -64,18 +64,10 @@ def eval_jet_batch(e, vars, points, order, bindings=None):
     to constant per-point values through `bindings`; those enter with
     zero derivatives.  Given a tuple of roots and a tuple of orders (or
     spaces) of the same length, returns a list of their jets in that
-    order; the roots share one tape (see the module docstring)."""
+    order; the roots share one Tape (see the module docstring)."""
     single = not isinstance(e, tuple)
     roots, orders = ((e,), (order,)) if single else (e, order)
-    if not isinstance(orders, tuple) or len(orders) != len(roots):
-        raise ValueError("roots and orders must be tuples of one length")
-    vars = tuple(vars)
-    spaces = tuple(_space(n, len(vars)) for n in orders)
-    ranked = sorted(spaces, key=lambda s: s.ncoef, reverse=True)
-    if any(not b.index.keys() <= a.index.keys()
-           for a, b in zip(ranked, ranked[1:])):
-        raise ValueError("the roots' spaces must be nested")
-    out = _run(roots, vars, points, spaces, bindings)
+    out = Tape(roots, vars, orders).run(points, bindings)
     return out[0] if single else out
 
 
@@ -109,42 +101,61 @@ def deriv_1d(f, s0: float, k: int) -> float:
     return float(batch.partial((k,))[0])
 
 
-def _run(roots, vars, points, spaces, bindings=None) -> list:
-    """The jets of roots in their spaces: compile the roots' tape, then
-    run it entry by entry, each node's rule on its children's jets."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != len(vars):
-        raise ValueError("points must have shape (npoints, nvars)")
-    bindings = {k: np.asarray(v, dtype=float)
-                for k, v in (bindings or {}).items()}
-    tape, slots = _tape(roots, spaces)
-    ctxs = {s: _Ctx(vars, pts, s, bindings) for s in spaces}
-    held = [None] * len(tape)
-    for i, (e, kids, space, frees) in enumerate(tape):
-        args = [held[k].to(space) for k in kids]  # read in e's space
-        jet = held[i] = _RULES[type(e)](e, ctxs[space], *args)
-        if not np.isfinite(jet.coef).all():
-            raise EvalDomainError("non-finite value during evaluation", e)
-        for k in frees:
-            held[k] = None
-    return [held[k].to(space) for k, space in zip(slots, spaces)]
+class Tape:
+    """Roots compiled for evaluation in vars, each in its order or space."""
 
+    def __init__(self, roots, vars, orders):
+        if not isinstance(orders, tuple) or len(orders) != len(roots):
+            raise ValueError("roots and orders must be tuples of one length")
+        vars = tuple(vars)
+        spaces = tuple(_space(n, len(vars)) for n in orders)
+        ranked = sorted(spaces, key=lambda s: s.ncoef, reverse=True)
+        if any(not b.index.keys() <= a.index.keys()
+               for a, b in zip(ranked, ranked[1:])):
+            raise ValueError("the roots' spaces must be nested")
+        self._compile(roots, vars, spaces, {})
 
-def _tape(roots, spaces):
-    """The tape of roots read in spaces, and each root's slot in it.  The
-    roots are walked largest space first (a stable sort), and a node
-    with a new key appends [node, its children's slots, the walking
-    root's space, the slots it reads last] after its children's.  A
-    root's slot is read at the end, and so never freed."""
-    table, tape = {}, []
-    slots = [None] * len(roots)
-    for i in sorted(range(len(roots)), key=lambda i: spaces[i].ncoef,
-                    reverse=True):
-        slots[i] = _slot(roots[i], table, tape, spaces[i])
-    last = {k: i for i, (_, kids, _, _) in enumerate(tape) for k in kids}
-    for k in set(last).difference(slots):
-        tape[last[k]][3].append(k)
-    return tape, slots
+    def _compile(self, roots, vars, spaces, bodies):
+        """Walk the roots largest space first (a stable sort); a node with a
+        new key appends [node, its children's slots, the walking root's
+        space, the non-root slots it reads last] after its children's.
+        bodies gets, at (id(fn), k + n), the tape of fn's body at order
+        k + n, past the public cap if need be, for each FnApp fn^(k) in n."""
+        self.vars, self.spaces, self.bodies = vars, spaces, bodies
+        table, entries = {}, []
+        slots = [None] * len(roots)
+        for i in sorted(range(len(roots)), key=lambda i: spaces[i].ncoef,
+                        reverse=True):
+            slots[i] = _slot(roots[i], table, entries, spaces[i])
+        last = {k: i for i, (_, kids, _, _) in enumerate(entries) for k in kids}
+        for k in set(last).difference(slots):
+            entries[last[k]][3].append(k)
+        for e, _, space, _ in entries:
+            key = (id(e.fn), e.k + space.order) if type(e) is FnApp else None
+            if key and key not in bodies:
+                bodies[key] = Tape.__new__(Tape)._compile(
+                    (e.fn.body,), ("s",), (jet_space(1, key[1]),), bodies)
+        self.entries, self.slots = entries, slots
+        return self
+
+    def run(self, points, bindings=None) -> list:
+        """The roots' jets at an (npoints, nvars) array of points."""
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != len(self.vars):
+            raise ValueError("points must have shape (npoints, nvars)")
+        bindings = {k: np.asarray(v, dtype=float)
+                    for k, v in (bindings or {}).items()}
+        ctxs = {s: _Ctx(self.vars, pts, s, bindings, self.bodies)
+                for s in self.spaces}
+        held = [None] * len(self.entries)
+        for i, (e, kids, space, frees) in enumerate(self.entries):
+            args = [held[k].to(space) for k in kids]  # read in e's space
+            jet = held[i] = _RULES[type(e)](e, ctxs[space], *args)
+            if not np.isfinite(jet.coef).all():
+                raise EvalDomainError("non-finite value during evaluation", e)
+            for k in frees:
+                held[k] = None
+        return [held[k].to(space) for k, space in zip(self.slots, self.spaces)]
 
 
 def _slot(e, table, tape, space) -> int:
@@ -250,8 +261,7 @@ def _ev_atan2(e: Atan2, ctx, num, den):
 
 def _ev_fnapp(e: FnApp, ctx, inner):
     need = e.k + ctx.space.order
-    [body] = _run((e.fn.body,), ("s",), inner.value[:, None],
-                  (jet_space(1, need),))
+    [body] = ctx.bodies[id(e.fn), need].run(inner.value[:, None])
     derivs = body.coef[:, e.k : need + 1] * jets._FACT[e.k : need + 1]
     return jets.compose_smooth(inner, derivs)
 

@@ -174,20 +174,18 @@ def antiderivative_value(node: Antideriv, s: float,
                          ambient: dict[str, float] | None = None) -> float:
     """Integral of the node's integrand from node.base to s.  Bodies that
     reference ambient variables need their values supplied."""
-    from .evaluate import eval_jet_batch
+    from .evaluate import Tape
 
     amb = node.ambient_vars()
     ambient = ambient or {}
     missing = [v for v in amb if v not in ambient]
     if missing:
         raise ValueError(f"integrand needs ambient values for {missing}")
+    tape = Tape((node.body,), ("s",), (0,))
 
     def f(svals, rows):
         binds = {v: np.full(svals.shape[0], float(ambient[v])) for v in amb}
-        batch = eval_jet_batch(
-            node.body, ("s",), svals[:, None], 0, bindings=binds
-        )
-        return batch.value
+        return tape.run(svals[:, None], binds)[0].value
 
     out = _simpson_batched(
         f, np.array([node.base]), np.array([float(s)]), node.tol

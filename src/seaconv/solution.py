@@ -76,16 +76,10 @@ def in_domain_mask(sol: Solution, points) -> np.ndarray:
 
 
 def assert_in_domain(sol: Solution, point) -> None:
+    """Raise GuardError at the first guard the point violates."""
     pt = np.asarray(point, dtype=float).reshape(1, 4)
-    if not in_domain_mask(sol, pt)[0]:
-        for g in sol.guards:
-            try:
-                val = eval_values(g.expr, VARS4, pt)[0]
-            except Exception:
-                val = float("nan")
-            if not val >= g.threshold:
-                raise GuardError(
-                    f"point {tuple(pt[0])} violates guard {g.label}: "
-                    f"{val!r} < {g.threshold!r}"
-                )
-        raise GuardError(f"point {tuple(pt[0])} is out of domain")
+    for g in sol.guards:
+        val = float(eval_values(g.expr, VARS4, pt)[0])
+        if val < g.threshold:
+            raise GuardError(f"point {tuple(pt[0].tolist())} violates guard "
+                             f"{g.label}: {val!r} < {g.threshold!r}")

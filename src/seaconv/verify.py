@@ -9,10 +9,10 @@ r5 = v_t + u v_x + v v_y + w v_z - u + p_y / rho
 Each field is evaluated in the monomials its residual terms read: u, v
 and w at order 1, and p in P_SPACE, order 1 plus the second-order
 monomials that hold z, because rho = p_z and r3 reads rho's first
-partials.  One eval_jet_batch call evaluates them on one structural
-tape (evaluate.py), so a subtree p shares with a velocity is evaluated
-once and read by truncation, a prefix of P_SPACE.  Reading rho off p's
-jet one derivative order higher makes r2 structural.
+partials.  One evaluate.Tape compiles them together, so a subtree p
+shares with a velocity is evaluated once and read by truncation, a
+prefix of P_SPACE; a scan compiles it once and runs it per block.
+Reading rho off p's jet one derivative order higher makes r2 structural.
 """
 from __future__ import annotations
 
@@ -21,14 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluate import eval_jet_batch, eval_values
+from .evaluate import Tape, eval_jet_batch, eval_values
 from .expr import VARS4, Expr
 from .jets import jet_space
 from .solution import Solution, assert_in_domain, in_domain_mask
 
 LOW_RHO = 1e-9
 CHUNK = 512
-BLOCK_CHUNKS = 2  # chunks per residual_batch call of a scan
+BLOCK_CHUNKS = 2  # chunks per run of a scan's tape
 P_SPACE = jet_space(4, 2, frozenset(
     m for m in jet_space(4, 2).monos if sum(m) < 2 or m[3]))
 
@@ -102,12 +102,18 @@ class ResidualReport:
 
 
 def residual_batch(sol: Solution, points) -> np.ndarray:
-    """(n, 5) residual values at the given points (assumed in-guard),
-    from one eval_jet_batch call: p in P_SPACE, u, v, w at order 1.
+    """(n, 5) residual values at the given points (assumed in-guard).
     r4/r5 are NaN where |rho| < 1e-9."""
-    pts = np.asarray(points, dtype=float)
-    jp, ju, jv, jw = eval_jet_batch((sol.p, sol.u, sol.v, sol.w), VARS4,
-                                    pts, (P_SPACE, 1, 1, 1))
+    return _residuals(_fields_tape(sol), points)
+
+
+def _fields_tape(sol: Solution) -> Tape:
+    """What the residuals read: p in P_SPACE, u, v, w at order 1."""
+    return Tape((sol.p, sol.u, sol.v, sol.w), VARS4, (P_SPACE, 1, 1, 1))
+
+
+def _residuals(tape: Tape, points) -> np.ndarray:
+    jp, ju, jv, jw = tape.run(points)
 
     unit = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     u, v, w = ju.value, jv.value, jw.value
@@ -143,9 +149,9 @@ def residual_at(sol: Solution, point) -> np.ndarray:
 def residual_scan(sol: Solution, grid, *, workers: int | None = None,
                   chunk: int = CHUNK) -> ResidualReport:
     """Aggregate residuals over the in-guard subset of a grid (or an
-    explicit (n, 4) point array).  Each residual_batch call (split among
-    the workers when threaded) evaluates BLOCK_CHUNKS consecutive chunks;
-    max, rms and worst point are reduced chunk by chunk, in order.  A
+    explicit (n, 4) point array).  The fields' tape is compiled once and
+    run per block of BLOCK_CHUNKS chunks (threads share it, each taking
+    blocks); max, rms and worst point are reduced chunk by chunk.  A
     point's residuals do not depend on its batch, and chunk boundaries and
     the reduction order are fixed, so sequential and threaded scans agree
     bitwise."""
@@ -163,13 +169,14 @@ def residual_scan(sol: Solution, grid, *, workers: int | None = None,
     if live.shape[0] == 0:
         raise ValueError("no in-guard points in grid")
 
+    tape = _fields_tape(sol)
     span = BLOCK_CHUNKS * chunk
     blocks = [live[i : i + span] for i in range(0, live.shape[0], span)]
     if workers and workers > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            values = list(ex.map(lambda b: residual_batch(sol, b), blocks))
+            values = list(ex.map(lambda b: _residuals(tape, b), blocks))
     else:
-        values = [residual_batch(sol, b) for b in blocks]
+        values = [_residuals(tape, b) for b in blocks]
     chunks = [live[i : i + chunk] for i in range(0, live.shape[0], chunk)]
     parts = [r[i : i + chunk] for r in values for i in range(0, len(r), chunk)]
 

@@ -12,12 +12,12 @@ u, v, w and p on those points (p_xx included, which no residual reads)
 and CSV field tables for every instance of
 conftest.build_instance_matrix(), and the sequential and threaded
 (workers=2) reports of the MULTI_BLOCK instances on their grids refined
-to 8 points per axis (4096 points, several residual_batch calls per
-scan), and the check_harmonic and check_reduced_2d reports of the
-REDUCED_2D instance on their default probe grid, and the first error
-each of error_cases() raises at ERROR_POINT, which fixes the order in
-which the evaluator visits the nodes.  The digest checks that a
-refactor or an optimisation leaves every output unchanged.
+to 8 points per axis (4096 points, several blocks per scan), and the
+check_harmonic and check_reduced_2d reports of the REDUCED_2D instance
+on their default probe grid, and the first error each of error_cases()
+raises at ERROR_POINT, which fixes the order in which the evaluator
+visits the nodes.  The digest checks that a refactor or an optimisation
+leaves every output unchanged.
 tobytes() writes C order whatever an array's memory layout, so the
 digest does not depend on the layout.
 """

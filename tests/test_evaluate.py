@@ -4,6 +4,7 @@ after its last read, and the nodes evaluated children first, in the
 order of a walk over the roots largest space first."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -46,6 +47,20 @@ def test_atan2_fnapp_and_antideriv_jets_are_column_major():
                         parse_expr("t + z"), 0.0)):
         for order in (1, 2):
             assert eval_jet_batch(e, V4, pts, order).coef.flags.f_contiguous
+
+
+def test_an_fnapp_body_runs_above_the_public_order_cap():
+    # At order 4, alpha''''''(t + x) reads alpha's body at order 6 + 4 = 10.
+    # d^n[e^s sin s] = 2^(n/2) e^s sin(s + n pi/4).
+    ctx = FnContext()
+    ctx.register(parse_paramfn("alpha", "s", "sin(s) * exp(s)", None))
+    jet = eval_jet_batch(parse_expr("alpha''''''(t + x)", ctx), V4, PTS, 4)
+    s = PTS[:, 0] + PTS[:, 1]
+    for m in range(5):
+        n = 6 + m
+        want = 2 ** (n / 2) * np.exp(s) * np.sin(s + n * np.pi / 4)
+        np.testing.assert_allclose(jet.coef[:, jet.space.index[(0, m, 0, 0)]],
+                                   want / math.factorial(m), rtol=1e-12)
 
 
 def test_a_root_repeated_at_orders_1_2_1_is_read_off_its_order_2_jet():

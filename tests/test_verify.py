@@ -1,16 +1,21 @@
 """Residual engine: pointwise residuals, scans, FD oracle, probes."""
 
+import operator
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from output_digest import MULTI_BLOCK, refined
-from seaconv.errors import GuardError
+from seaconv import evaluate
+from seaconv.errors import EvalDomainError, GuardError
 from seaconv.families import (build_theorem_2_1, build_theorem_3_1,
                               build_theorem_4_4, harmonic_poly,
                               rigid_rotation)
 from seaconv.jets import JetSpace
 from seaconv.parser import parse_expr
-from seaconv.solution import in_domain_mask
+from seaconv.solution import Guard, assert_in_domain, in_domain_mask
 from seaconv.verify import (CHUNK, EQ_NAMES, P_SPACE, EqStat, Grid,
                             ResidualReport, check_harmonic,
                             check_reduced_2d, fd_cross_check, residual_at,
@@ -161,12 +166,27 @@ def test_scan_rejects_fully_excluded_grid():
 
 
 def test_scan_threaded_matches_sequential_bitwise():
+    # Eight workers on one shared tape, switching every microsecond: a run
+    # that left state on the tape, or read another run's, would show here.
     sol = build_theorem_2_1(alpha="t", beta=0.0, b1=1.0, b2=0.0,
                             Im="s", iota=0.0, sigma="s^2 / 2")
     g = Grid(t=(0.0, 1.0, 5), x=(0.5, 1.5, 5), y=(-1.0, 1.0, 5),
              z=(0.5, 1.5, 5))
     seq = residual_scan(sol, g, chunk=50)
-    par = residual_scan(sol, g, workers=3, chunk=50)
+    out = []
+    scan = threading.Thread(target=lambda: out.extend(
+        residual_scan(sol, g, workers=8, chunk=50) for _ in range(5)),
+        daemon=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        scan.start()
+        scan.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not scan.is_alive() and len(out) == 5
+    assert all(par == out[0] for par in out)
+    par = out[0]
     for name in seq.eqs:
         assert seq.eqs[name].max_abs == par.eqs[name].max_abs
         assert seq.eqs[name].rms == par.eqs[name].rms
@@ -247,6 +267,76 @@ def test_residual_at_enforces_guards():
     sol = build_theorem_3_1(alpha=0.0, Im="s")
     with pytest.raises(GuardError):
         residual_at(sol, (0.0, 1.0, 0.0, 1.0))
+
+
+def test_a_guard_violation_names_its_point_and_value_as_plain_floats():
+    sol = build_theorem_3_1(alpha=0.0, Im="s")
+    with pytest.raises(GuardError) as exc:
+        assert_in_domain(sol, (0.0, 1.0, 0.0, 1.0))
+    assert str(exc.value) == ("point (0.0, 1.0, 0.0, 1.0) violates guard "
+                              "radicand: -1.75 < 1e-08")
+
+
+def test_a_guard_that_cannot_be_evaluated_raises_its_domain_error():
+    guard = Guard(field("log(x - 2)"), 0.0, "log")
+    sol = rigid_rotation().with_fields(guards=(guard,))
+    with pytest.raises(EvalDomainError, match="log of a non-positive value"):
+        assert_in_domain(sol, (0.0, 1.0, 0.0, 0.0))
+
+
+def test_a_scan_compiles_its_fields_once(instance_matrix, monkeypatch):
+    """Over a scan of several blocks, sequential, threaded or in odd
+    chunks: the fields' roots compile once, no ParamFn body compiles
+    twice at one order, and no tape compiles while one runs, except an
+    Antideriv's integrand, which compose_antideriv compiles per Simpson
+    level.  Depths are counted per thread, as the workers share a tape."""
+    name = "theorem_4_2[growing]"
+    [(sol, grid)] = [(s, g) for n, s, g, _ in instance_matrix if n == name]
+    depth = threading.local()
+    compiles = []
+
+    def nested(fn, attr):
+        def wrapped(*args, **kwargs):
+            setattr(depth, attr, getattr(depth, attr, 0) + 1)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                setattr(depth, attr, getattr(depth, attr) - 1)
+        return wrapped
+
+    compile_ = evaluate.Tape._compile
+
+    def counted(tape, roots, vars, spaces, bodies):
+        compiles.append(dict(roots=roots, vars=vars, order=spaces[0].order,
+                             integrand=getattr(depth, "integrand", 0),
+                             running=getattr(depth, "running", 0)))
+        return compile_(tape, roots, vars, spaces, bodies)
+
+    monkeypatch.setattr(evaluate.Tape, "_compile", counted)
+    monkeypatch.setattr(evaluate.Tape, "run",
+                        nested(evaluate.Tape.run, "running"))
+    monkeypatch.setattr(evaluate, "compose_antideriv",
+                        nested(evaluate.compose_antideriv, "integrand"))
+    fields = (sol.p, sol.u, sol.v, sol.w)
+    guards = [g.expr for g in sol.guards]
+
+    def same(roots, exprs):  # the same objects, in the same order
+        return len(roots) == len(exprs) and all(map(operator.is_, roots, exprs))
+
+    for options in ({}, {"workers": 2}, {"chunk": 97}):
+        compiles.clear()
+        residual_scan(sol, refined(grid), **options)
+        assert any(c["integrand"] for c in compiles), options
+        outside = [c for c in compiles if not c["integrand"]]
+        assert not any(c["running"] for c in outside), options
+        assert sum(same(c["roots"], fields) for c in outside) == 1, options
+        bodies = [(id(c["roots"][0]), c["order"]) for c in outside
+                  if c["vars"] == ("s",)]
+        assert bodies and len(set(bodies)) == len(bodies), options
+        rest = [c for c in outside if c["vars"] != ("s",)
+                and not same(c["roots"], fields)]
+        assert all(any(same(c["roots"], (g,)) for g in guards)
+                   for c in rest), options
 
 
 def test_fd_cross_check_polynomial():
