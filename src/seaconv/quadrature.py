@@ -1,4 +1,4 @@
-"""Adaptive Simpson quadrature and the antiderivative expression node.
+"""Adaptive Gauss-Kronrod quadrature and the antiderivative expression node.
 
 The Antideriv node represents s -> integral of a one-variable integrand
 from a fixed base point, where the integrand may also reference ambient
@@ -8,13 +8,13 @@ never the coefficients generated through the upper limit (those follow
 the fundamental theorem of calculus exactly).
 
 Each jet evaluation integrates each distinct (upper limit, ambient
-values) row once, expanding the integrand only in the ambient variables
-that are jet variables, in the node's space restricted to them: under a
-space whose second-order monomials all hold z, a z-free integrand runs
-at order 1.  Simpson's stopping test reads only those coefficients, so
-they agree with a larger space's to within the tolerance, not bit for
-bit.  Nodes keep no cache: memory does not grow across scans, and a
-repeated scan recomputes its integrals.
+values) row once by adaptive Gauss-Kronrod (G7/K15), expanding the
+integrand only in the ambient variables that are jet variables, in the
+node's space restricted to them: under a space whose second-order
+monomials all hold z, a z-free integrand runs at order 1.  The stopping
+test reads only those coefficients, so they agree with a larger space's
+to within the tolerance, not bit for bit.  Nodes keep no cache: memory
+does not grow across scans, and a repeated scan recomputes its integrals.
 """
 from __future__ import annotations
 
@@ -27,74 +27,79 @@ from .expr import Const, Expr, add, mul, node
 from .jets import JetBatch, JetSpace, jet_space
 
 DEFAULT_TOL = 1e-10
-# Below MIN_TOL rounding in each subinterval's Simpson estimates outgrows
-# its share of the tolerance even on smooth integrands.
+# Below MIN_TOL the rounding in a subinterval's Kronrod and Gauss sums
+# outgrows its share of the tolerance even on smooth integrands.
 MIN_TOL = 1e-15
 MAX_DEPTH = 40
 # Live subintervals of one integral.  A singular integrand doubles them
 # every few levels, and memory would run out long before MAX_DEPTH.
 MAX_PIECES = 4096
 # Integrand samples per call of the integrand: its jets at every sample
-# of a wide Simpson level are live at once, and would set the peak memory.
+# of a wide level are live at once, and would set the peak memory.
 MAX_SAMPLES = 4096
 
+# QUADPACK's qk15 rule (Piessens, de Doncker-Kapenga, Ueberhuber and
+# Kahaner, QUADPACK, Springer 1983) on [-1, 1], rounded to doubles, from
+# the centre out: Kronrod abscissae +-KRONROD_NODES[j] with weights
+# KRONROD_WEIGHTS[j]; the 7-point Gauss rule uses the even j.  _ABSCISSAE
+# holds all 15 in sampling order: the centre, then -x and +x of each.
+KRONROD_NODES = (0.0, 0.20778495500789848, 0.4058451513773972,
+                 0.5860872354676911, 0.7415311855993945, 0.8648644233597691,
+                 0.9491079123427585, 0.9914553711208126)
+KRONROD_WEIGHTS = (0.20948214108472782, 0.20443294007529889,
+                   0.19035057806478542, 0.1690047266392679,
+                   0.14065325971552592, 0.10479001032225019,
+                   0.06309209262997856, 0.022935322010529224)
+GAUSS_WEIGHTS = (0.4179591836734694, 0.3818300505051189,
+                 0.27970539148927664, 0.1294849661688697)
+_ABSCISSAE = np.array([0.0] + [sg * x for x in KRONROD_NODES[1:]
+                               for sg in (-1.0, 1.0)])
 
-def _simpson_batched(f, a, b, tol):
+
+def _gauss_kronrod(f, a, b, tol):
     """Integrate many rows at once: row i is the integral of f over
     [a[i], b[i]].  f(svals, rows) returns the integrand values (vector-
     valued allowed) for each sample; rows says which integral each sample
-    belongs to.  Subdivision is breadth-first with a deterministic
-    accumulation order, so results are reproducible bitwise."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n = a.shape[0]
-    sign = np.where(b < a, -1.0, 1.0)
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
+    belongs to.  Each level forms the Kronrod sum K and the Gauss sum G of
+    every live piece; a piece with max|K - G| <= tol * (1 + max|K|) over
+    its columns adds K to its row, and the rest are bisected with tol
+    halved.  The sums run node by node and each row adds its own pieces
+    in breadth-first order, so a row's result depends on nothing else and
+    is reproducible bitwise."""
+    sign = np.where(np.less(b, a), -1.0, 1.0)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
     rowid = np.flatnonzero(lo < hi)
     ra, rb = lo[rowid], hi[rowid]
-    mid = 0.5 * (ra + rb)
-    vals = _feval(f, np.concatenate([ra, mid, rb]), np.tile(rowid, 3))
-    m = rowid.size
-    fa, fm, fb = vals[:m], vals[m : 2 * m], vals[2 * m :]
-    width = fa.shape[1]
-    S = ((rb - ra) / 6.0)[:, None] * (fa + 4.0 * fm + fb)
-    result = np.zeros((n, width))
-    depth = 0  # every live interval is at this depth, with tolerance tol
+    result = None
+    depth = 0  # every live piece is at this depth, with tolerance tol
 
-    while rowid.size:
-        c = 0.5 * (ra + rb)
-        lm = 0.5 * (ra + c)
-        rm = 0.5 * (c + rb)
-        k = rowid.size
-        vals = _feval(f, np.concatenate([lm, rm]), np.tile(rowid, 2))
-        flm, frm = vals[:k], vals[k:]
-        Sl = ((c - ra) / 6.0)[:, None] * (fa + 4.0 * flm + fm)
-        Sr = ((rb - c) / 6.0)[:, None] * (fm + 4.0 * frm + fb)
-        S2 = Sl + Sr
-        err = np.max(np.abs(S2 - S), axis=1)
-        mag = np.max(np.abs(S2), axis=1)
-        done = err <= 15.0 * tol * (1.0 + mag)
+    while result is None or rowid.size:
+        c, h, k = 0.5 * (ra + rb), 0.5 * (rb - ra), rowid.size
+        vals = _feval(f, (c + _ABSCISSAE[:, None] * h).ravel(),
+                      np.tile(rowid, _ABSCISSAE.size))
+        vals = vals.reshape(_ABSCISSAE.size, k, vals.shape[1])
+        if result is None:
+            result = np.zeros((sign.size, vals.shape[2]))
+        K, G = KRONROD_WEIGHTS[0] * vals[0], GAUSS_WEIGHTS[0] * vals[0]
+        for j in range(1, len(KRONROD_NODES)):
+            pair = vals[2 * j - 1] + vals[2 * j]
+            K = K + KRONROD_WEIGHTS[j] * pair
+            if j % 2 == 0:
+                G = G + GAUSS_WEIGHTS[j // 2] * pair
+        K, G = h[:, None] * K, h[:, None] * G
+        err = np.max(np.abs(K - G), axis=1)
+        mag = np.max(np.abs(K), axis=1)
+        done = err <= tol * (1.0 + mag)
         keep = ~done
         most = np.bincount(rowid[keep]).max(initial=0)  # of one integral
         if (depth >= MAX_DEPTH and keep.any()) or 2 * most > MAX_PIECES:
             raise QuadratureError(
                 f"quadrature did not converge within depth {MAX_DEPTH} "
-                f"and {MAX_PIECES} subintervals per integral"
-            )
-        piece = S2[done] + (S2[done] - S[done]) / 15.0
-        np.add.at(result, rowid[done], piece)
+                f"and {MAX_PIECES} subintervals per integral")
+        np.add.at(result, rowid[done], K[done])
         rowid = np.concatenate([rowid[keep], rowid[keep]])
-        ra, rb = (
-            np.concatenate([ra[keep], c[keep]]),
-            np.concatenate([c[keep], rb[keep]]),
-        )
-        fa, fb = (
-            np.concatenate([fa[keep], fm[keep]]),
-            np.concatenate([fm[keep], fb[keep]]),
-        )
-        fm = np.concatenate([flm[keep], frm[keep]])
-        S = np.concatenate([Sl[keep], Sr[keep]])
+        ra, rb = (np.concatenate([ra[keep], c[keep]]),
+                  np.concatenate([c[keep], rb[keep]]))
         tol *= 0.5
         depth += 1
 
@@ -115,14 +120,13 @@ def _feval(f, svals, rows):
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = DEFAULT_TOL) -> float:
-    """Adaptive Simpson integral of a scalar callable over [a, b].
+    """Adaptive Gauss-Kronrod integral of a scalar callable over [a, b].
     Antisymmetric under swapping the endpoints; exact on cubics."""
 
     def fb(svals, rows):
         return np.array([float(f(float(s))) for s in svals])
 
-    out = _simpson_batched(fb, np.array([a]), np.array([b]), tol)
-    return float(out[0, 0])
+    return float(_gauss_kronrod(fb, [a], [b], tol)[0, 0])
 
 
 @node(eq=False)
@@ -156,9 +160,8 @@ class Antideriv(Expr):
         return Antideriv(nb, ni, self.base, self.tol)
 
     def _diff(self, var):
-        boundary = mul(
-            self.body._subst({"s": self.inner}), self.inner._diff(var)
-        )
+        boundary = mul(self.body._subst({"s": self.inner}),
+                       self.inner._diff(var))
         dbody = self.body._diff(var)
         if isinstance(dbody, Const) and dbody.value == 0.0:
             return boundary
@@ -187,10 +190,7 @@ def antiderivative_value(node: Antideriv, s: float,
         binds = {v: np.full(svals.shape[0], float(ambient[v])) for v in amb}
         return tape.run(svals[:, None], binds)[0].value
 
-    out = _simpson_batched(
-        f, np.array([node.base]), np.array([float(s)]), node.tol
-    )
-    return float(out[0, 0])
+    return float(_gauss_kronrod(f, [node.base], [float(s)], node.tol)[0, 0])
 
 
 @lru_cache(maxsize=None)
@@ -258,8 +258,8 @@ def compose_antideriv(node: Antideriv, G: JetBatch, vars: tuple[str, ...],
         return eval_jet_batch(node.body, jv, jpts[r], sub, bindings=binds).coef
 
     sub, lift, tables = _embed_tables(space, tuple(map(vars.index, jv)))
-    Q = _simpson_batched(f, np.full(rows.shape[0], node.base), rows[:, 0],
-                         node.tol)
+    Q = _gauss_kronrod(f, np.full(rows.shape[0], node.base), rows[:, 0],
+                       node.tol)
     A = np.zeros((npts, space.ncoef), order="F")
     A[:, lift] = Q[inv]
 

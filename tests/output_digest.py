@@ -1,9 +1,12 @@
 """sha256 over the outputs of the shared instance matrix.
 
     python tests/output_digest.py <tree>
+    python tests/output_digest.py --per-instance <tree>
+    python tests/output_digest.py --compare <base digests> <head digests> \
+        <base tree> <head tree>
 
-imports seaconv from <tree>/src and the instance matrix from
-<tree>/tests/conftest.py, and prints one hex digest.  Two trees whose
+The first form imports seaconv from <tree>/src and the instance matrix
+from <tree>/tests/conftest.py, and prints one hex digest.  Two trees whose
 digests match produce byte-identical residual reports (sequential, and
 threaded with workers=2, chunk=97), raw residual arrays (every value
 residual_batch returns on the grid's in-guard points, not only the
@@ -20,6 +23,14 @@ visits the nodes.  The digest checks that a refactor or an optimisation
 leaves every output unchanged.
 tobytes() writes C order whatever an array's memory layout, so the
 digest does not depend on the layout.
+
+--per-instance hashes the same bytes per instance instead: one
+'<name> <digest>' line per instance, with its MULTI_BLOCK and REDUCED_2D
+outputs folded in, and a last 'first_errors <digest>' line.  --compare
+reads two such listings and fails on every line that differs (or is on
+one side only) unless the head tree's DECLARATIONS file declares it and
+the base tree's does not, so that a declaration covers the one change
+that adds it; a change of numerics names each instance it moves there.
 """
 
 import hashlib
@@ -29,6 +40,8 @@ from pathlib import Path
 MULTI_BLOCK = ("theorem_4_2[growing]", "theorem_2_1[full]")
 REDUCED_2D = "prop_4_1[cubic]"
 ERROR_POINT = (0.1, 0.2, 0.3, 0.4)
+# One '<name>: <reason>' line per instance whose outputs a change moves.
+DECLARATIONS = Path("tests") / "digest_changes.txt"
 
 
 def refined(grid, count=8):
@@ -89,7 +102,9 @@ def first_errors() -> list:
     return out
 
 
-def instance_matrix_digest() -> str:
+def instance_outputs():
+    """(name, chunks) per instance of the matrix, in order, then
+    ('first_errors', chunks): the bytes that the digests hash."""
     from conftest import build_instance_matrix
     from seaconv.cli import field_table
     from seaconv.evaluate import eval_jet_batch
@@ -97,40 +112,120 @@ def instance_matrix_digest() -> str:
     from seaconv.solution import in_domain_mask
     from seaconv.verify import residual_batch, residual_scan
 
-    h = hashlib.sha256()
     for name, sol, grid, _tol in build_instance_matrix():
         sequential = repr(residual_scan(sol, grid))
         threaded = repr(residual_scan(sol, grid, workers=2, chunk=97))
         if threaded != sequential:
             raise AssertionError(f"{name}: threaded scan differs from the "
                                  "sequential one")
-        h.update(name.encode())
-        h.update(sequential.encode())
+        chunks = [name.encode(), sequential.encode()]
         pts = grid.points()
         live = pts[in_domain_mask(sol, pts)]
-        h.update(residual_batch(sol, live).tobytes())
+        chunks.append(residual_batch(sol, live).tobytes())
         for f in ("u", "v", "w", "p"):
             jet = eval_jet_batch(getattr(sol, f), VARS4, live, 2)
-            h.update(jet.coef.tobytes())
-        h.update(field_table(sol, grid).encode())
+            chunks.append(jet.coef.tobytes())
+        chunks.append(field_table(sol, grid).encode())
         if name in MULTI_BLOCK:
             for workers in (None, 2):
                 report = residual_scan(sol, refined(grid), workers=workers)
-                h.update(repr(report).encode())
+                chunks.append(repr(report).encode())
         if name == REDUCED_2D:
-            h.update(repr(reduced_2d_reports(sol)).encode())
-    for text in first_errors():
-        h.update(text.encode())
-    return h.hexdigest()
+            chunks.append(repr(reduced_2d_reports(sol)).encode())
+        yield name, chunks
+    yield "first_errors", [text.encode() for text in first_errors()]
+
+
+def digests() -> tuple[str, list[tuple[str, str]]]:
+    """The whole-matrix digest and the per-instance (name, digest) pairs,
+    from one pass over instance_outputs()."""
+    whole = hashlib.sha256()
+    per_instance = []
+    for name, chunks in instance_outputs():
+        h = hashlib.sha256()
+        for chunk in chunks:
+            whole.update(chunk)
+            h.update(chunk)
+        per_instance.append((name, h.hexdigest()))
+    return whole.hexdigest(), per_instance
+
+
+def instance_matrix_digest() -> str:
+    return digests()[0]
+
+
+def parse_listing(text: str) -> dict:
+    """{name: digest} of a --per-instance listing."""
+    return dict(line.split() for line in text.splitlines() if line.strip())
+
+
+def parse_declarations(text: str) -> dict:
+    """{name: reason} of a DECLARATIONS file; '#' starts a comment line."""
+    out = {}
+    for line in text.splitlines():
+        if line.strip() and not line.lstrip().startswith("#"):
+            name, sep, reason = line.partition(":")
+            if not sep or not reason.strip():
+                raise ValueError(f"declaration without a reason: {line!r}")
+            out[name.strip()] = reason.strip()
+    return out
+
+
+def undeclared_changes(base: dict, head: dict, declared: dict,
+                       inherited: dict) -> list:
+    """Names whose digest differs between the base and head listings, or
+    that only one of them has, and that declared does not name with a
+    reason inherited lacks: a declaration the base tree already makes
+    does not count again."""
+    fresh = {name for name, reason in declared.items()
+             if inherited.get(name) != reason}
+    return sorted(name for name in base.keys() | head.keys()
+                  if base.get(name) != head.get(name) and name not in fresh)
+
+
+def _declarations(tree: Path) -> dict:
+    path = tree / DECLARATIONS
+    return parse_declarations(path.read_text()) if path.exists() else {}
+
+
+def compare(base_listing: Path, head_listing: Path, base_tree: Path,
+            head_tree: Path) -> int:
+    base = parse_listing(base_listing.read_text())
+    head = parse_listing(head_listing.read_text())
+    declared = _declarations(head_tree)
+    for name in sorted(base.keys() | head.keys()):
+        if base.get(name) != head.get(name):
+            print(f"changed: {name}: {declared.get(name, 'undeclared')}")
+    bad = undeclared_changes(base, head, declared, _declarations(base_tree))
+    for name in bad:
+        print(f"error: {name} changed without a new declaration in "
+              f"{DECLARATIONS}")
+    return 1 if bad else 0
+
+
+USAGE = """usage: python tests/output_digest.py <tree>
+       python tests/output_digest.py --per-instance <tree>
+       python tests/output_digest.py --compare <base digests> <head digests>
+           <base tree> <head tree>
+"""
 
 
 def main(argv) -> int:
-    if len(argv) != 2:
-        sys.stderr.write("usage: python tests/output_digest.py <tree>\n")
+    args = argv[1:]
+    if args[:1] == ["--compare"] and len(args) == 5:
+        return compare(*map(Path, args[1:]))
+    per_instance = args[:1] == ["--per-instance"]
+    if len(args) != 1 + per_instance:
+        sys.stderr.write(USAGE)
         return 2
-    tree = Path(argv[1]).resolve()
+    tree = Path(args[-1]).resolve()
     sys.path[:0] = [str(tree / "src"), str(tree / "tests")]
-    print(instance_matrix_digest())
+    whole, lines = digests()
+    if per_instance:
+        for name, digest in lines:
+            print(name, digest)
+    else:
+        print(whole)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Adaptive Simpson quadrature and the antiderivative node."""
+"""Adaptive Gauss-Kronrod quadrature and the antiderivative node."""
 
 import math
 
@@ -94,17 +94,93 @@ def test_nonconvergence_raises():
 
 
 def test_oscillatory_integral_beyond_a_thousand_subintervals_converges():
-    # sin(20 s) over [0, 3] holds 1874 live subintervals at its finest level.
+    # G7/K15 holds 16 live subintervals at its finest level here; the name
+    # is from adaptive Simpson, which needed 1874.
     got = adaptive_simpson(lambda s: np.sin(20.0 * s), 0.0, 3.0)
     assert abs(got - (1.0 - np.cos(60.0)) / 20.0) < 1e-12
 
 
 def test_pole_stops_at_the_subinterval_limit():
-    # Each level doubles the subintervals around the double pole at 0.3,
-    # so the limit is reached long before MAX_DEPTH.
+    # From about depth 15 on, each level doubles the subintervals around
+    # the double pole at 0.3, so the limit is reached at depth 24, long
+    # before MAX_DEPTH.
     with pytest.raises(QuadratureError) as exc:
         adaptive_simpson(lambda s: (s - 0.3) ** -2, 0.0, 1.0)
     assert "4096 subintervals per integral" in str(exc.value)
+
+
+def _symmetric_rule(nodes, weights):
+    """The abscissae and weights on [-1, 1] of a rule given from the
+    centre out."""
+    x, w = np.array(nodes), np.array(weights)
+    return (np.concatenate([-x[:0:-1], x]), np.concatenate([w[:0:-1], w]))
+
+
+@pytest.mark.parametrize("rule, degree", [
+    ((quadrature.KRONROD_NODES, quadrature.KRONROD_WEIGHTS), 23),
+    ((quadrature.KRONROD_NODES[::2], quadrature.GAUSS_WEIGHTS), 13)])
+def test_rules_integrate_monomials_exactly_to_their_degree(rule, degree):
+    x, w = _symmetric_rule(*rule)
+    assert np.array_equal(w, w[::-1]) and np.array_equal(x, -x[::-1])
+    assert abs(math.fsum(w) - 2.0) <= 1e-15
+    for k in range(degree + 2):
+        got = math.fsum(w * x ** k)
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        if k <= degree:
+            assert abs(got - exact) <= 1e-15, k
+        else:  # the next even degree is no longer exact
+            assert abs(got - exact) > 1e-10, k
+
+
+def test_one_level_integrates_every_monomial_to_degree_13():
+    # K15 and G7 agree to rounding on each column, so one level of 15
+    # samples is done, and each column gets its Kronrod sum.
+    asked = []
+
+    def f(svals, rows):
+        asked.append(svals.shape[0])
+        return svals[:, None] ** np.arange(14)
+
+    got = quadrature._gauss_kronrod(f, [-1.0], [1.0], 1e-14)[0]
+    want = [2.0 / (k + 1) if k % 2 == 0 else 0.0 for k in range(14)]
+    assert asked == [15]
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (math.exp, 0.0, 1.0), (lambda s: math.sin(20.0 * s), 0.0, 3.0),
+    (lambda s: math.exp(-s * s), -5.0, 5.0), (math.log, 1.0, 10.0),
+    (lambda s: s ** -2, 0.01, 1.0)])
+def test_matches_scipy_quad(f, a, b):
+    integrate = pytest.importorskip("scipy.integrate")
+    want, _ = integrate.quad(f, a, b, epsabs=1e-13, epsrel=1e-13, limit=200)
+    assert abs(adaptive_simpson(f, a, b) - want) <= 1e-10 * (1 + abs(want))
+
+
+@pytest.mark.parametrize("f, a, b, want", [
+    (lambda s: np.sin(20.0 * s), 0.0, 3.0, (1.0 - np.cos(60.0)) / 20.0),
+    (lambda s: np.exp(-s * s), -5.0, 5.0, math.sqrt(math.pi) * math.erf(5.0))])
+def test_converges_at_the_smallest_tolerance(f, a, b, want):
+    got = adaptive_simpson(f, a, b, tol=quadrature.MIN_TOL)
+    assert abs(got - want) <= 1e-14
+
+
+def test_a_scan_of_an_antideriv_instance_takes_few_samples(
+        instance_matrix, monkeypatch):
+    # The residual scan of theorem_4_2[growing] on its grid takes 2,505
+    # integrand samples; the bound fails a return toward adaptive
+    # Simpson's 22,639.
+    [(sol, grid)] = [(s, g) for n, s, g, _ in instance_matrix
+                     if n == "theorem_4_2[growing]"]
+    feval, samples = quadrature._feval, []
+
+    def counted(f, svals, rows):
+        samples.append(svals.shape[0])
+        return feval(f, svals, rows)
+
+    monkeypatch.setattr(quadrature, "_feval", counted)
+    residual_scan(sol, grid)
+    assert 0 < sum(samples) <= 4000
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-10, 1e-16, float("nan"),
@@ -290,8 +366,8 @@ def test_repeated_rows_and_no_state_on_the_node():
 
 def test_integrand_slices_leave_coefficients_and_samples_unchanged(
         monkeypatch):
-    # 1500 distinct upper limits: the first Simpson level alone asks for
-    # 4500 integrand samples, more than one slice.
+    # 1500 distinct upper limits: the first level alone asks for 15 * 1500
+    # integrand samples, more than one slice.
     body = parse_expr("exp(s * x)", None, allowed=("s", "x"))
     node = Antideriv(body, parse_expr("t + z", None), 0.0, 1e-8)
     pts = np.random.default_rng(5).uniform(0.0, 1.5, size=(1500, 4))
@@ -344,7 +420,7 @@ def test_a_t_only_integrand_runs_in_1_and_t_under_p_space(monkeypatch):
         monkeypatch.setitem(evaluate._RULES, cls, recorded(rule))
     got = eval_jet_batch(node, V4, pts, P_SPACE)
     assert seen == {((0,), (1,))}
-    # Simpson's stopping test reads fewer columns here: equal to within
-    # the tolerance, not bit for bit.
+    # The Gauss-Kronrod stopping test reads fewer columns here: equal to
+    # within the tolerance, not bit for bit.
     cols = [full.space.index[m] for m in P_SPACE.monos]
     assert np.allclose(got.coef, full.coef[:, cols], rtol=1e-12, atol=1e-12)

@@ -288,8 +288,9 @@ def test_a_scan_compiles_its_fields_once(instance_matrix, monkeypatch):
     """Over a scan of several blocks, sequential, threaded or in odd
     chunks: the fields' roots compile once, no ParamFn body compiles
     twice at one order, and no tape compiles while one runs, except an
-    Antideriv's integrand, which compose_antideriv compiles per Simpson
-    level.  Depths are counted per thread, as the workers share a tape."""
+    Antideriv's integrand, which compose_antideriv compiles per
+    quadrature level.  Depths are counted per thread, as the workers
+    share a tape."""
     name = "theorem_4_2[growing]"
     [(sol, grid)] = [(s, g) for n, s, g, _ in instance_matrix if n == name]
     depth = threading.local()
