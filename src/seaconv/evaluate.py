@@ -13,8 +13,16 @@ Equal subtrees that are distinct objects, as a symmetry map or a second
 parse leaves them, share one entry.  The roots are walked largest space
 first, so each node is evaluated in the largest space any reader needs,
 and a smaller space reads its jet by truncation: a slice of its
-coefficients where its layout is a prefix, else a gather.  An FnApp's
-body gets a tape of its own, once per (function, order) a tape needs.
+coefficients where its layout is a prefix, else a gather.
+
+The FnApps of one function on one argument slot (alpha, alpha' and
+alpha'' of t) share one run of the function's body per tape run, at
+the highest order k + n any of them needs, and each reads its
+derivatives off that jet; the body's tape is compiled once per
+(function, order).  The last such FnApp drops the body's jet.  Where
+the argument is a jet variable, f^(k)(x) is placed, not composed: its
+coefficient at x^j is f^(k+j)/j!, bit for bit as compose_smooth gives
+it, signed zeros included.
 
 A run goes entry by entry: the node's rule on its children's jets, and
 a check that the jet is finite.  Each entry lists the slots it reads
@@ -28,6 +36,8 @@ from __future__ import annotations
 import operator
 from collections import namedtuple
 from dataclasses import fields
+from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -53,8 +63,9 @@ from .jets import (MAX_PUBLIC_ORDER, JetBatch, JetSpace, const_batch,
 from .quadrature import Antideriv, compose_antideriv
 
 
-# What a rule reads besides its children's jets, in its node's space.
-_Ctx = namedtuple("_Ctx", "vars points space bindings bodies")
+# What a rule reads besides its children's jets, in its node's space:
+# fnapps is the tape's Tape.fnapps, and runs the run's body jets.
+_Ctx = namedtuple("_Ctx", "vars points space bindings fnapps runs")
 
 
 def eval_jet_batch(e, vars, points, order, bindings=None):
@@ -119,9 +130,13 @@ class Tape:
         """Walk the roots largest space first (a stable sort); a node with a
         new key appends [node, its children's slots, the walking root's
         space, the non-root slots it reads last] after its children's.
-        bodies gets, at (id(fn), k + n), the tape of fn's body at order
-        k + n, past the public cap if need be, for each FnApp fn^(k) in n."""
-        self.vars, self.spaces, self.bodies = vars, spaces, bodies
+        The FnApps fn^(k) in a space of order n with one fn and argument
+        slot form a pair, which needs fn's body at the highest k + n of
+        them, past the public cap if need be; bodies gets the body's tape
+        at (id(fn), that order).  fnapps maps id(FnApp) to (its pair,
+        the body's tape, whether it reads the pair last, and the axis of
+        its argument if that is a jet variable, else None)."""
+        self.vars, self.spaces = vars, spaces
         table, entries = {}, []
         slots = [None] * len(roots)
         for i in sorted(range(len(roots)), key=lambda i: spaces[i].ncoef,
@@ -130,11 +145,21 @@ class Tape:
         last = {k: i for i, (_, kids, _, _) in enumerate(entries) for k in kids}
         for k in set(last).difference(slots):
             entries[last[k]][3].append(k)
-        for e, _, space, _ in entries:
-            key = (id(e.fn), e.k + space.order) if type(e) is FnApp else None
-            if key and key not in bodies:
+        apps = [(i, e, (id(e.fn), kids[0]), e.k + space.order)
+                for i, (e, kids, space, _) in enumerate(entries)
+                if type(e) is FnApp]
+        need, final = {}, {}
+        for i, _, pair, order in apps:
+            need[pair], final[pair] = max(need.get(pair, 0), order), i
+        self.fnapps = {}
+        for i, e, pair, _ in apps:
+            key = (id(e.fn), need[pair])
+            if key not in bodies:
                 bodies[key] = Tape.__new__(Tape)._compile(
                     (e.fn.body,), ("s",), (jet_space(1, key[1]),), bodies)
+            bare = type(e.arg) is Var and e.arg.name in vars
+            self.fnapps[id(e)] = (pair, bodies[key], final[pair] == i,
+                                  vars.index(e.arg.name) if bare else None)
         self.entries, self.slots = entries, slots
         return self
 
@@ -145,7 +170,8 @@ class Tape:
             raise ValueError("points must have shape (npoints, nvars)")
         bindings = {k: np.asarray(v, dtype=float)
                     for k, v in (bindings or {}).items()}
-        ctxs = {s: _Ctx(self.vars, pts, s, bindings, self.bodies)
+        runs = {}
+        ctxs = {s: _Ctx(self.vars, pts, s, bindings, self.fnapps, runs)
                 for s in self.spaces}
         held = [None] * len(self.entries)
         for i, (e, kids, space, frees) in enumerate(self.entries):
@@ -260,10 +286,58 @@ def _ev_atan2(e: Atan2, ctx, num, den):
 
 
 def _ev_fnapp(e: FnApp, ctx, inner):
+    pair, tape, last, axis = ctx.fnapps[id(e)]
+    if pair not in ctx.runs:
+        [ctx.runs[pair]] = tape.run(inner.value[:, None])
+    coef = (ctx.runs.pop(pair) if last else ctx.runs[pair]).coef
     need = e.k + ctx.space.order
-    [body] = ctx.bodies[id(e.fn), need].run(inner.value[:, None])
-    derivs = body.coef[:, e.k : need + 1] * jets._FACT[e.k : need + 1]
-    return jets.compose_smooth(inner, derivs)
+    derivs = coef[:, e.k : need + 1] * jets._FACT[e.k : need + 1]
+    if axis is None:
+        return jets.compose_smooth(inner, derivs)
+    return _place(ctx.space, axis, derivs)
+
+
+@lru_cache(maxsize=None)
+def _axis_layout(space: JetSpace, axis: int):
+    """The columns of the powers 1, x, x^2, ... of the variable x at axis
+    that space holds, and the other columns with their degrees in x."""
+    cols = []
+    while (mono := tuple(len(cols) * (i == axis)
+                         for i in range(space.nvars))) in space.index:
+        cols.append(space.index[mono])
+    rest = [i for i in range(space.ncoef) if i not in cols]
+    return cols, rest, [space.monos[i][axis] for i in rest]
+
+
+def _place(space: JetSpace, axis: int, derivs) -> JetBatch:
+    """compose_smooth(x, derivs) for x the jet variable at axis, bit for
+    bit, without its products: the coefficient at x^j is derivs[j]/j!,
+    and every other one is a zero.  The signs of the zeros follow
+    compose_smooth's Horner steps, r <- r*x + a_k.  In r*x a coefficient
+    is its one nonzero product, that of the coefficient one power of x
+    lower, or else a zero that is -0 only if every product is, that is,
+    if the coefficients at all the monomials it divides are negative.
+    So the zeros off the powers of x share a sign per degree in x, and
+    the running sum of the zeros r*0 is the conjunction of their signs."""
+    n = space.order
+    a = derivs / jets._FACT[: n + 1]
+    if n == 0:
+        return JetBatch(space, a[:, :1].copy())
+    cols, rest, degree = _axis_layout(space, axis)
+    zero = a[:, n] * 0.0
+    p = ([zero, a[:, n]] + [zero] * n)[: len(cols)]  # at x^0, x^1, ...
+    p[0] = zero + a[:, n - 1]
+    z = [zero] * (max(degree, default=0) + 1)  # off them, per degree in x
+    for k in range(n - 2, -1, -1):
+        low = list(accumulate(c * 0.0 for c in p))
+        z = list(accumulate(c + d for c, d in zip(z, low)))
+        p = [p[0] * 0.0 + a[:, k]] + [c + d for c, d in zip(p, low[1:])]
+    coef = np.empty((a.shape[0], space.ncoef), order="F")
+    for i, c in zip(cols, p):
+        coef[:, i] = c
+    for i, d in zip(rest, degree):
+        coef[:, i] = z[d]
+    return JetBatch(space, coef)
 
 
 def _ev_antideriv(e: Antideriv, ctx, G):

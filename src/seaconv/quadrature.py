@@ -195,11 +195,15 @@ def antiderivative_value(node: Antideriv, s: float,
 
 @lru_cache(maxsize=None)
 def _embed_tables(space: JetSpace, pos: tuple[int, ...]):
-    """The restriction of space to its variables at positions pos, and
-    index maps from jets in those variables into space: lift[i] is the
-    column of the restriction's i-th coefficient, and tables[k - 1] =
+    """The restriction sub of space to its variables at positions pos,
+    the space of the (s, pos) joint jet, and index maps into space:
+    lift[i] is the column of sub's i-th coefficient, and tables[k - 1] =
     (dst, src) pulls the coefficients of d^(k-1)f/ds^(k-1) that space
-    holds out of the (s, pos) joint jet, for k = 1..space.order."""
+    holds out of the joint jet, for k = 1..space.order.  The joint space
+    is the total-degree one with m[1:] in sub: the monomials the tables
+    read, and s^order, which keeps the joint jet at space's order, so an
+    integrand that holds an Antideriv over s cannot be differentiated at
+    any order >= 1."""
     def col(m):
         e = [0] * space.nvars
         for p, d in zip(pos, m):
@@ -209,13 +213,16 @@ def _embed_tables(space: JetSpace, pos: tuple[int, ...]):
     n = space.order
     sub = jet_space(len(pos), n, frozenset(
         m for m in jet_space(len(pos), n).monos if col(m) is not None))
-    joint = jet_space(len(pos) + 1, n).monos
+    joint = jet_space(len(pos) + 1, n, frozenset(
+        m for m in jet_space(len(pos) + 1, n).monos
+        if col(m[1:]) is not None))
     tables = []
     for k in range(1, n + 1):
-        dst, src = zip(*((col(m[1:]), i) for i, m in enumerate(joint)
-                         if m[0] == k - 1 and col(m[1:]) is not None))
+        dst, src = zip(*((col(m[1:]), i) for i, m in enumerate(joint.monos)
+                         if m[0] == k - 1))
         tables.append((np.array(dst), np.array(src)))
-    return sub, np.array([col(m) for m in sub.monos]), tuple(tables)
+    return (sub, joint, np.array([col(m) for m in sub.monos]),
+            tuple(tables))
 
 
 def compose_antideriv(node: Antideriv, G: JetBatch, vars: tuple[str, ...],
@@ -257,7 +264,8 @@ def compose_antideriv(node: Antideriv, G: JetBatch, vars: tuple[str, ...],
         binds["s"] = svals
         return eval_jet_batch(node.body, jv, jpts[r], sub, bindings=binds).coef
 
-    sub, lift, tables = _embed_tables(space, tuple(map(vars.index, jv)))
+    sub, joint, lift, tables = _embed_tables(space,
+                                             tuple(map(vars.index, jv)))
     Q = _gauss_kronrod(f, np.full(rows.shape[0], node.base), rows[:, 0],
                        node.tol)
     A = np.zeros((npts, space.ncoef), order="F")
@@ -265,7 +273,7 @@ def compose_antideriv(node: Antideriv, G: JetBatch, vars: tuple[str, ...],
 
     if n >= 1:
         B = eval_jet_batch(node.body, ("s",) + jv,
-                           np.column_stack([rows[:, 0], jpts]), n,
+                           np.column_stack([rows[:, 0], jpts]), joint,
                            bindings=rbinds).coef[inv]
         ghat = G.coef.copy(order="K")
         ghat[:, 0] = 0.0

@@ -9,16 +9,22 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from output_digest import first_errors
 from seaconv import evaluate, jets
+from seaconv.errors import SeaconvError
 from seaconv.evaluate import eval_jet_batch, eval_values
-from seaconv.expr import Add, Atan2, Const, FnContext, Mul, ParamFn, Var
-from seaconv.jets import MAX_PUBLIC_ORDER, jet_space
+from seaconv.expr import (Add, Atan2, Const, FnApp, FnContext, Mul, ParamFn,
+                          Var)
+from seaconv.jets import MAX_PUBLIC_ORDER, jet_space, var_batch
 from seaconv.parser import parse_expr, parse_paramfn
 from seaconv.quadrature import Antideriv
 from seaconv.solution import in_domain_mask
-from seaconv.verify import LAPLACE_SPACE, P_SPACE
+from seaconv.verify import (BLOCK_CHUNKS, CHUNK, LAPLACE_SPACE, P_SPACE,
+                            _fields_tape)
+from test_nodes import trees
 
 V4 = ("t", "x", "y", "z")
 PTS = np.random.default_rng(3).uniform(-1.0, 1.0, size=(40, 4))
@@ -229,3 +235,133 @@ def test_the_first_error_is_the_first_node_s_in_evaluation_order():
         "exp(1000*x*1000)",
         "EvalDomainError: log of a non-positive value in log(y - 5)",
     ]
+
+
+def _fnapps(roots):
+    """The distinct FnApp nodes of roots, outside Antideriv bodies, by
+    their structural key (see _structure)."""
+    out, stack = {}, list(roots)
+    while stack:
+        e = stack.pop()
+        if isinstance(e, FnApp):
+            out.setdefault(_structure(e, set()), e)
+        stack.extend(c for c in e.children()
+                     if not (isinstance(e, Antideriv) and c is e.body))
+    return list(out.values())
+
+
+def test_one_body_run_per_function_and_argument_per_block(instance_matrix,
+                                                          monkeypatch):
+    # alpha, alpha' and alpha'' of t, Im and Im' of one argument: each
+    # (function, argument) pair runs its body once per run of the tape.
+    [(sol, grid)] = [(s, g) for n, s, g, _ in instance_matrix
+                     if n == "theorem_2_1[full]"]
+    roots = (sol.p, sol.u, sol.v, sol.w)
+    apps = _fnapps(roots)
+    pairs = {(id(e.fn), _structure(e.arg, set())) for e in apps}
+    alpha = [e for e in apps if e.fn.name == "alpha"]
+    assert {e.k for e in alpha} >= {0, 1, 2} and len(pairs) < len(apps)
+    assert not _fnapps([e.fn.body for e in apps])  # bodies call no function
+    tape = _fields_tape(sol)
+    block = live_points(sol, grid)[: BLOCK_CHUNKS * CHUNK]
+    runs, placed = [], []
+    run, fnapp = evaluate.Tape.run, evaluate._RULES[FnApp]
+
+    def counted(t, points, bindings=None):
+        if t is not tape:
+            runs.append(t)
+        return run(t, points, bindings)
+
+    def recorded(e, ctx, inner):
+        jet = fnapp(e, ctx, inner)
+        placed.append((e, inner, jet))
+        return jet
+
+    monkeypatch.setattr(evaluate.Tape, "run", counted)
+    monkeypatch.setitem(evaluate._RULES, FnApp, recorded)
+    tape.run(block)
+    assert len(runs) == len(pairs)
+    assert len(placed) == len(apps)
+    # Each jet, bit for bit, as a tape of the FnApp's own body at its
+    # own order and compose_smooth give it.
+    monkeypatch.undo()
+    for e, inner, jet in placed:
+        n = e.k + jet.space.order
+        body = eval_jet_batch(e.fn.body, ("s",), inner.value[:, None], n)
+        want = jets.compose_smooth(
+            inner, body.coef[:, e.k:] * jets._FACT[e.k : n + 1]).coef
+        assert np.array_equal(jet.coef, want), e
+        assert np.array_equal(np.signbit(jet.coef), np.signbit(want)), e
+
+
+# Spaces for the bare-variable placement: verify.P_SPACE, the {1, t}
+# space of an integrand in t, and total-degree and lower-set others.
+PLACE_SPACES = [(V4, P_SPACE), (("t",), jet_space(1, 1)),
+                (V4, jet_space(4, 2)), (("t", "x", "y"), LAPLACE_SPACE),
+                (("s", "x"), jet_space(2, 3)), (("x",), jet_space(1, 0))]
+
+
+# RealPow is left out: its rule has a known fault (see ROADMAP item 1).
+@settings(max_examples=150, deadline=None)
+@given(body=trees(2, ("s",), False, False), k=st.integers(0, 3),
+       case=st.sampled_from(PLACE_SPACES), data=st.data())
+def test_a_bare_variable_argument_is_placed_as_compose_smooth_gives_it(
+        body, k, case, data):
+    vars, space = case
+    axis = data.draw(st.integers(0, len(vars) - 1))
+    h = ParamFn("h", body)
+    pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(16, len(vars)))
+    x = pts[:, axis]
+    try:
+        with np.errstate(all="ignore"):
+            d = eval_jet_batch(body, ("s",), x[:, None], k + space.order)
+            got = eval_jet_batch(FnApp(h, k, Var(vars[axis])), vars, pts,
+                                 space).coef
+    except SeaconvError:
+        reject()
+    want = jets.compose_smooth(
+        var_batch(space, axis, x),
+        d.coef[:, k:] * jets._FACT[k : k + space.order + 1]).coef
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(PLACE_SPACES), data=st.data())
+def test_placed_zeros_carry_compose_smooth_s_signs(case, data):
+    # Derivatives of either sign and zeros of either sign, which set the
+    # signs of the zero coefficients compose_smooth leaves.
+    vars, space = case
+    axis = data.draw(st.integers(0, len(vars) - 1))
+    derivs = np.array(data.draw(st.lists(
+        st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.0]),
+                 min_size=space.order + 1, max_size=space.order + 1),
+        min_size=1, max_size=8)))
+    x = np.linspace(-1.0, 1.0, derivs.shape[0])
+    got = evaluate._place(space, axis, derivs).coef
+    want = jets.compose_smooth(var_batch(space, axis, x), derivs).coef
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_placing_a_bare_variable_argument_composes_nothing(monkeypatch):
+    calls = []
+    compose = jets.compose_smooth
+    monkeypatch.setattr(jets, "compose_smooth",
+                        lambda u, d: calls.append(u) or compose(u, d))
+    h = ParamFn("h", parse_expr("s^3 - s", allowed=("s",)))
+    jet = eval_jet_batch(FnApp(h, 1, Var("x")), V4, PTS, P_SPACE)
+    assert calls == []
+    x = PTS[:, 1]
+    assert np.array_equal(jet.value, (3 * x**2 - 1.0))
+    assert np.array_equal(jet.partial((0, 1, 0, 0)), 6 * x)
+
+
+def test_an_fnapp_of_a_bound_variable_still_evaluates():
+    # q is bound per point, not a jet variable: h'(q) is composed from a
+    # constant jet, so only its value is nonzero.
+    h = ParamFn("h", parse_expr("sin(s)", allowed=("s",)))
+    q = np.linspace(-1.0, 1.0, PTS.shape[0])
+    jet = eval_jet_batch(FnApp(h, 1, Var("q")), V4, PTS, 2, bindings={"q": q})
+    assert np.array_equal(jet.value, np.cos(q))
+    assert not jet.coef[:, 1:].any()
