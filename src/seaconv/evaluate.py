@@ -11,18 +11,24 @@ parameter function by identity) and its children's slots; it is
 computed once per node object, so a lookup never walks a subtree.
 Equal subtrees that are distinct objects, as a symmetry map or a second
 parse leaves them, share one entry.  The roots are walked largest space
-first, so each node is evaluated in the largest space any reader needs,
-and a smaller space reads its jet by truncation: a slice of its
-coefficients where its layout is a prefix, else a gather.
+first, and each node is evaluated in the space of the first root that
+reaches it, restricted to the node's jet variables (jets.restrict): a
+t-only subterm of p runs in {1, t}, a constant in {1}.  A parent reads
+each child in its own root's space restricted to the child's
+variables, a truncation of the child's jet (the roots' spaces are
+nested): a slice of its coefficients where its layout is a prefix, else
+a gather.  Add, Sub and Atan2 lift their operands to their own space,
+Mul and Div multiply only the pairs of coefficients both operands hold
+(jets.mul), and the roots are returned in the spaces asked for.
 
 The FnApps of one function on one argument slot (alpha, alpha' and
 alpha'' of t) share one run of the function's body per tape run, at
 the highest order k + n any of them needs, and each reads its
 derivatives off that jet; the body's tape is compiled once per
 (function, order).  The last such FnApp drops the body's jet.  Where
-the argument is a jet variable, f^(k)(x) is placed, not composed: its
-coefficient at x^j is f^(k+j)/j!, bit for bit as compose_smooth gives
-it, signed zeros included.
+the argument is a jet variable x, f^(k)(x) lives in the powers of x and
+is placed, not composed: its coefficient at x^j is f^(k+j)/j!, bit for
+bit as compose_smooth gives it, signed zeros included.
 
 A run goes entry by entry: the node's rule on its children's jets, and
 a check that the jet is finite.  Each entry lists the slots it reads
@@ -36,7 +42,6 @@ from __future__ import annotations
 import operator
 from collections import namedtuple
 from dataclasses import fields
-from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -59,7 +64,7 @@ from .expr import (
     Var,
 )
 from .jets import (MAX_PUBLIC_ORDER, JetBatch, JetSpace, const_batch,
-                   jet_space, var_batch)
+                   jet_space, restrict, var_batch)
 from .quadrature import Antideriv, compose_antideriv
 
 
@@ -128,25 +133,27 @@ class Tape:
 
     def _compile(self, roots, vars, spaces, bodies):
         """Walk the roots largest space first (a stable sort); a node with a
-        new key appends [node, its children's slots, the walking root's
-        space, the non-root slots it reads last] after its children's.
+        new key appends [node, its children's slots, its space, the
+        non-root slots it reads last, its axes, the spaces it reads its
+        children in] after its children's: its space and theirs are the
+        walking root's restricted to their axes (see _slot).
         The FnApps fn^(k) in a space of order n with one fn and argument
         slot form a pair, which needs fn's body at the highest k + n of
         them, past the public cap if need be; bodies gets the body's tape
         at (id(fn), that order).  fnapps maps id(FnApp) to (its pair,
-        the body's tape, whether it reads the pair last, and the axis of
-        its argument if that is a jet variable, else None)."""
+        the body's tape, whether it reads the pair last, and whether its
+        argument is a jet variable)."""
         self.vars, self.spaces = vars, spaces
         table, entries = {}, []
         slots = [None] * len(roots)
         for i in sorted(range(len(roots)), key=lambda i: spaces[i].ncoef,
                         reverse=True):
-            slots[i] = _slot(roots[i], table, entries, spaces[i])
-        last = {k: i for i, (_, kids, _, _) in enumerate(entries) for k in kids}
+            slots[i] = _slot(roots[i], vars, table, entries, spaces[i])
+        last = {k: i for i, entry in enumerate(entries) for k in entry[1]}
         for k in set(last).difference(slots):
             entries[last[k]][3].append(k)
         apps = [(i, e, (id(e.fn), kids[0]), e.k + space.order)
-                for i, (e, kids, space, _) in enumerate(entries)
+                for i, (e, kids, space, *_) in enumerate(entries)
                 if type(e) is FnApp]
         need, final = {}, {}
         for i, _, pair, order in apps:
@@ -157,10 +164,10 @@ class Tape:
             if key not in bodies:
                 bodies[key] = Tape.__new__(Tape)._compile(
                     (e.fn.body,), ("s",), (jet_space(1, key[1]),), bodies)
-            bare = type(e.arg) is Var and e.arg.name in vars
             self.fnapps[id(e)] = (pair, bodies[key], final[pair] == i,
-                                  vars.index(e.arg.name) if bare else None)
+                                  type(e.arg) is Var and e.arg.name in vars)
         self.entries, self.slots = entries, slots
+        self._spaces = {entry[2] for entry in entries}
         return self
 
     def run(self, points, bindings=None) -> list:
@@ -172,10 +179,10 @@ class Tape:
                     for k, v in (bindings or {}).items()}
         runs = {}
         ctxs = {s: _Ctx(self.vars, pts, s, bindings, self.fnapps, runs)
-                for s in self.spaces}
+                for s in self._spaces}
         held = [None] * len(self.entries)
-        for i, (e, kids, space, frees) in enumerate(self.entries):
-            args = [held[k].to(space) for k in kids]  # read in e's space
+        for i, (e, kids, space, frees, _, reads) in enumerate(self.entries):
+            args = [held[k].to(s) for k, s in zip(kids, reads)]
             jet = held[i] = _RULES[type(e)](e, ctxs[space], *args)
             if not np.isfinite(jet.coef).all():
                 raise EvalDomainError("non-finite value during evaluation", e)
@@ -184,28 +191,42 @@ class Tape:
         return [held[k].to(space) for k, space in zip(self.slots, self.spaces)]
 
 
-def _slot(e, table, tape, space) -> int:
+def _slot(e, vars, table, tape, space) -> int:
     """The slot of e in tape, shared by every structurally equal node.
     table maps id(node) and a node's key to its slot; the roots keep its
     nodes alive, so no id is reused.  An Antideriv's body, which
     compose_antideriv evaluates on its own, is keyed in a table and a
-    tape of its own, table[Antideriv], which are never run."""
+    tape of its own, table[Antideriv], which are never run.  A new entry
+    gets its axes, the positions in vars of its jet variables: a Var's
+    own, none for a bound Var or a Const, an Antideriv's inner's and its
+    ambient variables', and else its children's.  It is evaluated in
+    space restricted to its axes, and reads each child in space
+    restricted to the child's axes: a truncation of the child's jet,
+    which came from space or a larger root's space."""
     got = table.get(id(e))
     if got is None:
         own = _OWN_KEYS.get(type(e))
         if own is None:
             raise TypeError(f"cannot evaluate node of type {type(e).__name__}")
         integral = type(e) is Antideriv
-        kids = tuple([_slot(c, table, tape, space)
+        kids = tuple([_slot(c, vars, table, tape, space)
                       for c in ((e.inner,) if integral else e.children())])
         key = (type(e), own(e), kids)
         if integral:
             body = table.setdefault(Antideriv, ({}, []))
-            key += (_slot(e.body, *body, space),)
+            key += (_slot(e.body, vars, *body, space),)
         got = table.get(key)
         if got is None:
+            axes = frozenset()
+            for k in kids:
+                axes |= tape[k][4]
+            if type(e) is Var and e.name in vars:
+                axes = frozenset((vars.index(e.name),))
+            elif integral:
+                axes |= {vars.index(v) for v in e.ambient_vars() if v in vars}
             got = table[key] = len(tape)
-            tape.append([e, kids, space, []])
+            tape.append([e, kids, restrict(space, axes), [], axes,
+                         [restrict(space, tape[k][4]) for k in kids]])
         table[id(e)] = got
     return got
 
@@ -224,8 +245,12 @@ def _ev_var(e: Var, ctx):
 
 
 def _ev_arith(op):
-    """The jet rule of Add, Sub or Mul: op of the operands' jets."""
-    return lambda e, ctx, a, b: op(a, b)
+    """The jet rule of Add or Sub: op of the operands' jets in e's space."""
+    return lambda e, ctx, a, b: op(a.to(ctx.space), b.to(ctx.space))
+
+
+def _ev_mul(e: Mul, ctx, a, b):
+    return jets.mul(a, b, ctx.space)
 
 
 def _recip(b: JetBatch, site: Expr) -> JetBatch:
@@ -236,7 +261,7 @@ def _recip(b: JetBatch, site: Expr) -> JetBatch:
 
 
 def _ev_div(e: Div, ctx, a, b):
-    return a * _recip(b, e)
+    return jets.mul(a, _recip(b, e), ctx.space)
 
 
 def _ev_intpow(e: IntPow, ctx, base):
@@ -276,6 +301,7 @@ def _ev_atan2(e: Atan2, ctx, num, den):
     b0, a0 = num.value, den.value
     if np.any((b0 == 0.0) & (a0 == 0.0)):
         raise EvalDomainError("atan2 at the origin", e)
+    num, den = num.to(ctx.space), den.to(ctx.space)
     # atan2(b, a) = Im log(a + ib); the constant term is taken from
     # arctan2 itself so that order-0 values match it bit for bit.
     z = JetBatch(ctx.space, den.coef + 1j * num.coef)
@@ -286,62 +312,42 @@ def _ev_atan2(e: Atan2, ctx, num, den):
 
 
 def _ev_fnapp(e: FnApp, ctx, inner):
-    pair, tape, last, axis = ctx.fnapps[id(e)]
+    pair, tape, last, bare = ctx.fnapps[id(e)]
     if pair not in ctx.runs:
         [ctx.runs[pair]] = tape.run(inner.value[:, None])
     coef = (ctx.runs.pop(pair) if last else ctx.runs[pair]).coef
     need = e.k + ctx.space.order
     derivs = coef[:, e.k : need + 1] * jets._FACT[e.k : need + 1]
-    if axis is None:
-        return jets.compose_smooth(inner, derivs)
-    return _place(ctx.space, axis, derivs)
+    if bare:
+        return _place(ctx.space, derivs)
+    return jets.compose_smooth(inner, derivs)
 
 
-@lru_cache(maxsize=None)
-def _axis_layout(space: JetSpace, axis: int):
-    """The columns of the powers 1, x, x^2, ... of the variable x at axis
-    that space holds, and the other columns with their degrees in x."""
-    cols = []
-    while (mono := tuple(len(cols) * (i == axis)
-                         for i in range(space.nvars))) in space.index:
-        cols.append(space.index[mono])
-    rest = [i for i in range(space.ncoef) if i not in cols]
-    return cols, rest, [space.monos[i][axis] for i in rest]
-
-
-def _place(space: JetSpace, axis: int, derivs) -> JetBatch:
-    """compose_smooth(x, derivs) for x the jet variable at axis, bit for
-    bit, without its products: the coefficient at x^j is derivs[j]/j!,
-    and every other one is a zero.  The signs of the zeros follow
+def _place(space: JetSpace, derivs) -> JetBatch:
+    """compose_smooth(x, derivs) for x the jet variable whose powers 1, x,
+    x^2, ... make up space, bit for bit, without its products: the
+    coefficient at x^j is derivs[j]/j!.  The signs of its zeros follow
     compose_smooth's Horner steps, r <- r*x + a_k.  In r*x a coefficient
     is its one nonzero product, that of the coefficient one power of x
-    lower, or else a zero that is -0 only if every product is, that is,
-    if the coefficients at all the monomials it divides are negative.
-    So the zeros off the powers of x share a sign per degree in x, and
-    the running sum of the zeros r*0 is the conjunction of their signs."""
+    lower, plus the zeros r*0 of the coefficients below it."""
     n = space.order
     a = derivs / jets._FACT[: n + 1]
     if n == 0:
         return JetBatch(space, a[:, :1].copy())
-    cols, rest, degree = _axis_layout(space, axis)
     zero = a[:, n] * 0.0
-    p = ([zero, a[:, n]] + [zero] * n)[: len(cols)]  # at x^0, x^1, ...
-    p[0] = zero + a[:, n - 1]
-    z = [zero] * (max(degree, default=0) + 1)  # off them, per degree in x
+    p = [zero + a[:, n - 1], a[:, n]] + [zero] * (n - 1)  # at x^0, x^1, ...
     for k in range(n - 2, -1, -1):
         low = list(accumulate(c * 0.0 for c in p))
-        z = list(accumulate(c + d for c, d in zip(z, low)))
         p = [p[0] * 0.0 + a[:, k]] + [c + d for c, d in zip(p, low[1:])]
-    coef = np.empty((a.shape[0], space.ncoef), order="F")
-    for i, c in zip(cols, p):
+    coef = np.empty((a.shape[0], n + 1), order="F")
+    for i, c in enumerate(p):
         coef[:, i] = c
-    for i, d in zip(rest, degree):
-        coef[:, i] = z[d]
     return JetBatch(space, coef)
 
 
 def _ev_antideriv(e: Antideriv, ctx, G):
-    return compose_antideriv(e, G, ctx.vars, ctx.points, ctx.bindings)
+    return compose_antideriv(e, G.to(ctx.space), ctx.vars, ctx.points,
+                             ctx.bindings)
 
 
 _RULES = {
@@ -349,7 +355,7 @@ _RULES = {
     Var: _ev_var,
     Add: _ev_arith(operator.add),
     Sub: _ev_arith(operator.sub),
-    Mul: _ev_arith(operator.mul),
+    Mul: _ev_mul,
     Div: _ev_div,
     IntPow: _ev_intpow,
     RealPow: _ev_realpow,

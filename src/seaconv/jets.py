@@ -16,6 +16,13 @@ with unit stride.  Elementwise numpy operations and the prefix slice
 keep that layout.  A JetBatch built from a C-ordered array gives the
 same numbers, bit for bit, only slower.
 
+restrict(space, axes) keeps the monomials of space in the variables at
+axes alone, a lower set again: the space of a subterm that depends on
+those variables only.  Jets of different spaces never meet in + or -
+(JetBatch raises ValueError); JetBatch.to moves a jet into another
+space of as many variables, keeping the monomials both hold and putting
+zeros at the others, so it truncates, lifts, or both.
+
 A product sums, for each coefficient k, a_i b_j over the pairs with
 mono_i + mono_j = mono_k.  JetSpace.mul_coef adds them in a fixed order:
 a_0 b_k, plus the left fold of the other pairs in (i, j) order, built by
@@ -27,9 +34,17 @@ reduceat kernel for up to 8 real or 4 complex pairs per coefficient:
 every space the residual scans, guards, quadrature and exports use.
 Longer sums (order 8 in one variable, order >= 4 in four) differ in the
 last bits, since reduceat sums long tails pairwise.
+
+mul(a, b, space) multiplies jets of two spaces that space holds, through
+the mul_coef of _product_space(space, a's, b's), a copy of space's
+layout whose tables list only the pairs both operands hold, in the same
+order.  The pairs it leaves
+out are products with a zero, so every sum keeps its value, and only
+the sign of a zero sum can differ from the product of the lifted jets.
 """
 from __future__ import annotations
 
+import copy
 import math
 from functools import lru_cache
 
@@ -73,34 +88,67 @@ class JetSpace:
         self.mono_fact = np.array(
             [math.prod(math.factorial(e) for e in m) for m in monos], dtype=float
         )
-        # rest[k] lists the pairs (i, j), i >= 1, with mono_i + mono_j =
-        # mono_k, in (i, j) order; the pair (0, k) is left out.  Every
-        # k >= 1 has at least the pair (k, 0).  Step q of mul_coef adds the
-        # q-th pair of every k that has one into column k - 1 of its sums.
-        rest = [[] for _ in monos]
-        for i, mi in enumerate(monos[1:], 1):
-            for j, mj in enumerate(monos):
-                k = self.index.get(tuple(a + b for a, b in zip(mi, mj)))
-                if k is not None:
-                    rest[k].append((i, j))
-        self._steps = []
-        for q in range(max(map(len, rest))):
-            K, I, J = zip(*((k, *r[q]) for k, r in enumerate(rest[1:])
-                            if len(r) > q))
-            self._steps.append(tuple(_index(v) for v in (K, I, J)))
+        self._tables = _tables(self, self, self)
 
     def mul_coef(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Coefficients of the product of two jets, one row per point,
-        summed in the order the module docstring gives."""
-        out = a[:, :1] * b
-        if not self._steps:
+        summed in the order the module docstring gives.  Both are in
+        this space, or in those of _product_space(self, ...)."""
+        into, K0, steps = self._tables
+        if into is None:
+            out = a[:, :1] * b
+        else:
+            out = np.zeros((a.shape[0], self.ncoef), np.result_type(a, b),
+                           order="F")
+            out[:, into] = a[:, :1] * b
+        if not steps:
             return out
-        (_, I, J), *steps = self._steps
+        (_, I, J), *steps = steps
         rest = a[:, I] * b[:, J]
         for K, I, J in steps:
             rest[:, K] += a[:, I] * b[:, J]
-        out[:, 1:] += rest
+        out[:, K0] += rest
         return out
+
+
+def _tables(out: JetSpace, sa: JetSpace, sb: JetSpace):
+    """mul_coef's tables for a jet in sa times one in sb, into out, which
+    holds both: the columns of out that b's coefficients fill (None when
+    sb is out), then K0 and the fold steps of the other pairs.  rest[k]
+    lists the pairs (i, j), i >= 1, with mono_i + mono_j = mono_k, in
+    (i, j) order; the pair (0, k) is left out.  Step q adds the q-th pair
+    of every k that has one into its column of the sums, and K0 holds
+    the columns of out those sums go to.  In out's own space every k >= 1
+    has the pair (k, 0), so K0 is 1..ncoef - 1."""
+    if not (sa.index.keys() <= out.index.keys() >= sb.index.keys()):
+        raise ValueError("a product's space must hold its operands'")
+    rest = {}
+    for i, mi in enumerate(sa.monos[1:], 1):
+        for j, mj in enumerate(sb.monos):
+            k = out.index.get(tuple(a + b for a, b in zip(mi, mj)))
+            if k is not None:
+                rest.setdefault(k, []).append((i, j))
+    ks = sorted(rest)
+    steps = []
+    for q in range(max(map(len, rest.values()), default=0)):
+        K, I, J = zip(*((p, *rest[k][q]) for p, k in enumerate(ks)
+                        if len(rest[k]) > q))
+        steps.append(tuple(_index(v) for v in (K, I, J)))
+    into = None if sb is out else _index([out.index[m] for m in sb.monos])
+    return into, _index(ks) if ks else None, steps
+
+
+@lru_cache(maxsize=None)
+def _product_space(out: JetSpace, sa: JetSpace,
+                   sb: JetSpace) -> JetSpace:
+    """out's layout with the tables of the product of a jet in sa by one
+    in sb, both held by out: its mul_coef forms that product in out.  It
+    is out itself when sa and sb are."""
+    if sa is out and sb is out:
+        return out
+    view = copy.copy(out)
+    view._tables = _tables(out, sa, sb)
+    return view
 
 
 def _index(idx) -> slice | np.ndarray:
@@ -114,13 +162,32 @@ def _index(idx) -> slice | np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _cols(space: JetSpace, sub: JetSpace) -> slice | np.ndarray:
-    return _index([space.index[m] for m in sub.monos])
+def _cols(src: JetSpace, dst: JetSpace):
+    """The columns in src and in dst of the monomials both hold, and
+    whether src holds all of dst's."""
+    both = [m for m in dst.monos if m in src.index]
+    return (_index([src.index[m] for m in both]),
+            _index([dst.index[m] for m in both]), len(both) == dst.ncoef)
 
 
 @lru_cache(maxsize=None)
 def jet_space(nvars: int, order: int, keep=None) -> JetSpace:
     return JetSpace(nvars, order, keep)
+
+
+@lru_cache(maxsize=None)
+def restrict(space: JetSpace, axes) -> JetSpace:
+    """The monomials of space in the variables at axes (a frozenset or a
+    tuple of positions) alone: a lower set again, and space itself when
+    it drops nothing."""
+    keep = frozenset(m for m in space.monos
+                     if all(i in axes for i, d in enumerate(m) if d))
+    if len(keep) == space.ncoef:
+        return space
+    # One object per set of monomials, whatever space it came from.
+    full = jet_space(space.nvars, max(map(sum, keep)))
+    return full if len(keep) == full.ncoef else jet_space(
+        space.nvars, full.order, keep)
 
 
 class JetBatch:
@@ -138,27 +205,49 @@ class JetBatch:
     def value(self) -> np.ndarray:
         return self.coef[:, 0]
 
+    def _same(self, other: "JetBatch") -> JetSpace:
+        """The space of both jets.  Jets of different spaces meet through
+        to() or mul(): their columns are not the same monomials."""
+        if other.space is not self.space:
+            raise ValueError("jets of different spaces")
+        return self.space
+
     def __add__(self, other: "JetBatch") -> "JetBatch":
-        return JetBatch(self.space, self.coef + other.coef)
+        return JetBatch(self._same(other), self.coef + other.coef)
 
     def __sub__(self, other: "JetBatch") -> "JetBatch":
-        return JetBatch(self.space, self.coef - other.coef)
+        return JetBatch(self._same(other), self.coef - other.coef)
 
     def __mul__(self, other: "JetBatch") -> "JetBatch":
-        return JetBatch(self.space, self.space.mul_coef(self.coef, other.coef))
+        return mul(self, other, self._same(other))
 
     def to(self, space: JetSpace) -> "JetBatch":
-        """This jet truncated to space, whose monomials it holds: a slice
-        where space's layout is a prefix of its own, else a gather."""
+        """This jet in space: the coefficients of the monomials both hold,
+        and zeros at the others.  A truncation, where space's monomials
+        are all this jet's, is a slice where space's layout is a prefix of
+        its own, else a gather; a lift scatters into zeros."""
         if space is self.space:
             return self
-        return JetBatch(space, self.coef[:, _cols(self.space, space)])
+        src, dst, within = _cols(self.space, space)
+        if within:
+            return JetBatch(space, self.coef[:, src])
+        coef = np.zeros((self.npoints, space.ncoef), self.coef.dtype,
+                        order="F")
+        coef[:, dst] = self.coef[:, src]
+        return JetBatch(space, coef)
 
     def partial(self, mono: tuple[int, ...]) -> np.ndarray:
         """Mixed partial d^mono f at every point (Taylor coefficient
         times mono!)."""
         i = self.space.index[tuple(mono)]
         return self.coef[:, i] * self.space.mono_fact[i]
+
+
+def mul(a: JetBatch, b: JetBatch, space: JetSpace) -> JetBatch:
+    """The product of jets a and b in space, which holds both of theirs:
+    the pairs of coefficients that both hold, and no others."""
+    return JetBatch(space, _product_space(space, a.space, b.space).mul_coef(
+        a.coef, b.coef))
 
 
 def const_batch(space: JetSpace, values) -> JetBatch:

@@ -10,8 +10,9 @@ Each field is evaluated in the monomials its residual terms read: u, v
 and w at order 1, and p in P_SPACE, order 1 plus the second-order
 monomials that hold z, because rho = p_z and r3 reads rho's first
 partials.  One evaluate.Tape compiles them together, so a subtree p
-shares with a velocity is evaluated once and read by truncation, a
-prefix of P_SPACE; a scan compiles it once and runs it per block.
+shares with a velocity is evaluated once, in P_SPACE restricted to the
+subtree's variables, and the velocity reads it by truncation; a scan
+compiles the tape once and runs it per block.
 Reading rho off p's jet one derivative order higher makes r2 structural.
 """
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Taylor-jet arithmetic and the jet evaluator."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ from conftest import partial_at
 from seaconv.errors import EvalDomainError
 from seaconv.evaluate import deriv_1d, eval_jet, eval_jet_batch, eval_values
 from seaconv.expr import FnContext
-from seaconv.jets import (JetBatch, JetSpace, compose_smooth, jet_space,
-                          var_batch)
+from seaconv.jets import (JetBatch, JetSpace, compose_smooth, const_batch,
+                          jet_space, mul, restrict, var_batch)
 from seaconv.parser import parse_expr, parse_paramfn
+from seaconv.verify import P_SPACE
 
 V4 = ("t", "x", "y", "z")
 
@@ -173,6 +175,59 @@ def test_a_lower_set_keeps_its_columns_of_compositions_bit_for_bit(spaces,
     want = compose_smooth(JetBatch(full, u), derivs).coef
     got = compose_smooth(JetBatch(low, kept(full, low, u)), derivs).coef
     assert_same_bits(got, kept(full, low, want))
+
+
+@given(lower_sets(), st.data(), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_a_product_of_restricted_jets_is_that_of_the_lifted_ones(spaces, data,
+                                                               seed):
+    # Operands in the space restricted to their variables, the product in
+    # the restriction to both or in the whole space: only the pairs both
+    # hold are multiplied, and the value of each sum stays.
+    _, space = spaces
+    ax, bx = (data.draw(st.frozensets(st.integers(0, space.nvars - 1)))
+              for _ in "ab")
+    rng = np.random.default_rng(seed)
+    a, b = (JetBatch(s, random_coef(rng, s, 30, False))
+            for s in (restrict(space, ax), restrict(space, bx)))
+    for out in (restrict(space, ax | bx), space):
+        lifted = [j.to(out) for j in (a, b)]
+        got = mul(a, b, out)
+        assert got.space is out
+        assert np.array_equal(got.coef,
+                              out.mul_coef(lifted[0].coef, lifted[1].coef))
+        # Lifting puts zeros at the other monomials; truncating back gives
+        # the jet bit for bit.
+        for j, up in zip((a, b), lifted):
+            assert_same_bits(up.to(j.space).coef, j.coef)
+            others = [i for i, m in enumerate(out.monos)
+                      if m not in j.space.index]
+            assert not up.coef[:, others].any()
+
+
+def test_restrict_keeps_the_monomials_in_the_axes_and_drops_nothing_else():
+    full = jet_space(4, 2)
+    assert restrict(full, (0, 1, 2, 3)) is full
+    assert restrict(full, (0,)).monos == ((0, 0, 0, 0), (1, 0, 0, 0),
+                                         (2, 0, 0, 0))
+    assert restrict(full, ()).monos == ((0, 0, 0, 0),)
+    # One object per set of monomials, whatever space it came from, so
+    # that to() between them is free.
+    assert restrict(P_SPACE, (0, 1)) is restrict(jet_space(4, 1), (0, 1))
+    assert restrict(P_SPACE, (0, 1)).monos == ((0, 0, 0, 0), (0, 1, 0, 0),
+                                               (1, 0, 0, 0))
+    assert restrict(P_SPACE, ()) is jet_space(4, 0)
+
+
+def test_jets_of_different_spaces_do_not_add_or_multiply():
+    one = const_batch(restrict(P_SPACE, ()), np.ones(3))
+    p = var_batch(P_SPACE, 3, np.arange(3.0))
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ValueError):
+            op(p, one)
+        with pytest.raises(ValueError):
+            op(one, p)
+    assert np.array_equal((p + one.to(P_SPACE)).coef[:, 0], [1.0, 2.0, 3.0])
 
 
 @pytest.mark.parametrize("keep", [

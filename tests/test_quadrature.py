@@ -419,7 +419,8 @@ def test_a_t_only_integrand_runs_in_1_and_t_under_p_space(monkeypatch):
     for cls, rule in list(evaluate._RULES.items()):
         monkeypatch.setitem(evaluate._RULES, cls, recorded(rule))
     got = eval_jet_batch(node, V4, pts, P_SPACE)
-    assert seen == {((0,), (1,))}
+    # Constants run in {1}.
+    assert ((0,), (1,)) in seen and seen <= {((0,),), ((0,), (1,))}
     # The Gauss-Kronrod stopping test reads fewer columns here: equal to
     # within the tolerance, not bit for bit.
     cols = [full.space.index[m] for m in P_SPACE.monos]

@@ -48,6 +48,39 @@ def test_residual_batch_multiplies_in_no_space_wider_than_9(instance_matrix,
     assert widths and max(widths) <= P_SPACE.ncoef == 9
 
 
+def table_pairs(space):
+    """Multiply-adds of one row of space.mul_coef, read off its tables:
+    the products a_0 b, and one per pair of each fold step."""
+    def width(ix):
+        return ix.stop - ix.start if isinstance(ix, slice) else len(ix)
+
+    into, _, steps = space._tables
+    return (space.ncoef if into is None else width(into)) + sum(
+        width(K) for K, _, _ in steps)
+
+
+# The multiply-adds of one scan of theorem_3_1[curved], measured once:
+# 427,500 when every node ran in its root's whole space, 136,875 with each
+# node in its own variables.  Never raised to get a pass.
+SCAN_PRODUCTS = 136_875
+
+
+def test_a_scan_multiplies_only_the_pairs_both_spaces_hold(instance_matrix,
+                                                           monkeypatch):
+    [(sol, grid)] = [(s, g) for n, s, g, _ in instance_matrix
+                     if n == "theorem_3_1[curved]"]
+    products = []
+    mul_coef = JetSpace.mul_coef
+
+    def counted(space, a, b):
+        products.append(a.shape[0] * table_pairs(space))
+        return mul_coef(space, a, b)
+
+    monkeypatch.setattr(JetSpace, "mul_coef", counted)
+    residual_scan(sol, grid)
+    assert 0 < sum(products) <= SCAN_PRODUCTS
+
+
 def test_rigid_rotation_residuals_are_zero():
     r = residual_at(rigid_rotation(), (0.3, -1.2, 0.7, 2.0))
     assert np.array_equal(r, np.zeros(5))
