@@ -25,10 +25,7 @@ The FnApps of one function on one argument slot (alpha, alpha' and
 alpha'' of t) share one run of the function's body per tape run, at
 the highest order k + n any of them needs, and each reads its
 derivatives off that jet; the body's tape is compiled once per
-(function, order).  The last such FnApp drops the body's jet.  Where
-the argument is a jet variable x, f^(k)(x) lives in the powers of x and
-is placed, not composed: its coefficient at x^j is f^(k+j)/j!, bit for
-bit as compose_smooth gives it, signed zeros included.
+(function, order).  The last such FnApp drops the body's jet.
 
 A run goes entry by entry: the node's rule on its children's jets, and
 a check that the jet is finite.  Each entry lists the slots it reads
@@ -42,7 +39,6 @@ from __future__ import annotations
 import operator
 from collections import namedtuple
 from dataclasses import fields
-from itertools import accumulate
 
 import numpy as np
 
@@ -141,8 +137,7 @@ class Tape:
         slot form a pair, which needs fn's body at the highest k + n of
         them, past the public cap if need be; bodies gets the body's tape
         at (id(fn), that order).  fnapps maps id(FnApp) to (its pair,
-        the body's tape, whether it reads the pair last, and whether its
-        argument is a jet variable)."""
+        the body's tape, and whether it reads the pair last)."""
         self.vars, self.spaces = vars, spaces
         table, entries = {}, []
         slots = [None] * len(roots)
@@ -164,8 +159,7 @@ class Tape:
             if key not in bodies:
                 bodies[key] = Tape.__new__(Tape)._compile(
                     (e.fn.body,), ("s",), (jet_space(1, key[1]),), bodies)
-            self.fnapps[id(e)] = (pair, bodies[key], final[pair] == i,
-                                  type(e.arg) is Var and e.arg.name in vars)
+            self.fnapps[id(e)] = (pair, bodies[key], final[pair] == i)
         self.entries, self.slots = entries, slots
         self._spaces = {entry[2] for entry in entries}
         return self
@@ -312,37 +306,13 @@ def _ev_atan2(e: Atan2, ctx, num, den):
 
 
 def _ev_fnapp(e: FnApp, ctx, inner):
-    pair, tape, last, bare = ctx.fnapps[id(e)]
+    pair, tape, last = ctx.fnapps[id(e)]
     if pair not in ctx.runs:
         [ctx.runs[pair]] = tape.run(inner.value[:, None])
     coef = (ctx.runs.pop(pair) if last else ctx.runs[pair]).coef
     need = e.k + ctx.space.order
     derivs = coef[:, e.k : need + 1] * jets._FACT[e.k : need + 1]
-    if bare:
-        return _place(ctx.space, derivs)
     return jets.compose_smooth(inner, derivs)
-
-
-def _place(space: JetSpace, derivs) -> JetBatch:
-    """compose_smooth(x, derivs) for x the jet variable whose powers 1, x,
-    x^2, ... make up space, bit for bit, without its products: the
-    coefficient at x^j is derivs[j]/j!.  The signs of its zeros follow
-    compose_smooth's Horner steps, r <- r*x + a_k.  In r*x a coefficient
-    is its one nonzero product, that of the coefficient one power of x
-    lower, plus the zeros r*0 of the coefficients below it."""
-    n = space.order
-    a = derivs / jets._FACT[: n + 1]
-    if n == 0:
-        return JetBatch(space, a[:, :1].copy())
-    zero = a[:, n] * 0.0
-    p = [zero + a[:, n - 1], a[:, n]] + [zero] * (n - 1)  # at x^0, x^1, ...
-    for k in range(n - 2, -1, -1):
-        low = list(accumulate(c * 0.0 for c in p))
-        p = [p[0] * 0.0 + a[:, k]] + [c + d for c, d in zip(p, low[1:])]
-    coef = np.empty((a.shape[0], n + 1), order="F")
-    for i, c in enumerate(p):
-        coef[:, i] = c
-    return JetBatch(space, coef)
 
 
 def _ev_antideriv(e: Antideriv, ctx, G):

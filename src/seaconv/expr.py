@@ -4,6 +4,7 @@ structure-preserving printer, capture-free substitution, and symbolic
 differentiation."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from operator import attrgetter
 
@@ -450,24 +451,27 @@ def neg(a: Expr) -> Expr:
 
 def pow_node(base: Expr, e) -> Expr:
     """Normalizing power constructor: integer-valued exponents become
-    IntPow, others RealPow; trivial exponents fold."""
+    IntPow, others RealPow; trivial exponents fold, and so does a
+    constant base where its power is a finite float.  Any other constant
+    power stays a node, whose jet rule raises the domain error."""
     if isinstance(e, Expr):
         if not isinstance(e, Const):
             raise ValueError("exponent must be a numeric literal")
         e = e.value
     e = float(e)
-    if e.is_integer():
-        n = int(e)
-        if n == 0:
-            return Const(1.0)
-        if n == 1:
-            return base
-        if isinstance(base, Const):
-            return Const(base.value**n)
-        return IntPow(base, n)
+    n = int(e) if e.is_integer() else None
+    if n == 0:
+        return Const(1.0)
+    if n == 1:
+        return base
     if isinstance(base, Const):
-        return Const(base.value**e)
-    return RealPow(base, e)
+        try:
+            value = base.value ** (e if n is None else n)
+        except (ZeroDivisionError, OverflowError):
+            value = None
+        if isinstance(value, float) and math.isfinite(value):
+            return Const(value)
+    return RealPow(base, e) if n is None else IntPow(base, n)
 
 
 def print_expr(e: Expr) -> str:

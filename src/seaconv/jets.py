@@ -290,17 +290,19 @@ def compose_smooth(u: JetBatch, derivs: np.ndarray) -> JetBatch:
 
 def int_power(u: JetBatch, n: int) -> JetBatch:
     """u**n for integer n >= 0 by binary exponentiation (exact, no domain
-    restriction on u0).  Negative exponents are handled by the evaluator."""
-    space = u.space
-    result = const_batch(space, np.ones(u.npoints))
+    restriction on u0), starting from the lowest odd power u^(2^j) that n
+    holds.  Negative exponents are handled by the evaluator."""
+    if n == 0:
+        return const_batch(u.space, np.ones(u.npoints))
     base = u
-    k = n
-    while k > 0:
-        if k & 1:
+    while not n & 1:
+        base = base * base
+        n >>= 1
+    result = base
+    while n := n >> 1:
+        base = base * base
+        if n & 1:
             result = result * base
-        k >>= 1
-        if k:
-            base = base * base
     return result
 
 

@@ -532,6 +532,24 @@ def test_overflow_in_evaluation_prints_only_the_error(tmp_path):
     assert [str(w.message) for w in caught] == []
 
 
+@pytest.mark.parametrize("power, message", [
+    ("(-2)^0.5", "real power of a non-positive base"),
+    ("0^-1", "division by zero"),
+    ("10^400", "non-finite value"),
+])
+def test_a_constant_power_that_is_no_finite_float_fails_verify(tmp_path,
+                                                               power, message):
+    # build keeps the power unfolded; verify reports its domain error.
+    cfg = write(tmp_path, "pow.cfg", RIGID_CFG + f"override_p = z + {power}\n")
+    desc = str(tmp_path / "pow.desc")
+    assert run(["build", "--config", cfg, "--out", desc]) == (0, "", "")
+    code, _, err = run(["verify", "--descriptor", desc,
+                        "--grid", "t=0:1:2,x=-1:1:3,y=0:1:2,z=0:1:2"])
+    assert code == 2
+    assert_one_error_line(err)
+    assert message in err and power in err
+
+
 POLE_CFG = ("family = theorem_4_3\nalpha(t) = 1.5 + t^2\n"
             "beta(t) = 2 + sin(t)\nIm(s) = s^2/2\ntheta(t,x) = 2*x - t\n")
 

@@ -317,8 +317,9 @@ def test_one_body_run_per_function_and_argument_per_block(instance_matrix,
         assert np.array_equal(np.signbit(jet.coef), np.signbit(want)), e
 
 
-# Spaces for the bare-variable placement: verify.P_SPACE, the {1, t}
-# space of an integrand in t, and total-degree and lower-set others.
+# Spaces for an FnApp of a bare jet variable, which runs in that
+# variable's powers: verify.P_SPACE, the {1, t} space of an integrand in
+# t, and total-degree and lower-set others.
 PLACE_SPACES = [(V4, P_SPACE), (("t",), jet_space(1, 1)),
                 (V4, jet_space(4, 2)), (("t", "x", "y"), LAPLACE_SPACE),
                 (("s", "x"), jet_space(2, 3)), (("x",), jet_space(1, 0))]
@@ -356,33 +357,9 @@ def test_a_bare_variable_argument_is_placed_as_compose_smooth_gives_it(
     assert np.array_equal(np.signbit(got), np.signbit(want[sub]))
 
 
-@settings(max_examples=200, deadline=None)
-@given(case=st.sampled_from(PLACE_SPACES), data=st.data())
-def test_placed_zeros_carry_compose_smooth_s_signs(case, data):
-    # Derivatives of either sign and zeros of either sign, which set the
-    # signs of the zero coefficients compose_smooth leaves.
-    vars, space = case
-    axis = data.draw(st.integers(0, len(vars) - 1))
-    space = jets.restrict(space, (axis,))  # the powers of the argument
-    derivs = np.array(data.draw(st.lists(
-        st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.0]),
-                 min_size=space.order + 1, max_size=space.order + 1),
-        min_size=1, max_size=8)))
-    x = np.linspace(-1.0, 1.0, derivs.shape[0])
-    got = evaluate._place(space, derivs).coef
-    want = jets.compose_smooth(var_batch(space, axis, x), derivs).coef
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
-
-
-def test_placing_a_bare_variable_argument_composes_nothing(monkeypatch):
-    calls = []
-    compose = jets.compose_smooth
-    monkeypatch.setattr(jets, "compose_smooth",
-                        lambda u, d: calls.append(u) or compose(u, d))
+def test_an_fnapp_of_a_bare_variable_has_the_function_s_derivatives():
     h = ParamFn("h", parse_expr("s^3 - s", allowed=("s",)))
     jet = eval_jet_batch(FnApp(h, 1, Var("x")), V4, PTS, P_SPACE)
-    assert calls == []
     x = PTS[:, 1]
     assert np.array_equal(jet.value, (3 * x**2 - 1.0))
     assert np.array_equal(jet.partial((0, 1, 0, 0)), 6 * x)

@@ -13,7 +13,7 @@ from seaconv.errors import EvalDomainError
 from seaconv.evaluate import deriv_1d, eval_jet, eval_jet_batch, eval_values
 from seaconv.expr import FnContext
 from seaconv.jets import (JetBatch, JetSpace, compose_smooth, const_batch,
-                          jet_space, mul, restrict, var_batch)
+                          int_power, jet_space, mul, restrict, var_batch)
 from seaconv.parser import parse_expr, parse_paramfn
 from seaconv.verify import P_SPACE
 
@@ -203,6 +203,40 @@ def test_a_product_of_restricted_jets_is_that_of_the_lifted_ones(spaces, data,
             others = [i for i, m in enumerate(out.monos)
                       if m not in j.space.index]
             assert not up.coef[:, others].any()
+
+
+def power_from_the_unit_jet(u, n):
+    """u**n by binary exponentiation that starts from the constant 1."""
+    result, base = const_batch(u.space, np.ones(u.npoints)), u
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
+@pytest.mark.parametrize("n, products", [(0, 0), (1, 0), (2, 1), (3, 2),
+                                         (4, 2), (5, 3), (6, 3), (7, 4)])
+@pytest.mark.parametrize("space", [jet_space(1, 3), jet_space(4, 2), P_SPACE],
+                         ids=["1var", "4var", "p"])
+def test_int_power_multiplies_no_unit_jet(monkeypatch, space, n, products):
+    # Nonzero coefficients, where the unit jet's product 1*u is u bit for
+    # bit; with zeros it can turn a -0.0 of u into +0.0.
+    rng = np.random.default_rng(n)
+    u = JetBatch(space, np.asfortranarray(
+        rng.standard_normal((8, space.ncoef))))
+    zeros = JetBatch(space, random_coef(rng, space, 8, False))
+    want = [power_from_the_unit_jet(v, n).coef for v in (u, zeros)]
+    calls = []
+    mul_coef = JetSpace.mul_coef
+    monkeypatch.setattr(JetSpace, "mul_coef",
+                        lambda s, a, b: calls.append(s) or mul_coef(s, a, b))
+    got = int_power(u, n).coef
+    assert len(calls) == products
+    assert_same_bits(got, want[0])
+    assert np.array_equal(int_power(zeros, n).coef, want[1])
 
 
 def test_restrict_keeps_the_monomials_in_the_axes_and_drops_nothing_else():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seaconv.errors import ParseError
+from seaconv.errors import EvalDomainError, ParseError
 from seaconv.evaluate import eval_values
 from seaconv.expr import (Add, Atan2, Call, FnContext, IntPow, Mul, RealPow,
                           print_expr)
@@ -46,6 +46,23 @@ def test_unary_minus():
 def test_integer_vs_real_power():
     assert isinstance(parse_expr("x^3", None), IntPow)
     assert isinstance(parse_expr("x^0.5", None), RealPow)
+
+
+@pytest.mark.parametrize("src, cls, message", [
+    ("(-2)^0.5", RealPow, "real power of a non-positive base"),
+    ("0^-1", IntPow, "division by zero"),
+    ("10^400", IntPow, "non-finite value"),
+])
+def test_a_constant_power_that_is_no_finite_float_stays_a_node(src, cls,
+                                                               message):
+    # Folding would raise a Python error; the node's jet rule raises the
+    # domain error instead, when it is evaluated.
+    e = parse_expr(src, None)
+    assert isinstance(e, cls)
+    assert parse_expr(print_expr(e), None) == e
+    with np.errstate(all="ignore"), pytest.raises(EvalDomainError) as exc:
+        _value(src)
+    assert message in str(exc.value)
 
 
 def test_atan2_form():

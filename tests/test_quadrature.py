@@ -93,6 +93,12 @@ def test_nonconvergence_raises():
     assert "depth" in str(exc.value)
 
 
+def test_a_non_finite_integrand_raises():
+    with pytest.raises(QuadratureError) as exc:
+        adaptive_simpson(lambda s: math.nan, 0.0, 1.0)
+    assert "non-finite" in str(exc.value)
+
+
 def test_oscillatory_integral_converges_in_16_subintervals():
     # sin(20 s) over [0, 3]: G7/K15 holds 16 live subintervals at its
     # finest level here.
@@ -237,6 +243,17 @@ def test_diff_through_node():
     d = diff(node, "x")
     got = eval_values(d, V4, np.array([[0.0, 1.5, 0.0, 0.0]]))
     assert abs(got[0] - 1.5 ** 3) < 1e-12
+
+
+def test_diff_through_an_ambient_variable_is_the_jet_s_partial():
+    # The integrand reads t, so d/dt adds the integral of its t-derivative
+    # to the boundary term.
+    body = parse_expr("sin(s*t) + t^2", None, allowed=("s", "t"))
+    node = Antideriv(body, parse_expr("1 + t*x^2", None), 0.5)
+    pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(12, 4))
+    got = eval_values(diff(node, "t"), V4, pts)
+    want = eval_jet_batch(node, V4, pts, 1).partial((1, 0, 0, 0))
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
 
 def test_ambient_variable_in_integrand():
