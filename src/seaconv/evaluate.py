@@ -27,6 +27,16 @@ the highest order k + n any of them needs, and each reads its
 derivatives off that jet; the body's tape is compiled once per
 (function, order).  The last such FnApp drops the body's jet.
 
+An Antideriv's jet (compose_antideriv) integrates each distinct (upper
+limit, ambient values) row once by quadrature.gauss_kronrod, expanding
+the integrand in its ambient jet variables only, in the node's space
+restricted to them: under a space whose second-order monomials all hold
+z, a z-free integrand runs at order 1.  The stopping test reads only
+those coefficients, so they match a larger space's to within the
+tolerance, not bit for bit; the coefficients through the upper limit
+follow the fundamental theorem of calculus exactly.  The integrand is
+compiled afresh per quadrature level, and nodes keep no cache.
+
 A run goes entry by entry: the node's rule on its children's jets, and
 a check that the jet is finite.  Each entry lists the slots it reads
 last, and drops their jets, so a run holds only the jets still to be
@@ -39,6 +49,7 @@ from __future__ import annotations
 import operator
 from collections import namedtuple
 from dataclasses import fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,7 +72,7 @@ from .expr import (
 )
 from .jets import (MAX_PUBLIC_ORDER, JetBatch, JetSpace, const_batch,
                    jet_space, restrict, var_batch)
-from .quadrature import Antideriv, compose_antideriv
+from .quadrature import Antideriv, gauss_kronrod
 
 
 # What a rule reads besides its children's jets, in its node's space:
@@ -111,6 +122,24 @@ def deriv_1d(f, s0: float, k: int) -> float:
         raise ValueError("k out of range (0..6)")
     batch = eval_jet_batch(f.body, ("s",), np.array([[float(s0)]]), k)
     return float(batch.partial((k,))[0])
+
+
+def antiderivative_value(node: Antideriv, s: float,
+                         ambient: dict[str, float] | None = None) -> float:
+    """Integral of the node's integrand from node.base to s.  Bodies that
+    reference ambient variables need their values supplied."""
+    amb = node.ambient_vars()
+    ambient = ambient or {}
+    missing = [v for v in amb if v not in ambient]
+    if missing:
+        raise ValueError(f"integrand needs ambient values for {missing}")
+    tape = Tape((node.body,), ("s",), (0,))
+
+    def f(svals, rows):
+        binds = {v: np.full(svals.shape[0], float(ambient[v])) for v in amb}
+        return tape.run(svals[:, None], binds)[0].value
+
+    return float(gauss_kronrod(f, [node.base], [float(s)], node.tol)[0, 0])
 
 
 class Tape:
@@ -313,6 +342,99 @@ def _ev_fnapp(e: FnApp, ctx, inner):
     need = e.k + ctx.space.order
     derivs = coef[:, e.k : need + 1] * jets._FACT[e.k : need + 1]
     return jets.compose_smooth(inner, derivs)
+
+
+@lru_cache(maxsize=None)
+def _embed_tables(space: JetSpace, pos: tuple[int, ...]):
+    """The restriction sub of space to its variables at positions pos,
+    the space of the (s, pos) joint jet, and index maps into space:
+    lift[i] is the column of sub's i-th coefficient, and tables[k - 1] =
+    (dst, src) pulls the coefficients of d^(k-1)f/ds^(k-1) that space
+    holds out of the joint jet, for k = 1..space.order.  The joint space
+    is the total-degree one with m[1:] in sub: the monomials the tables
+    read, and s^order, which keeps the joint jet at space's order, so an
+    integrand that holds an Antideriv over s cannot be differentiated at
+    any order >= 1."""
+    def col(m):
+        e = [0] * space.nvars
+        for p, d in zip(pos, m):
+            e[p] = d
+        return space.index.get(tuple(e))
+
+    n = space.order
+    sub = jet_space(len(pos), n, frozenset(
+        m for m in jet_space(len(pos), n).monos if col(m) is not None))
+    joint = jet_space(len(pos) + 1, n, frozenset(
+        m for m in jet_space(len(pos) + 1, n).monos
+        if col(m[1:]) is not None))
+    tables = []
+    for k in range(1, n + 1):
+        dst, src = zip(*((col(m[1:]), i) for i, m in enumerate(joint.monos)
+                         if m[0] == k - 1))
+        tables.append((np.array(dst), np.array(src)))
+    return (sub, joint, np.array([col(m) for m in sub.monos]),
+            tuple(tables))
+
+
+def compose_antideriv(node: Antideriv, G: JetBatch, vars: tuple[str, ...],
+                      points: np.ndarray, bindings=None) -> JetBatch:
+    """Jet of the antiderivative as a function of the ambient variables,
+    given the jet G of the upper limit at the same points."""
+    space = G.space
+    n = space.order
+    npts = points.shape[0]
+    if npts == 0:
+        return JetBatch(space, np.zeros((0, space.ncoef)))
+    if n >= 1 and "s" in vars:
+        raise ValueError(
+            f"cannot differentiate {node!r} inside an integrand: its "
+            f"variable 's' is already a jet variable there")
+    amb = node.ambient_vars()
+    jv = tuple(v for v in vars if v in amb)
+    bindings = bindings or {}
+
+    cols = [G.value]
+    for v in amb:
+        if v in vars:
+            cols.append(points[:, vars.index(v)])
+        elif v in bindings:
+            cols.append(np.asarray(bindings[v], dtype=float))
+        else:
+            raise ValueError(f"ambient variable {v!r} unavailable for integrand")
+    # One row per distinct (upper limit, ambient values): the jet depends
+    # on nothing else, and its coefficients in variables outside jv are 0.
+    rows, inv = np.unique(np.column_stack(cols), axis=0, return_inverse=True)
+    inv = inv.reshape(-1)
+    jpts = rows[:, [1 + amb.index(v) for v in jv]]
+    rbinds = {v: rows[:, 1 + i] for i, v in enumerate(amb) if v not in jv}
+
+    def f(svals, r):
+        binds = {v: arr[r] for v, arr in rbinds.items()}
+        binds["s"] = svals
+        return eval_jet_batch(node.body, jv, jpts[r], sub, bindings=binds).coef
+
+    sub, joint, lift, tables = _embed_tables(space,
+                                             tuple(map(vars.index, jv)))
+    Q = gauss_kronrod(f, np.full(rows.shape[0], node.base), rows[:, 0],
+                       node.tol)
+    A = np.zeros((npts, space.ncoef), order="F")
+    A[:, lift] = Q[inv]
+
+    if n >= 1:
+        B = eval_jet_batch(node.body, ("s",) + jv,
+                           np.column_stack([rows[:, 0], jpts]), joint,
+                           bindings=rbinds).coef[inv]
+        ghat = G.coef.copy(order="K")
+        ghat[:, 0] = 0.0
+        gpow = ghat
+        for k, (dst, src) in enumerate(tables, start=1):
+            Dk = np.zeros((npts, space.ncoef), order="F")
+            Dk[:, dst] = B[:, src]
+            A += space.mul_coef(Dk, gpow) / k
+            if k < n:
+                gpow = space.mul_coef(gpow, ghat)
+
+    return JetBatch(space, A)
 
 
 def _ev_antideriv(e: Antideriv, ctx, G):

@@ -333,11 +333,6 @@ class ParamFn:
     def __call__(self, arg, k: int = 0) -> "FnApp":
         return FnApp(self, int(k), wrap(arg))
 
-    def value_at(self, s0: float, k: int = 0) -> float:
-        from .evaluate import deriv_1d
-
-        return deriv_1d(self, float(s0), k)
-
 
 @node
 class FnApp(Expr):

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import EvalDomainError, HypothesisError
-from .evaluate import eval_jet_batch
+from .evaluate import deriv_1d, eval_jet_batch
 from .expr import (
     Atan2,
     Call,
@@ -406,8 +406,7 @@ def build_theorem_4_4(alpha, beta, phi, Im, zeta=0.0, t_range=(-1.0, 1.0),
     g_t = (a / b) * fm1 + (b / a) * f
     g_s = substitute(g_t, {"t": S})
     K = Antideriv(g_s, T, t0, quad_tol)
-    a0 = alpha.value_at(t0)
-    b0 = beta.value_at(t0)
+    a0, b0 = deriv_1d(alpha, t0, 0), deriv_1d(beta, t0, 0)
     if a0 * b0 == 0.0:
         raise HypothesisError(
             f"alpha(t0)*beta(t0) is 0 at t0 = {t0!r} (alpha = {a0:.3g}, "

@@ -2,29 +2,18 @@
 
 The Antideriv node represents s -> integral of a one-variable integrand
 from a fixed base point, where the integrand may also reference ambient
-variables (frozen parameters of the enclosing field).  Jet evaluation is
-analytic: quadrature error enters only the pure-parameter coefficients,
-never the coefficients generated through the upper limit (those follow
-the fundamental theorem of calculus exactly).
-
-Each jet evaluation integrates each distinct (upper limit, ambient
-values) row once by adaptive Gauss-Kronrod (G7/K15), expanding the
-integrand only in the ambient variables that are jet variables, in the
-node's space restricted to them: under a space whose second-order
-monomials all hold z, a z-free integrand runs at order 1.  The stopping
-test reads only those coefficients, so they agree with a larger space's
-to within the tolerance, not bit for bit.  Nodes keep no cache: memory
-does not grow across scans, and a repeated scan recomputes its integrals.
+variables (frozen parameters of the enclosing field).  gauss_kronrod
+integrates many rows at once by adaptive Gauss-Kronrod (G7/K15), each
+row reproducible bitwise.  The node's jet rule, which drives the
+integrand through the evaluator, is evaluate.compose_antideriv: this
+module imports nothing from the evaluator.
 """
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import QuadratureError
 from .expr import Const, Expr, add, mul, node
-from .jets import JetBatch, JetSpace, jet_space
 
 DEFAULT_TOL = 1e-10
 # Below MIN_TOL the rounding in a subinterval's Kronrod and Gauss sums
@@ -56,7 +45,7 @@ _ABSCISSAE = np.array([0.0] + [sg * x for x in KRONROD_NODES[1:]
                                for sg in (-1.0, 1.0)])
 
 
-def _gauss_kronrod(f, a, b, tol):
+def gauss_kronrod(f, a, b, tol):
     """Integrate many rows at once: row i is the integral of f over
     [a[i], b[i]].  f(svals, rows) returns the integrand values (vector-
     valued allowed) for each sample; rows says which integral each sample
@@ -126,7 +115,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float = DEFAULT_TOL) -> float:
     def fb(svals, rows):
         return np.array([float(f(float(s))) for s in svals])
 
-    return float(_gauss_kronrod(fb, [a], [b], tol)[0, 0])
+    return float(gauss_kronrod(fb, [a], [b], tol)[0, 0])
 
 
 @node(eq=False)
@@ -140,6 +129,10 @@ class Antideriv(Expr):
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
+        if not np.isfinite(self.base):
+            raise QuadratureError(
+                f"the base of an integral must be a finite number, got "
+                f"{self.base!r}")
         if not MIN_TOL <= self.tol < np.inf:
             raise QuadratureError(
                 f"quad_tol must be a finite number >= {MIN_TOL:g}, got "
@@ -171,118 +164,3 @@ class Antideriv(Expr):
         bt, _ = self.body._print()
         it, _ = self.inner._print()
         return f"antideriv(s -> {bt}, from {self.base!r} to {it})", 4
-
-
-def antiderivative_value(node: Antideriv, s: float,
-                         ambient: dict[str, float] | None = None) -> float:
-    """Integral of the node's integrand from node.base to s.  Bodies that
-    reference ambient variables need their values supplied."""
-    from .evaluate import Tape
-
-    amb = node.ambient_vars()
-    ambient = ambient or {}
-    missing = [v for v in amb if v not in ambient]
-    if missing:
-        raise ValueError(f"integrand needs ambient values for {missing}")
-    tape = Tape((node.body,), ("s",), (0,))
-
-    def f(svals, rows):
-        binds = {v: np.full(svals.shape[0], float(ambient[v])) for v in amb}
-        return tape.run(svals[:, None], binds)[0].value
-
-    return float(_gauss_kronrod(f, [node.base], [float(s)], node.tol)[0, 0])
-
-
-@lru_cache(maxsize=None)
-def _embed_tables(space: JetSpace, pos: tuple[int, ...]):
-    """The restriction sub of space to its variables at positions pos,
-    the space of the (s, pos) joint jet, and index maps into space:
-    lift[i] is the column of sub's i-th coefficient, and tables[k - 1] =
-    (dst, src) pulls the coefficients of d^(k-1)f/ds^(k-1) that space
-    holds out of the joint jet, for k = 1..space.order.  The joint space
-    is the total-degree one with m[1:] in sub: the monomials the tables
-    read, and s^order, which keeps the joint jet at space's order, so an
-    integrand that holds an Antideriv over s cannot be differentiated at
-    any order >= 1."""
-    def col(m):
-        e = [0] * space.nvars
-        for p, d in zip(pos, m):
-            e[p] = d
-        return space.index.get(tuple(e))
-
-    n = space.order
-    sub = jet_space(len(pos), n, frozenset(
-        m for m in jet_space(len(pos), n).monos if col(m) is not None))
-    joint = jet_space(len(pos) + 1, n, frozenset(
-        m for m in jet_space(len(pos) + 1, n).monos
-        if col(m[1:]) is not None))
-    tables = []
-    for k in range(1, n + 1):
-        dst, src = zip(*((col(m[1:]), i) for i, m in enumerate(joint.monos)
-                         if m[0] == k - 1))
-        tables.append((np.array(dst), np.array(src)))
-    return (sub, joint, np.array([col(m) for m in sub.monos]),
-            tuple(tables))
-
-
-def compose_antideriv(node: Antideriv, G: JetBatch, vars: tuple[str, ...],
-                      points: np.ndarray, bindings=None) -> JetBatch:
-    """Jet of the antiderivative as a function of the ambient variables,
-    given the jet G of the upper limit at the same points."""
-    from .evaluate import eval_jet_batch
-
-    space = G.space
-    n = space.order
-    npts = points.shape[0]
-    if npts == 0:
-        return JetBatch(space, np.zeros((0, space.ncoef)))
-    if n >= 1 and "s" in vars:
-        raise ValueError(
-            f"cannot differentiate {node!r} inside an integrand: its "
-            f"variable 's' is already a jet variable there")
-    amb = node.ambient_vars()
-    jv = tuple(v for v in vars if v in amb)
-    bindings = bindings or {}
-
-    cols = [G.value]
-    for v in amb:
-        if v in vars:
-            cols.append(points[:, vars.index(v)])
-        elif v in bindings:
-            cols.append(np.asarray(bindings[v], dtype=float))
-        else:
-            raise ValueError(f"ambient variable {v!r} unavailable for integrand")
-    # One row per distinct (upper limit, ambient values): the jet depends
-    # on nothing else, and its coefficients in variables outside jv are 0.
-    rows, inv = np.unique(np.column_stack(cols), axis=0, return_inverse=True)
-    inv = inv.reshape(-1)
-    jpts = rows[:, [1 + amb.index(v) for v in jv]]
-    rbinds = {v: rows[:, 1 + i] for i, v in enumerate(amb) if v not in jv}
-
-    def f(svals, r):
-        binds = {v: arr[r] for v, arr in rbinds.items()}
-        binds["s"] = svals
-        return eval_jet_batch(node.body, jv, jpts[r], sub, bindings=binds).coef
-
-    sub, joint, lift, tables = _embed_tables(space,
-                                             tuple(map(vars.index, jv)))
-    Q = _gauss_kronrod(f, np.full(rows.shape[0], node.base), rows[:, 0],
-                       node.tol)
-    A = np.zeros((npts, space.ncoef), order="F")
-    A[:, lift] = Q[inv]
-
-    if n >= 1:
-        B = eval_jet_batch(node.body, ("s",) + jv,
-                           np.column_stack([rows[:, 0], jpts]), joint,
-                           bindings=rbinds).coef[inv]
-        ghat = G.coef.copy(order="K")
-        ghat[:, 0] = 0.0
-        gpow = ghat
-        for k, (dst, src) in enumerate(tables, start=1):
-            Dk = np.zeros((npts, space.ncoef), order="F")
-            Dk[:, dst] = B[:, src]
-            A += space.mul_coef(Dk, gpow) / k
-            if k < n:
-                gpow = space.mul_coef(gpow, ghat)
-
-    return JetBatch(space, A)

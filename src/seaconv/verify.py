@@ -227,6 +227,8 @@ def fd_cross_check(e: Expr, point, step: float = 1e-4,
     """Compare order-1 jet coefficients against five-point central
     differences of plain evaluations.  The disagreement metric is
     |ad - fd| / max(|ad|, |fd|, 1e-2)."""
+    if not 0.0 < step < np.inf:
+        raise ValueError(f"step must be a finite number > 0, got {step!r}")
     vars = tuple(vars)
     pt = np.asarray(point, dtype=float)
     jet = eval_jet_batch(e, vars, pt[None, :], 1)

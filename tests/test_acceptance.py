@@ -23,15 +23,14 @@ import pytest
 from conftest import build_instance_matrix, sample_in_guard
 from seaconv.cli import build_from_config, load_config, main
 from seaconv.errors import GuardError, HypothesisError
-from seaconv.evaluate import eval_jet_batch, eval_values
+from seaconv.evaluate import antiderivative_value, eval_jet_batch, eval_values
 from seaconv.expr import Const, mul, print_expr
 from seaconv.families import (build_prop_4_1, build_theorem_2_1,
                               build_theorem_3_1, build_theorem_4_3,
                               build_theorem_4_4, harmonic_poly,
                               rigid_rotation)
 from seaconv.parser import parse_expr
-from seaconv.quadrature import Antideriv, adaptive_simpson, \
-    antiderivative_value
+from seaconv.quadrature import Antideriv, adaptive_simpson
 from seaconv.solution import in_domain_mask
 from seaconv.symmetry import SymmetryKind, apply_symmetry
 from seaconv.verify import residual_at, residual_scan

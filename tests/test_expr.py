@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from seaconv.errors import EvalDomainError
-from seaconv.evaluate import eval_jet, eval_values
+from seaconv.evaluate import deriv_1d, eval_jet, eval_values
 from seaconv.expr import (Add, Call, Const, FnApp, FnContext, Mul, ParamFn,
                           Var, diff, free_vars, print_expr, substitute)
 from seaconv.parser import parse_expr, parse_paramfn
@@ -105,10 +105,10 @@ def test_paramfn_application_and_derivative_annotation():
     assert got[0] == 7.0
 
 
-def test_paramfn_value_at():
+def test_paramfn_derivatives_through_deriv_1d():
     fn = parse_paramfn("f", "s", "exp(2 * s)", None)
-    assert abs(fn.value_at(0.0, 4) - 16.0) < 1e-12
-    assert fn.value_at(0.5, 0) == np.exp(1.0)
+    assert abs(deriv_1d(fn, 0.0, 4) - 16.0) < 1e-12
+    assert deriv_1d(fn, 0.5, 0) == np.exp(1.0)
 
 
 def test_fncontext_rejects_duplicates_and_builtins():

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 from conftest import partial_at
 from seaconv import quadrature
 from seaconv.errors import EvalDomainError, QuadratureError
-from seaconv.evaluate import eval_jet, eval_jet_batch, eval_values
+from seaconv.evaluate import (antiderivative_value, eval_jet, eval_jet_batch,
+                              eval_values)
 from seaconv.expr import FnContext, diff
-from seaconv.families import build_theorem_4_2
+from seaconv.families import build_theorem_4_2, build_theorem_4_3
 from seaconv.parser import parse_expr
-from seaconv.quadrature import Antideriv, adaptive_simpson, antiderivative_value
+from seaconv.quadrature import Antideriv, adaptive_simpson
 from seaconv.verify import Grid, residual_scan
 
 V4 = ("t", "x", "y", "z")
@@ -147,7 +148,7 @@ def test_one_level_integrates_every_monomial_to_degree_13():
         asked.append(svals.shape[0])
         return svals[:, None] ** np.arange(14)
 
-    got = quadrature._gauss_kronrod(f, [-1.0], [1.0], 1e-14)[0]
+    got = quadrature.gauss_kronrod(f, [-1.0], [1.0], 1e-14)[0]
     want = [2.0 / (k + 1) if k % 2 == 0 else 0.0 for k in range(14)]
     assert asked == [15]
     assert np.max(np.abs(got - want)) <= 1e-15
@@ -194,6 +195,21 @@ def test_a_scan_of_an_antideriv_instance_takes_few_samples(
 def test_antideriv_rejects_a_tolerance_out_of_reach(tol):
     with pytest.raises(QuadratureError, match="quad_tol must be"):
         Antideriv(_integrand("s"), parse_expr("x", None), 0.0, tol)
+
+
+@pytest.mark.parametrize("base", [float("nan"), float("inf"),
+                                  float("-inf")])
+def test_antideriv_rejects_a_base_that_is_not_finite(base):
+    with pytest.raises(QuadratureError, match="base of an integral"):
+        Antideriv(_integrand("s"), parse_expr("x", None), base)
+
+
+def test_theorem_4_3_rejects_a_nan_base():
+    # A NaN base made every level's interval empty, so p lost its
+    # integral and the scan still passed.
+    with pytest.raises(QuadratureError, match="base of an integral"):
+        build_theorem_4_3(alpha="t", beta=1.0, Im="s", theta="x + t",
+                          x0=float("nan"))
 
 
 def test_jet_rule_ftc_square():

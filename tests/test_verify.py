@@ -373,6 +373,14 @@ def test_a_scan_compiles_its_fields_once(instance_matrix, monkeypatch):
                    for c in rest), options
 
 
+@pytest.mark.parametrize("step", [0.0, -1e-4, float("nan"), float("inf")])
+def test_fd_cross_check_rejects_a_step_that_is_not_finite_and_positive(step):
+    # A zero step made every fd value NaN, and max(0.0, nan) kept
+    # max_rel at 0.0: a pass.
+    with pytest.raises(ValueError, match="step must be"):
+        fd_cross_check(field("x^2 * y"), (0.0, 2.0, 3.0, 0.0), step=step)
+
+
 def test_fd_cross_check_polynomial():
     rep = fd_cross_check(field("x^2 * y"), (0.0, 2.0, 3.0, 0.0))
     assert rep.ad["x"] == 12.0
