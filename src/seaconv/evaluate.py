@@ -40,7 +40,10 @@ compiled afresh per quadrature level, and nodes keep no cache.
 A run goes entry by entry: the node's rule on its children's jets, and
 a check that the jet is finite.  Each entry lists the slots it reads
 last, and drops their jets, so a run holds only the jets still to be
-read, not one per node.  The entries are in the post-order of the walk,
+read, not one per node.  These lists fix the tape's width at compile
+time: the peak number of jet columns a run holds at once, the largest
+sum of ncoef over the jets held together.  A scan sizes its blocks from
+it (verify.py).  The entries are in the post-order of the walk,
 so the error raised is that of the first node in this order to leave
 its domain.
 """
@@ -166,7 +169,9 @@ class Tape:
         slot form a pair, which needs fn's body at the highest k + n of
         them, past the public cap if need be; bodies gets the body's tape
         at (id(fn), that order).  fnapps maps id(FnApp) to (its pair,
-        the body's tape, and whether it reads the pair last)."""
+        the body's tape, and whether it reads the pair last).  width is
+        a run's peak of held jet columns: each entry's jet joins those
+        held, which then drop the slots it reads last."""
         self.vars, self.spaces = vars, spaces
         table, entries = {}, []
         slots = [None] * len(roots)
@@ -174,8 +179,16 @@ class Tape:
                         reverse=True):
             slots[i] = _slot(roots[i], vars, table, entries, spaces[i])
         last = {k: i for i, entry in enumerate(entries) for k in entry[1]}
+        dropped = [0] * len(entries)  # the columns each entry drops
         for k in set(last).difference(slots):
             entries[last[k]][3].append(k)
+            dropped[last[k]] += entries[k][2].ncoef
+        live = width = 0
+        for entry, cols in zip(entries, dropped):
+            live += entry[2].ncoef
+            width = max(width, live)
+            live -= cols
+        self.width = width
         apps = [(i, e, (id(e.fn), kids[0]), e.k + space.order)
                 for i, (e, kids, space, *_) in enumerate(entries)
                 if type(e) is FnApp]

@@ -11,8 +11,10 @@ and w at order 1, and p in P_SPACE, order 1 plus the second-order
 monomials that hold z, because rho = p_z and r3 reads rho's first
 partials.  One evaluate.Tape compiles them together, so a subtree p
 shares with a velocity is evaluated once, in P_SPACE restricted to the
-subtree's variables, and the velocity reads it by truncation; a scan
-compiles the tape once and runs it per block.
+subtree's variables, and the velocity reads it by truncation.  A scan
+compiles the tape once and runs it per block of whole chunks, as many as
+keep the jets a run holds at once (the tape's width in columns) within
+BUDGET floats.
 Reading rho off p's jet one derivative order higher makes r2 structural.
 """
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .solution import Solution, assert_in_domain, in_domain_mask
 
 LOW_RHO = 1e-9
 CHUNK = 512
-BLOCK_CHUNKS = 2  # chunks per run of a scan's tape
+BUDGET = 96 * 1024  # floats of jets a run of a scan's tape may hold
 P_SPACE = jet_space(4, 2, frozenset(
     m for m in jet_space(4, 2).monos if sum(m) < 2 or m[3]))
 
@@ -147,22 +149,33 @@ def residual_at(sol: Solution, point) -> np.ndarray:
     return residual_batch(sol, pt)[0]
 
 
+def _block_rows(tape: Tape, chunk: int) -> int:
+    """Rows per run of tape in a scan: whole chunks, as many as keep
+    its tape.width held columns within BUDGET floats, and at least one."""
+    return chunk * max(1, BUDGET // (tape.width * chunk))
+
+
 def residual_scan(sol: Solution, grid, *, workers: int | None = None,
                   chunk: int = CHUNK) -> ResidualReport:
     """Aggregate residuals over the in-guard subset of a grid (or an
-    explicit (n, 4) point array).  The fields' tape is compiled once and
-    run per block of BLOCK_CHUNKS chunks (threads share it, each taking
-    blocks); max, rms and worst point are reduced chunk by chunk.  A
-    point's residuals do not depend on its batch, and chunk boundaries and
-    the reduction order are fixed, so sequential and threaded scans agree
-    bitwise."""
+    explicit (n, 4) array of finite points).  The fields' tape is
+    compiled once and run per block of _block_rows(tape, chunk) points,
+    which depends only on the tape and the chunk (threads share the tape,
+    each taking blocks); max, rms and worst point are reduced chunk by
+    chunk.  A point's residuals do not depend on its batch, and chunk
+    boundaries and the reduction order are fixed, so sequential and
+    threaded scans agree bitwise, whatever the block size.
+    A scan raises the error of the first block, in point order, that
+    leaves its domain: that of the first node in tape order to leave it
+    at any of the block's points.  So a larger block can raise another
+    node's error, one that a later point would raise."""
     if not isinstance(chunk, (int, np.integer)) or chunk < 1:
         raise ValueError(f"chunk must be an integer >= 1, got {chunk!r}")
     if workers is not None and (not isinstance(workers, (int, np.integer))
                                 or workers < 1):
         raise ValueError(f"workers must be None or an integer >= 1, got "
                          f"{workers!r}")
-    pts = grid.points() if isinstance(grid, Grid) else np.asarray(grid, float)
+    pts = grid.points() if isinstance(grid, Grid) else _explicit(grid)
     total = pts.shape[0]
     mask = in_domain_mask(sol, pts)
     live = pts[mask]
@@ -171,7 +184,7 @@ def residual_scan(sol: Solution, grid, *, workers: int | None = None,
         raise ValueError("no in-guard points in grid")
 
     tape = _fields_tape(sol)
-    span = BLOCK_CHUNKS * chunk
+    span = _block_rows(tape, chunk)
     blocks = [live[i : i + span] for i in range(0, live.shape[0], span)]
     if workers and workers > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
@@ -213,6 +226,19 @@ def residual_scan(sol: Solution, grid, *, workers: int | None = None,
         excluded=excluded,
         low_rho=low_rho,
     )
+
+
+def _explicit(points) -> np.ndarray:
+    """An explicit scan's points as an (n, 4) float array, each row
+    finite: the guards and the fields cannot name a row that is not."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 4:
+        raise ValueError(f"points must have shape (n, 4), got {pts.shape}")
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"point {i} is not finite: {tuple(pts[i].tolist())}")
+    return pts
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ u, v, w and p on those points (p_xx included, which no residual reads)
 and CSV field tables for every instance of
 conftest.build_instance_matrix(), and the sequential and threaded
 (workers=2) reports of the MULTI_BLOCK instances on their grids refined
-to 8 points per axis (4096 points, several blocks per scan), and the
+to 8 points per axis (4096 points; each of these scans must run its
+tape on two blocks or more, or the digest fails), and the
 check_harmonic and check_reduced_2d reports of the REDUCED_2D instance
 on their default probe grid, and the first error each of error_cases()
 raises at ERROR_POINT, which fixes the order in which the evaluator
@@ -50,6 +51,24 @@ def refined(grid, count=8):
 
     return Grid(*((lo, hi, count) for lo, hi, _ in
                   (grid.t, grid.x, grid.y, grid.z)))
+
+
+def scan_runs(sol, grid, **options):
+    """residual_scan(sol, grid, **options) and the number of runs of the
+    fields' tape it made: verify._residuals runs it once per block."""
+    from seaconv import verify
+
+    runs, residuals = [], verify._residuals
+
+    def counted(tape, points):
+        runs.append(len(points))
+        return residuals(tape, points)
+
+    verify._residuals = counted
+    try:
+        return verify.residual_scan(sol, grid, **options), len(runs)
+    finally:
+        verify._residuals = residuals
 
 
 def reduced_2d_reports(sol):
@@ -128,7 +147,10 @@ def instance_outputs():
         chunks.append(field_table(sol, grid).encode())
         if name in MULTI_BLOCK:
             for workers in (None, 2):
-                report = residual_scan(sol, refined(grid), workers=workers)
+                report, runs = scan_runs(sol, refined(grid), workers=workers)
+                if runs < 2:
+                    raise AssertionError(f"{name}: the refined scan runs "
+                                         f"as {runs} block, not several")
                 chunks.append(repr(report).encode())
         if name == REDUCED_2D:
             chunks.append(repr(reduced_2d_reports(sol)).encode())

@@ -5,6 +5,7 @@ order of a walk over the roots largest space first."""
 
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,7 @@ from seaconv.jets import MAX_PUBLIC_ORDER, jet_space, var_batch
 from seaconv.parser import parse_expr, parse_paramfn
 from seaconv.quadrature import Antideriv
 from seaconv.solution import in_domain_mask
-from seaconv.verify import (BLOCK_CHUNKS, CHUNK, LAPLACE_SPACE, P_SPACE,
+from seaconv.verify import (CHUNK, LAPLACE_SPACE, P_SPACE, _block_rows,
                             _fields_tape)
 from test_nodes import trees
 
@@ -179,6 +180,52 @@ def test_a_chain_holds_a_few_jets_not_one_per_node():
     assert peak < 10 * jet_bytes, peak / jet_bytes
 
 
+def held_peak(tape, points):
+    """The most jet columns tape.run(points) holds at once, counted over
+    its held list as each of its rules returns a jet."""
+    peak, rules = 0, dict(evaluate._RULES)
+
+    def counted(rule):
+        def wrapped(e, ctx, *args):
+            nonlocal peak
+            jet = rule(e, ctx, *args)
+            run = sys._getframe(1).f_locals
+            if run.get("self") is tape:
+                held = sum(j.coef.shape[1] for j in run["held"]
+                           if j is not None)
+                peak = max(peak, held + jet.coef.shape[1])
+            return jet
+        return wrapped
+
+    evaluate._RULES.update((cls, counted(rule)) for cls, rule in rules.items())
+    try:
+        tape.run(points)
+    finally:
+        evaluate._RULES.update(rules)
+    return peak
+
+
+def test_a_scan_tape_s_width_is_its_run_s_peak_of_held_columns(
+        instance_matrix):
+    for name, sol, grid, _tol in instance_matrix:
+        tape = _fields_tape(sol)
+        assert tape.width == held_peak(tape, live_points(sol, grid)), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(roots=st.lists(trees(3, V4, True, False), min_size=1, max_size=3),
+       data=st.data())
+def test_a_tape_s_width_is_its_run_s_peak_of_held_columns(roots, data):
+    orders = tuple(data.draw(st.integers(0, 2)) for _ in roots)
+    tape = evaluate.Tape(tuple(roots), V4, orders)
+    try:
+        with np.errstate(all="ignore"):
+            peak = held_peak(tape, PTS[:8])
+    except SeaconvError:
+        reject()
+    assert tape.width == peak
+
+
 def test_signed_zero_constants_are_not_merged():
     # Const(0.0) == Const(-0.0), but atan2 tells them apart: pi and -pi.
     e = Add(Atan2(Const(0.0), Const(-1.0)), Atan2(Const(-0.0), Const(-1.0)))
@@ -286,7 +333,7 @@ def test_one_body_run_per_function_and_argument_per_block(instance_matrix,
     assert {e.k for e in alpha} >= {0, 1, 2} and len(pairs) < len(apps)
     assert not _fnapps([e.fn.body for e in apps])  # bodies call no function
     tape = _fields_tape(sol)
-    block = live_points(sol, grid)[: BLOCK_CHUNKS * CHUNK]
+    block = live_points(sol, grid)[: _block_rows(tape, CHUNK)]
     runs, placed = [], []
     run, fnapp = evaluate.Tape.run, evaluate._RULES[FnApp]
 

@@ -7,19 +7,21 @@ import threading
 import numpy as np
 import pytest
 
-from output_digest import MULTI_BLOCK, refined
-from seaconv import evaluate
+from conftest import sample_in_guard
+from output_digest import MULTI_BLOCK, refined, scan_runs
+from seaconv import evaluate, verify
 from seaconv.errors import EvalDomainError, GuardError
-from seaconv.families import (build_theorem_2_1, build_theorem_3_1,
-                              build_theorem_4_4, harmonic_poly,
-                              rigid_rotation)
+from seaconv.families import (build_prop_4_1, build_theorem_2_1,
+                              build_theorem_3_1, build_theorem_4_4,
+                              harmonic_poly, rigid_rotation)
 from seaconv.jets import JetSpace
 from seaconv.parser import parse_expr
 from seaconv.solution import Guard, assert_in_domain, in_domain_mask
 from seaconv.verify import (CHUNK, EQ_NAMES, P_SPACE, EqStat, Grid,
                             ResidualReport, check_harmonic,
                             check_reduced_2d, fd_cross_check, residual_at,
-                            residual_batch, residual_scan)
+                            _block_rows, _fields_tape, residual_batch,
+                            residual_scan)
 
 V4 = ("t", "x", "y", "z")
 UNIT_GRID = Grid(t=(0.0, 1.0, 5), x=(0.0, 1.0, 5), y=(0.0, 1.0, 5),
@@ -257,15 +259,17 @@ def chunkwise_report(sol, live, total, chunk):
 def test_multi_block_scan_equals_the_chunkwise_reduction(instance_matrix,
                                                          name, chunk):
     # 4096 in-guard points: several blocks, each of several chunks, and a
-    # last block that is cut short when chunk does not divide them.
+    # last block that is cut short when chunk does not divide them.  With
+    # one block, seq and par would not test threads.
     (sol, grid), = [(s, g) for n, s, g, _ in instance_matrix if n == name]
     grid = refined(grid)
     pts = grid.points()
     live = pts[in_domain_mask(sol, pts)]
     assert len(live) == 4096
     want = chunkwise_report(sol, live, grid.size, chunk)
-    seq = residual_scan(sol, grid, chunk=chunk)
-    par = residual_scan(sol, grid, workers=2, chunk=chunk)
+    seq, runs = scan_runs(sol, grid, chunk=chunk)
+    par, par_runs = scan_runs(sol, grid, workers=2, chunk=chunk)
+    assert runs >= 2 and par_runs == runs, (runs, par_runs)
     for got in (seq, par):
         assert got.eqs.keys() == want.eqs.keys()
         for eq in EQ_NAMES:
@@ -275,6 +279,70 @@ def test_multi_block_scan_equals_the_chunkwise_reduction(instance_matrix,
         assert (got.total, got.evaluated, got.excluded, got.low_rho) == (
             want.total, want.evaluated, want.excluded, want.low_rho)
     assert par == seq
+
+
+# BUDGET at its extremes: one chunk per block, and one block per scan.
+@pytest.mark.parametrize("budget", [0, 1 << 40])
+@pytest.mark.parametrize("chunk", [CHUNK, 97])
+def test_the_block_size_does_not_change_a_report(instance_matrix, monkeypatch,
+                                                 budget, chunk):
+    monkeypatch.setattr(verify, "BUDGET", budget)
+    for name, sol, grid, _tol in instance_matrix:
+        pts = grid.points()
+        live = pts[in_domain_mask(sol, pts)]
+        want = repr(chunkwise_report(sol, live, grid.size, chunk))
+        for workers in (None, 2):
+            got, runs = scan_runs(sol, grid, workers=workers, chunk=chunk)
+            assert repr(got) == want, (name, workers)
+            assert runs == (-(-len(live) // chunk) if budget == 0 else 1), (
+                name, workers)
+
+
+def test_a_scan_raises_the_error_of_its_first_block_to_fail(monkeypatch):
+    # The first block fails only sqrt(y - 1), the second only log(x - 1),
+    # which the tape runs first: so one block of both raises the log's.
+    sol = build_prop_4_1(theta="x^2 - y^2").with_fields(
+        p=field("z + log(x - 1) + sqrt(y - 1)"))
+    n = _block_rows(_fields_tape(sol), CHUNK)
+    pts = np.random.default_rng(6).uniform(0.0, 0.5, size=(2 * n, 4))
+    pts[:n, 1] += 1.5
+    pts[n:, 2] += 1.5
+
+    def errors():
+        out = []
+        for workers in (None, 2):
+            with pytest.raises(EvalDomainError) as exc:
+                residual_scan(sol, pts, workers=workers)
+            out.append(str(exc.value))
+        return out
+
+    sqrt, log = ("square root of a non-positive value in sqrt(y - 1)",
+                 "log of a non-positive value in log(x - 1)")
+    assert errors() == [sqrt, sqrt]
+    monkeypatch.setattr(verify, "BUDGET", 1 << 40)
+    assert errors() == [log, log]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["theorem_3_1[curved]",
+                                  "theorem_4_2[growing]"])
+def test_a_scan_names_the_first_explicit_point_that_is_not_finite(
+        instance_matrix, name, bad):
+    # Such a row used to fail in a guard or the fields' tape, as a
+    # non-finite value in some node, with no point named.
+    (sol, grid), = [(s, g) for n, s, g, _ in instance_matrix if n == name]
+    pts = sample_in_guard(sol, grid, 20, seed=7)
+    pts[12, 0] = pts[7, 2] = bad
+    with pytest.raises(ValueError, match=rf"^point 7 is not finite: "
+                       rf"\(.*{bad!r}.*\)$"):
+        residual_scan(sol, pts)
+
+
+@pytest.mark.parametrize("shape", [(20,), (20, 3), (20, 5), (2, 20, 4)])
+def test_a_scan_rejects_explicit_points_of_another_shape(shape):
+    pts = np.zeros(shape)
+    with pytest.raises(ValueError, match=r"^points must have shape \(n, 4\)"):
+        residual_scan(build_theorem_3_1(alpha=0.0, Im="s"), pts)
 
 
 def test_low_rho_points_are_counted_not_crashed():
