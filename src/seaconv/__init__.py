@@ -8,7 +8,7 @@ from .expr import (Const, Expr, FnContext, ParamFn, Var, diff, free_vars,
                    print_expr, substitute)
 from .parser import parse_expr, parse_paramfn
 from .jets import JetBatch, JetSpace, jet_space
-from .quadrature import Antideriv, adaptive_simpson
+from .quadrature import Antideriv
 from .evaluate import deriv_1d, eval_jet, eval_jet_batch, eval_values
 from .solution import Guard, Meta, Solution, assert_in_domain, in_domain_mask
 from .families import (BUILDERS, FAMILIES, build_prop_4_1,
@@ -34,8 +34,8 @@ __all__ = [
     "Expr", "FAMILIES", "FnContext", "Grid",
     "Guard", "GuardError", "HypothesisError", "JetBatch", "JetSpace", "Meta",
     "ParamFn", "ParseError", "QuadratureError", "ResidualReport",
-    "SeaconvError", "Solution", "SymmetryKind", "Var", "adaptive_simpson",
-    "apply_symmetry", "assert_in_domain",
+    "SeaconvError", "Solution", "SymmetryKind", "Var", "apply_symmetry",
+    "assert_in_domain",
     "build_prop_4_1", "build_theorem_2_1", "build_theorem_3_1",
     "build_theorem_4_2", "build_theorem_4_3", "build_theorem_4_4",
     "check_harmonic", "check_reduced_2d", "deriv_1d", "diff", "eval_jet",

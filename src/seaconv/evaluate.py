@@ -42,10 +42,13 @@ a check that the jet is finite.  Each entry lists the slots it reads
 last, and drops their jets, so a run holds only the jets still to be
 read, not one per node.  These lists fix the tape's width at compile
 time: the peak number of jet columns a run holds at once, the largest
-sum of ncoef over the jets held together.  A scan sizes its blocks from
-it (verify.py).  The entries are in the post-order of the walk,
-so the error raised is that of the first node in this order to leave
-its domain.
+sum of ncoef over the tape's jets held together.  It leaves out the
+parameter-function body jets a run keeps between the first and the last
+FnApp of a pair, so a run can hold more: a theorem_2_1 instance under
+a k = 3 map, of width 67, holds up to 78.  A scan sizes its blocks from
+it (verify.py), so its budget is a target, not a bound.  The entries are
+in the post-order of the walk, so the error raised is that of the first
+node in this order to leave its domain.
 """
 from __future__ import annotations
 
@@ -170,8 +173,9 @@ class Tape:
         them, past the public cap if need be; bodies gets the body's tape
         at (id(fn), that order).  fnapps maps id(FnApp) to (its pair,
         the body's tape, and whether it reads the pair last).  width is
-        a run's peak of held jet columns: each entry's jet joins those
-        held, which then drop the slots it reads last."""
+        a run's peak of held jet columns, the body jets of pairs left
+        out: each entry's jet joins those held, which then drop the
+        slots it reads last."""
         self.vars, self.spaces = vars, spaces
         table, entries = {}, []
         slots = [None] * len(roots)

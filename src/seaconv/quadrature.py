@@ -108,16 +108,6 @@ def _feval(f, svals, rows):
     return out
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float = DEFAULT_TOL) -> float:
-    """Adaptive Gauss-Kronrod integral of a scalar callable over [a, b].
-    Antisymmetric under swapping the endpoints; exact on cubics."""
-
-    def fb(svals, rows):
-        return np.array([float(f(float(s))) for s in svals])
-
-    return float(gauss_kronrod(fb, [a], [b], tol)[0, 0])
-
-
 @node(eq=False)
 class Antideriv(Expr):
     """Definite integral of body (an Expr in s plus ambient variables)

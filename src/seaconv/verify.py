@@ -12,9 +12,10 @@ monomials that hold z, because rho = p_z and r3 reads rho's first
 partials.  One evaluate.Tape compiles them together, so a subtree p
 shares with a velocity is evaluated once, in P_SPACE restricted to the
 subtree's variables, and the velocity reads it by truncation.  A scan
-compiles the tape once and runs it per block of whole chunks, as many as
-keep the jets a run holds at once (the tape's width in columns) within
-BUDGET floats.
+compiles the tape once and runs it on near-equal blocks of its points,
+as few as keep the jets a run holds (the tape's width in columns)
+within about BUDGET floats; it then reduces each residual column once,
+over all its points in order.
 Reading rho off p's jet one derivative order higher makes r2 structural.
 """
 from __future__ import annotations
@@ -30,8 +31,7 @@ from .jets import jet_space
 from .solution import Solution, assert_in_domain, in_domain_mask
 
 LOW_RHO = 1e-9
-CHUNK = 512
-BUDGET = 96 * 1024  # floats of jets a run of a scan's tape may hold
+BUDGET = 96 * 1024  # floats of jets a run aims to hold (see Tape.width)
 P_SPACE = jet_space(4, 2, frozenset(
     m for m in jet_space(4, 2).monos if sum(m) < 2 or m[3]))
 
@@ -105,9 +105,9 @@ class ResidualReport:
 
 
 def residual_batch(sol: Solution, points) -> np.ndarray:
-    """(n, 5) residual values at the given points (assumed in-guard).
-    r4/r5 are NaN where |rho| < 1e-9."""
-    return _residuals(_fields_tape(sol), points)
+    """(n, 5) residual values at the given (n, 4) finite points (assumed
+    in-guard).  r4/r5 are NaN where |rho| < 1e-9."""
+    return _residuals(_fields_tape(sol), _explicit(points))
 
 
 def _fields_tape(sol: Solution) -> Tape:
@@ -144,93 +144,72 @@ def _residuals(tape: Tape, points) -> np.ndarray:
 
 def residual_at(sol: Solution, point) -> np.ndarray:
     """Residual 5-vector at a single in-guard point."""
-    assert_in_domain(sol, point)
-    pt = np.asarray(point, dtype=float).reshape(1, 4)
+    pt = _explicit([point])
+    assert_in_domain(sol, pt[0])
     return residual_batch(sol, pt)[0]
 
 
-def _block_rows(tape: Tape, chunk: int) -> int:
-    """Rows per run of tape in a scan: whole chunks, as many as keep
-    its tape.width held columns within BUDGET floats, and at least one."""
-    return chunk * max(1, BUDGET // (tape.width * chunk))
-
-
-def residual_scan(sol: Solution, grid, *, workers: int | None = None,
-                  chunk: int = CHUNK) -> ResidualReport:
+def residual_scan(sol: Solution, grid, *,
+                  workers: int | None = None) -> ResidualReport:
     """Aggregate residuals over the in-guard subset of a grid (or an
     explicit (n, 4) array of finite points).  The fields' tape is
-    compiled once and run per block of _block_rows(tape, chunk) points,
-    which depends only on the tape and the chunk (threads share the tape,
-    each taking blocks); max, rms and worst point are reduced chunk by
-    chunk.  A point's residuals do not depend on its batch, and chunk
-    boundaries and the reduction order are fixed, so sequential and
+    compiled once and run on near-equal blocks of the points, in point
+    order, as few as keep BUDGET // tape.width rows or fewer in each
+    (threads share the tape, each taking blocks).  The blocks' residuals
+    are joined in point order and each column is reduced once, so a
+    report does not depend on the blocks or the threads: sequential and
     threaded scans agree bitwise, whatever the block size.
     A scan raises the error of the first block, in point order, that
     leaves its domain: that of the first node in tape order to leave it
     at any of the block's points.  So a larger block can raise another
     node's error, one that a later point would raise."""
-    if not isinstance(chunk, (int, np.integer)) or chunk < 1:
-        raise ValueError(f"chunk must be an integer >= 1, got {chunk!r}")
     if workers is not None and (not isinstance(workers, (int, np.integer))
                                 or workers < 1):
         raise ValueError(f"workers must be None or an integer >= 1, got "
                          f"{workers!r}")
     pts = grid.points() if isinstance(grid, Grid) else _explicit(grid)
     total = pts.shape[0]
-    mask = in_domain_mask(sol, pts)
-    live = pts[mask]
-    excluded = int(total - live.shape[0])
-    if live.shape[0] == 0:
+    live = pts[in_domain_mask(sol, pts)]
+    n = live.shape[0]
+    if n == 0:
         raise ValueError("no in-guard points in grid")
 
     tape = _fields_tape(sol)
-    span = _block_rows(tape, chunk)
-    blocks = [live[i : i + span] for i in range(0, live.shape[0], span)]
+    blocks = np.array_split(live, -(-n // max(1, BUDGET // tape.width)))
     if workers and workers > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
             values = list(ex.map(lambda b: _residuals(tape, b), blocks))
     else:
         values = [_residuals(tape, b) for b in blocks]
-    chunks = [live[i : i + chunk] for i in range(0, live.shape[0], chunk)]
-    parts = [r[i : i + chunk] for r in values for i in range(0, len(r), chunk)]
-
-    max_abs = np.zeros(5)
-    sumsq = np.zeros(5)
-    counts = np.zeros(5, dtype=int)
-    worst = [None] * 5
-    low_rho = 0
-    for c, r in zip(chunks, parts):
-        a = np.abs(r)
-        low_rho += int(np.isnan(r[:, 3]).sum())
-        for j in range(5):
-            col = a[:, j]
-            valid = ~np.isnan(col)
-            nv = int(valid.sum())
-            if nv == 0:
-                continue
-            counts[j] += nv
-            sumsq[j] += float(np.sum(r[valid, j] ** 2))
-            i = int(np.nanargmax(col))
-            if col[i] > max_abs[j] or worst[j] is None:
-                max_abs[j] = col[i]
-                worst[j] = tuple(float(q) for q in c[i])
-    eqs = {}
-    for j, name in enumerate(EQ_NAMES):
-        rms = float(np.sqrt(sumsq[j] / counts[j])) if counts[j] else 0.0
-        wp = worst[j] if worst[j] is not None else tuple(float(q) for q in live[0])
-        eqs[name] = EqStat(float(max_abs[j]), rms, wp)
+    r = np.concatenate(values)
     return ResidualReport(
-        eqs=eqs,
+        eqs={name: _eq_stat(r[:, j], live) for j, name in enumerate(EQ_NAMES)},
         total=total,
-        evaluated=int(live.shape[0]),
-        excluded=excluded,
-        low_rho=low_rho,
+        evaluated=n,
+        excluded=total - n,
+        low_rho=int(np.isnan(r[:, 3]).sum()),
     )
 
 
+def _eq_stat(r: np.ndarray, pts: np.ndarray) -> EqStat:
+    """Max |r|, rms and worst point of one residual column at pts, over
+    the rows that are not NaN (r4 and r5 where |rho| < LOW_RHO).  The
+    worst point is the first maximum of |r|; the rms sums the kept rows
+    as one contiguous array, which numpy sums pairwise.  A column of NaN
+    only gives 0, 0 and the first point."""
+    rows = np.flatnonzero(~np.isnan(r))
+    if rows.size == 0:
+        return EqStat(0.0, 0.0, tuple(float(q) for q in pts[0]))
+    r = r[rows]
+    a = np.abs(r)
+    i = int(np.argmax(a))
+    return EqStat(float(a[i]), float(np.sqrt(np.mean(r ** 2))),
+                  tuple(float(q) for q in pts[rows[i]]))
+
+
 def _explicit(points) -> np.ndarray:
-    """An explicit scan's points as an (n, 4) float array, each row
-    finite: the guards and the fields cannot name a row that is not."""
+    """Explicit points as an (n, 4) float array, each row finite: the
+    guards and the fields cannot name a row that is not."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 4:
         raise ValueError(f"points must have shape (n, 4), got {pts.shape}")
@@ -358,9 +337,5 @@ def check_reduced_2d(u: Expr, v: Expr, eta: Expr, points=None,
     om_y = ju.partial((0, 0, 2)) - jv.partial((0, 1, 1))
     rc = om_t + uu * om_x + vv * om_y + (ux + vy) * (om + 1.0)
 
-    eqs = {}
-    for name, r in (("eq_a", ra), ("eq_b", rb), ("compat", rc)):
-        i = int(np.argmax(np.abs(r)))
-        rms = float(np.sqrt(np.mean(r ** 2)))
-        eqs[name] = EqStat(float(np.abs(r[i])), rms, tuple(float(q) for q in pts[i]))
-    return Reduced2dReport(eqs)
+    return Reduced2dReport({name: _eq_stat(r, pts) for name, r in
+                            (("eq_a", ra), ("eq_b", rb), ("compat", rc))})

@@ -8,7 +8,7 @@
 The first form imports seaconv from <tree>/src and the instance matrix
 from <tree>/tests/conftest.py, and prints one hex digest.  Two trees whose
 digests match produce byte-identical residual reports (sequential, and
-threaded with workers=2, chunk=97), raw residual arrays (every value
+threaded with workers=2), raw residual arrays (every value
 residual_batch returns on the grid's in-guard points, not only the
 report's max, rms and worst point), every order-2 jet coefficient of
 u, v, w and p on those points (p_xx included, which no residual reads)
@@ -133,7 +133,7 @@ def instance_outputs():
 
     for name, sol, grid, _tol in build_instance_matrix():
         sequential = repr(residual_scan(sol, grid))
-        threaded = repr(residual_scan(sol, grid, workers=2, chunk=97))
+        threaded = repr(residual_scan(sol, grid, workers=2))
         if threaded != sequential:
             raise AssertionError(f"{name}: threaded scan differs from the "
                                  "sequential one")

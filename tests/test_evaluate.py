@@ -14,7 +14,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from output_digest import first_errors
-from seaconv import evaluate, jets
+from seaconv import evaluate, jets, verify
 from seaconv.errors import SeaconvError
 from seaconv.evaluate import eval_jet_batch, eval_values
 from seaconv.expr import (Add, Atan2, Const, FnApp, FnContext, Mul, ParamFn,
@@ -23,8 +23,7 @@ from seaconv.jets import MAX_PUBLIC_ORDER, jet_space, var_batch
 from seaconv.parser import parse_expr, parse_paramfn
 from seaconv.quadrature import Antideriv
 from seaconv.solution import in_domain_mask
-from seaconv.verify import (CHUNK, LAPLACE_SPACE, P_SPACE, _block_rows,
-                            _fields_tape)
+from seaconv.verify import LAPLACE_SPACE, P_SPACE, _fields_tape
 from test_nodes import trees
 
 V4 = ("t", "x", "y", "z")
@@ -332,8 +331,12 @@ def test_one_body_run_per_function_and_argument_per_block(instance_matrix,
     alpha = [e for e in apps if e.fn.name == "alpha"]
     assert {e.k for e in alpha} >= {0, 1, 2} and len(pairs) < len(apps)
     assert not _fnapps([e.fn.body for e in apps])  # bodies call no function
-    tape = _fields_tape(sol)
-    block = live_points(sol, grid)[: _block_rows(tape, CHUNK)]
+    blocks, residuals = [], verify._residuals
+    with monkeypatch.context() as m:  # the scan's own first block
+        m.setattr(verify, "_residuals",
+                  lambda t, pts: blocks.append(pts) or residuals(t, pts))
+        verify.residual_scan(sol, grid)
+    tape, block = _fields_tape(sol), blocks[0]
     runs, placed = [], []
     run, fnapp = evaluate.Tape.run, evaluate._RULES[FnApp]
 

@@ -15,7 +15,7 @@ from seaconv.evaluate import (antiderivative_value, eval_jet, eval_jet_batch,
 from seaconv.expr import FnContext, diff
 from seaconv.families import build_theorem_4_2, build_theorem_4_3
 from seaconv.parser import parse_expr
-from seaconv.quadrature import Antideriv, adaptive_simpson
+from seaconv.quadrature import Antideriv
 from seaconv.verify import Grid, residual_scan
 
 V4 = ("t", "x", "y", "z")
@@ -24,6 +24,13 @@ S = ("s",)
 
 def _integrand(src, ctx=None):
     return parse_expr(src, ctx, allowed=("s",))
+
+
+def integral(f, a, b, tol=quadrature.DEFAULT_TOL):
+    """quadrature.gauss_kronrod of f, a function of an array of samples,
+    over [a, b]."""
+    return float(quadrature.gauss_kronrod(lambda s, rows: f(s), [a], [b],
+                                          tol)[0, 0])
 
 
 def test_square_integral():
@@ -39,7 +46,7 @@ def test_log_integral():
 
 
 def test_gaussian_integral():
-    got = adaptive_simpson(lambda s: np.exp(-s * s), 0.0, 1.0, tol=1e-12)
+    got = integral(lambda s: np.exp(-s * s), 0.0, 1.0, tol=1e-12)
     assert abs(got - 0.7468241328124271) < 1e-11
 
 
@@ -69,7 +76,7 @@ def test_cubics_integrate_exactly(coefs, a, b):
     def F(s):
         return c0 * s + c1 * s * s / 2 + c2 * s ** 3 / 3 + c3 * s ** 4 / 4
 
-    got = adaptive_simpson(f, a, b, tol=1e-12)
+    got = integral(f, a, b, tol=1e-12)
     assert abs(got - (F(b) - F(a))) <= 1e-12 * max(1.0, abs(F(b) - F(a)))
 
 
@@ -90,20 +97,20 @@ def test_domain_error_inside_interval():
 
 def test_nonconvergence_raises():
     with pytest.raises(QuadratureError) as exc:
-        adaptive_simpson(lambda s: s ** -0.9, 1e-300, 1.0, tol=1e-12)
+        integral(lambda s: s ** -0.9, 1e-300, 1.0, tol=1e-12)
     assert "depth" in str(exc.value)
 
 
 def test_a_non_finite_integrand_raises():
     with pytest.raises(QuadratureError) as exc:
-        adaptive_simpson(lambda s: math.nan, 0.0, 1.0)
+        integral(lambda s: np.full_like(s, math.nan), 0.0, 1.0)
     assert "non-finite" in str(exc.value)
 
 
 def test_oscillatory_integral_converges_in_16_subintervals():
     # sin(20 s) over [0, 3]: G7/K15 holds 16 live subintervals at its
     # finest level here.
-    got = adaptive_simpson(lambda s: np.sin(20.0 * s), 0.0, 3.0)
+    got = integral(lambda s: np.sin(20.0 * s), 0.0, 3.0)
     assert abs(got - (1.0 - np.cos(60.0)) / 20.0) < 1e-12
 
 
@@ -112,7 +119,7 @@ def test_pole_stops_at_the_subinterval_limit():
     # the double pole at 0.3, so the limit is reached at depth 24, long
     # before MAX_DEPTH.
     with pytest.raises(QuadratureError) as exc:
-        adaptive_simpson(lambda s: (s - 0.3) ** -2, 0.0, 1.0)
+        integral(lambda s: (s - 0.3) ** -2, 0.0, 1.0)
     assert "4096 subintervals per integral" in str(exc.value)
 
 
@@ -155,20 +162,20 @@ def test_one_level_integrates_every_monomial_to_degree_13():
 
 
 @pytest.mark.parametrize("f, a, b", [
-    (math.exp, 0.0, 1.0), (lambda s: math.sin(20.0 * s), 0.0, 3.0),
-    (lambda s: math.exp(-s * s), -5.0, 5.0), (math.log, 1.0, 10.0),
+    (np.exp, 0.0, 1.0), (lambda s: np.sin(20.0 * s), 0.0, 3.0),
+    (lambda s: np.exp(-s * s), -5.0, 5.0), (np.log, 1.0, 10.0),
     (lambda s: s ** -2, 0.01, 1.0)])
 def test_matches_scipy_quad(f, a, b):
     integrate = pytest.importorskip("scipy.integrate")
     want, _ = integrate.quad(f, a, b, epsabs=1e-13, epsrel=1e-13, limit=200)
-    assert abs(adaptive_simpson(f, a, b) - want) <= 1e-10 * (1 + abs(want))
+    assert abs(integral(f, a, b) - want) <= 1e-10 * (1 + abs(want))
 
 
 @pytest.mark.parametrize("f, a, b, want", [
     (lambda s: np.sin(20.0 * s), 0.0, 3.0, (1.0 - np.cos(60.0)) / 20.0),
     (lambda s: np.exp(-s * s), -5.0, 5.0, math.sqrt(math.pi) * math.erf(5.0))])
 def test_converges_at_the_smallest_tolerance(f, a, b, want):
-    got = adaptive_simpson(f, a, b, tol=quadrature.MIN_TOL)
+    got = integral(f, a, b, tol=quadrature.MIN_TOL)
     assert abs(got - want) <= 1e-14
 
 
@@ -294,7 +301,7 @@ def test_value_at_base_is_zero():
     assert j.value[0] == 0.0
     assert abs(partial_at(j, "x") - np.exp(0.7)) < 1e-12
     assert abs(partial_at(j, "xx") - np.exp(0.7)) < 1e-12
-    assert adaptive_simpson(np.exp, 0.7, 0.7) == 0.0
+    assert integral(np.exp, 0.7, 0.7) == 0.0
     assert eval_values(node, V4, np.zeros((0, 4))).shape == (0,)
     # An integrand that is itself a node (e^s - 1) is then evaluated on
     # zero points.

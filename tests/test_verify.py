@@ -1,11 +1,15 @@
 """Residual engine: pointwise residuals, scans, FD oracle, probes."""
 
+import math
 import operator
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import sample_in_guard
 from output_digest import MULTI_BLOCK, refined, scan_runs
@@ -17,10 +21,10 @@ from seaconv.families import (build_prop_4_1, build_theorem_2_1,
 from seaconv.jets import JetSpace
 from seaconv.parser import parse_expr
 from seaconv.solution import Guard, assert_in_domain, in_domain_mask
-from seaconv.verify import (CHUNK, EQ_NAMES, P_SPACE, EqStat, Grid,
+from seaconv.verify import (EQ_NAMES, P_SPACE, EqStat, Grid,
                             ResidualReport, check_harmonic,
                             check_reduced_2d, fd_cross_check, residual_at,
-                            _block_rows, _fields_tape, residual_batch,
+                            _eq_stat, _fields_tape, residual_batch,
                             residual_scan)
 
 V4 = ("t", "x", "y", "z")
@@ -101,6 +105,11 @@ def test_pressure_defect_shows_in_r4_only():
     assert r[3] == 1.0
     r = np.delete(r, 3)
     assert np.array_equal(r, np.zeros(4))
+    # A scan must not certify a wrong pressure (true max r4 is 0.1) as exact.
+    sol = rigid_rotation().with_fields(p=field("z + 0.1*sin(x)"))
+    g = Grid(t=(0.0, 1.0, 3), x=(0.0, 1.0, 3), y=(0.0, 1.0, 3),
+             z=(0.0, 1.0, 3))
+    assert abs(residual_scan(sol, g).eqs["r4"].max_abs - 0.1) < 1e-15
 
 
 def test_scan_rigid_rotation_unit_grid():
@@ -120,17 +129,6 @@ def test_scan_options_are_keyword_only():
     # A stray positional number must not be taken for the worker count.
     with pytest.raises(TypeError):
         residual_scan(rigid_rotation(), UNIT_GRID, 2)
-
-
-@pytest.mark.parametrize("chunk", [-5, 0, 2.5])
-def test_scan_rejects_a_chunk_that_is_not_a_positive_integer(chunk):
-    # A wrong pressure (true max r4 is 0.1) must not certify as exact.
-    sol = rigid_rotation().with_fields(p=field("z + 0.1*sin(x)"))
-    g = Grid(t=(0.0, 1.0, 3), x=(0.0, 1.0, 3), y=(0.0, 1.0, 3),
-             z=(0.0, 1.0, 3))
-    with pytest.raises(ValueError, match="chunk"):
-        residual_scan(sol, g, chunk=chunk)
-    assert abs(residual_scan(sol, g).eqs["r4"].max_abs - 0.1) < 1e-15
 
 
 @pytest.mark.parametrize("workers", [-3, 0, 2.5, "2"])
@@ -200,17 +198,20 @@ def test_scan_rejects_fully_excluded_grid():
     assert "in-guard" in str(exc.value)
 
 
-def test_scan_threaded_matches_sequential_bitwise():
-    # Eight workers on one shared tape, switching every microsecond: a run
-    # that left state on the tape, or read another run's, would show here.
+def test_scan_threaded_matches_sequential_bitwise(monkeypatch):
+    # Eight workers on one shared tape, switching every microsecond, over
+    # 13 blocks: a run that left state on the tape, or read another run's,
+    # would show here.
     sol = build_theorem_2_1(alpha="t", beta=0.0, b1=1.0, b2=0.0,
                             Im="s", iota=0.0, sigma="s^2 / 2")
     g = Grid(t=(0.0, 1.0, 5), x=(0.5, 1.5, 5), y=(-1.0, 1.0, 5),
              z=(0.5, 1.5, 5))
-    seq = residual_scan(sol, g, chunk=50)
+    monkeypatch.setattr(verify, "BUDGET", 50 * _fields_tape(sol).width)
+    seq, runs = scan_runs(sol, g)
+    assert runs == 13
     out = []
     scan = threading.Thread(target=lambda: out.extend(
-        residual_scan(sol, g, workers=8, chunk=50) for _ in range(5)),
+        residual_scan(sol, g, workers=8) for _ in range(5)),
         daemon=True)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -254,21 +255,23 @@ def chunkwise_report(sol, live, total, chunk):
     return ResidualReport(eqs, total, len(live), total - len(live), low_rho)
 
 
-@pytest.mark.parametrize("chunk", [CHUNK, 97])
+# chunkwise_report folds chunk by chunk; a scan reduces each column once,
+# and must give the same report bit for bit at either chunk size.
+@pytest.mark.parametrize("chunk", [512, 97])
 @pytest.mark.parametrize("name", MULTI_BLOCK)
 def test_multi_block_scan_equals_the_chunkwise_reduction(instance_matrix,
                                                          name, chunk):
-    # 4096 in-guard points: several blocks, each of several chunks, and a
-    # last block that is cut short when chunk does not divide them.  With
-    # one block, seq and par would not test threads.
+    # 4096 in-guard points in several blocks, none of them a whole number
+    # of 97-point chunks.  With one block, seq and par would not test
+    # threads.
     (sol, grid), = [(s, g) for n, s, g, _ in instance_matrix if n == name]
     grid = refined(grid)
     pts = grid.points()
     live = pts[in_domain_mask(sol, pts)]
     assert len(live) == 4096
     want = chunkwise_report(sol, live, grid.size, chunk)
-    seq, runs = scan_runs(sol, grid, chunk=chunk)
-    par, par_runs = scan_runs(sol, grid, workers=2, chunk=chunk)
+    seq, runs = scan_runs(sol, grid)
+    par, par_runs = scan_runs(sol, grid, workers=2)
     assert runs >= 2 and par_runs == runs, (runs, par_runs)
     for got in (seq, par):
         assert got.eqs.keys() == want.eqs.keys()
@@ -281,20 +284,21 @@ def test_multi_block_scan_equals_the_chunkwise_reduction(instance_matrix,
     assert par == seq
 
 
-# BUDGET at its extremes: one chunk per block, and one block per scan.
-@pytest.mark.parametrize("budget", [0, 1 << 40])
-@pytest.mark.parametrize("chunk", [CHUNK, 97])
+# BUDGET at its extremes: 97 rows per block, and one block per scan.
+@pytest.mark.parametrize("rows", [97, 1 << 40])
+@pytest.mark.parametrize("chunk", [512, 97])
 def test_the_block_size_does_not_change_a_report(instance_matrix, monkeypatch,
-                                                 budget, chunk):
-    monkeypatch.setattr(verify, "BUDGET", budget)
+                                                 rows, chunk):
     for name, sol, grid, _tol in instance_matrix:
+        width = _fields_tape(sol).width
+        monkeypatch.setattr(verify, "BUDGET", rows * width)
         pts = grid.points()
         live = pts[in_domain_mask(sol, pts)]
         want = repr(chunkwise_report(sol, live, grid.size, chunk))
         for workers in (None, 2):
-            got, runs = scan_runs(sol, grid, workers=workers, chunk=chunk)
+            got, runs = scan_runs(sol, grid, workers=workers)
             assert repr(got) == want, (name, workers)
-            assert runs == (-(-len(live) // chunk) if budget == 0 else 1), (
+            assert runs == -(-len(live) // (verify.BUDGET // width)), (
                 name, workers)
 
 
@@ -303,7 +307,7 @@ def test_a_scan_raises_the_error_of_its_first_block_to_fail(monkeypatch):
     # which the tape runs first: so one block of both raises the log's.
     sol = build_prop_4_1(theta="x^2 - y^2").with_fields(
         p=field("z + log(x - 1) + sqrt(y - 1)"))
-    n = _block_rows(_fields_tape(sol), CHUNK)
+    n = verify.BUDGET // _fields_tape(sol).width
     pts = np.random.default_rng(6).uniform(0.0, 0.5, size=(2 * n, 4))
     pts[:n, 1] += 1.5
     pts[n:, 2] += 1.5
@@ -343,6 +347,65 @@ def test_a_scan_rejects_explicit_points_of_another_shape(shape):
     pts = np.zeros(shape)
     with pytest.raises(ValueError, match=r"^points must have shape \(n, 4\)"):
         residual_scan(build_theorem_3_1(alpha=0.0, Im="s"), pts)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("build", [rigid_rotation, lambda: build_theorem_3_1(
+    alpha=0.0, Im="s")], ids=["rigid_rotation", "theorem_3_1"])
+def test_residual_at_names_a_point_that_is_not_finite(build, bad):
+    # Such a point used to fail in a guard or the fields' tape, as a
+    # non-finite value in some node, with no point named.
+    with pytest.raises(ValueError, match=rf"^point 0 is not finite: "
+                       rf"\(0\.0, {bad!r}, 1\.5, -1\.0\)$"):
+        residual_at(build(), (0.0, bad, 1.5, -1.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_residual_batch_names_its_first_row_that_is_not_finite(
+        instance_matrix, bad):
+    (sol, grid), = [(s, g) for n, s, g, _ in instance_matrix
+                    if n == "theorem_3_1[curved]"]
+    pts = sample_in_guard(sol, grid, 20, seed=7)
+    pts[12, 0] = pts[7, 2] = bad
+    with pytest.raises(ValueError, match=rf"^point 7 is not finite: "
+                       rf"\(.*{bad!r}.*\)$"):
+        residual_batch(sol, pts)
+
+
+# Runs of NaN (r4 and r5 where |rho| < LOW_RHO) between runs of values
+# drawn mostly from a few magnitudes, so that |r| ties at its maximum.
+_segments = st.lists(st.one_of(
+    st.integers(1, 40).map(lambda k: [math.nan] * k),
+    st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.5, -1.5, 3.0, -3.0]),
+                       st.floats(-1e3, 1e3)), min_size=1, max_size=200)),
+    min_size=1, max_size=8)
+
+
+def eq_stat_oracle(col, pts):
+    """_eq_stat's report, formed apart from it: the kept rows found by
+    comparison, the first maximum by Python's max, the rms from one
+    np.add.reduce over the kept squares."""
+    kept = [i for i, v in enumerate(col.tolist()) if v == v]
+    if not kept:
+        return EqStat(0.0, 0.0, tuple(pts[0].tolist()))
+    worst = max(kept, key=lambda i: abs(col[i]))
+    square = np.square(np.take(col, kept))
+    return EqStat(float(abs(col[worst])),
+                  math.sqrt(float(np.add.reduce(square)) / len(kept)),
+                  tuple(pts[worst].tolist()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(segments=_segments)
+def test_eq_stat_equals_an_oracle_bitwise(segments):
+    col = np.array([v for seg in segments for v in seg])
+    res = np.zeros((col.size, 5))
+    res[:, 3] = col  # a strided column, as a scan passes it
+    pts = np.arange(4.0 * col.size).reshape(-1, 4) / 7.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _eq_stat(res[:, 3], pts)
+    assert repr(got) == repr(eq_stat_oracle(col, pts))
 
 
 def test_low_rho_points_are_counted_not_crashed():
@@ -386,8 +449,8 @@ def test_a_guard_that_cannot_be_evaluated_raises_its_domain_error():
 
 
 def test_a_scan_compiles_its_fields_once(instance_matrix, monkeypatch):
-    """Over a scan of several blocks, sequential, threaded or in odd
-    chunks: the fields' roots compile once, no ParamFn body compiles
+    """Over a scan of several blocks, sequential or threaded, and of
+    one block: the fields' roots compile once, no ParamFn body compiles
     twice at one order, and no tape compiles while one runs, except an
     Antideriv's integrand, which compose_antideriv compiles per
     quadrature level.  Depths are counted per thread, as the workers
@@ -425,9 +488,12 @@ def test_a_scan_compiles_its_fields_once(instance_matrix, monkeypatch):
     def same(roots, exprs):  # the same objects, in the same order
         return len(roots) == len(exprs) and all(map(operator.is_, roots, exprs))
 
-    for options in ({}, {"workers": 2}, {"chunk": 97}):
+    for options in ((None, verify.BUDGET), (2, verify.BUDGET),
+                    (None, 1 << 40)):
+        workers, budget = options
         compiles.clear()
-        residual_scan(sol, refined(grid), **options)
+        monkeypatch.setattr(verify, "BUDGET", budget)
+        residual_scan(sol, refined(grid), workers=workers)
         assert any(c["integrand"] for c in compiles), options
         outside = [c for c in compiles if not c["integrand"]]
         assert not any(c["running"] for c in outside), options
