@@ -38,8 +38,19 @@ follow the fundamental theorem of calculus exactly.  The integrand is
 compiled afresh per quadrature level, and nodes keep no cache.
 
 A run goes entry by entry: the node's rule on its children's jets, and
-a check that the jet is finite.  Each entry lists the slots it reads
-last, and drops their jets, so a run holds only the jets still to be
+a check that the jet is finite where it can fail.  A finite input
+becomes non-finite only through an operation that raises an IEEE 754
+flag (overflow, division by zero or invalid), so the entries run under
+one np.errstate whose callback collects the run's flags, and an entry's
+jet is checked when its rule raised one.  An entry that raised a flag
+and came out finite passes: d_recip's u0**(k+1) can overflow into a
+zero coefficient.  The rules that can go non-finite without a flag are
+always checked: Atan2 (complex arithmetic), Antideriv (np.add.at in
+gauss_kronrod) and a Const that is not finite; so is every entry of a
+run whose points or bindings are not all finite.  Inside a run, flags
+go to its callback, not to warnings, and the caller's error state is
+restored when the run returns or raises.  Each entry lists the slots it
+reads last, and drops their jets, so a run holds only the jets still to be
 read, not one per node.  These lists fix the tape's width at compile
 time: the peak number of jet columns a run holds at once, the largest
 sum of ncoef over the tape's jets held together.  It leaves out the
@@ -48,10 +59,12 @@ FnApp of a pair, so a run can hold more: a theorem_2_1 instance under
 a k = 3 map, of width 67, holds up to 78.  A scan sizes its blocks from
 it (verify.py), so its budget is a target, not a bound.  The entries are
 in the post-order of the walk, so the error raised is that of the first
-node in this order to leave its domain.
+node in this order to leave its domain: a non-finite jet is caught at
+the first entry that produces it.
 """
 from __future__ import annotations
 
+import math
 import operator
 from collections import namedtuple
 from dataclasses import fields
@@ -167,7 +180,9 @@ class Tape:
         new key appends [node, its children's slots, its space, the
         non-root slots it reads last, its axes, the spaces it reads its
         children in] after its children's: its space and theirs are the
-        walking root's restricted to their axes (see _slot).
+        walking root's restricted to their axes (see _slot).  Each entry
+        then gets whether its rule can go non-finite without an IEEE
+        flag, so that run checks its jet every time.
         The FnApps fn^(k) in a space of order n with one fn and argument
         slot form a pair, which needs fn's body at the highest k + n of
         them, past the public cap if need be; bodies gets the body's tape
@@ -206,28 +221,45 @@ class Tape:
                 bodies[key] = Tape.__new__(Tape)._compile(
                     (e.fn.body,), ("s",), (jet_space(1, key[1]),), bodies)
             self.fnapps[id(e)] = (pair, bodies[key], final[pair] == i)
+        for entry in entries:
+            e = entry[0]
+            entry.append(type(e) in (Atan2, Antideriv) or (
+                type(e) is Const and not math.isfinite(e.value)))
         self.entries, self.slots = entries, slots
         self._spaces = {entry[2] for entry in entries}
         return self
 
     def run(self, points, bindings=None) -> list:
-        """The roots' jets at an (npoints, nvars) array of points."""
+        """The roots' jets at an (npoints, nvars) array of points.  An
+        entry's jet is checked for non-finite values when its rule raised
+        an IEEE flag, when its rule may not (Atan2, Antideriv, a Const that
+        is not finite), or when the points or bindings are not all finite;
+        so the error raised is that of the first entry to go non-finite."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != len(self.vars):
             raise ValueError("points must have shape (npoints, nvars)")
         bindings = {k: np.asarray(v, dtype=float)
                     for k, v in (bindings or {}).items()}
+        every = not (np.isfinite(pts).all() and all(
+            np.isfinite(v).all() for v in bindings.values()))
         runs = {}
         ctxs = {s: _Ctx(self.vars, pts, s, bindings, self.fnapps, runs)
                 for s in self._spaces}
         held = [None] * len(self.entries)
-        for i, (e, kids, space, frees, _, reads) in enumerate(self.entries):
-            args = [held[k].to(s) for k, s in zip(kids, reads)]
-            jet = held[i] = _RULES[type(e)](e, ctxs[space], *args)
-            if not np.isfinite(jet.coef).all():
-                raise EvalDomainError("non-finite value during evaluation", e)
-            for k in frees:
-                held[k] = None
+        flags = []
+        with np.errstate(all="call", under="ignore",
+                         call=lambda kind, flag: flags.append(kind)):
+            for i, (e, kids, space, frees, _, reads, silent) in enumerate(
+                    self.entries):
+                args = [held[k].to(s) for k, s in zip(kids, reads)]
+                jet = held[i] = _RULES[type(e)](e, ctxs[space], *args)
+                if flags or silent or every:
+                    flags.clear()
+                    if not np.isfinite(jet.coef).all():
+                        raise EvalDomainError(
+                            "non-finite value during evaluation", e)
+                for k in frees:
+                    held[k] = None
         return [held[k].to(space) for k, space in zip(self.slots, self.spaces)]
 
 

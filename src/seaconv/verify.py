@@ -107,7 +107,7 @@ class ResidualReport:
 def residual_batch(sol: Solution, points) -> np.ndarray:
     """(n, 5) residual values at the given (n, 4) finite points (assumed
     in-guard).  r4/r5 are NaN where |rho| < 1e-9."""
-    return _residuals(_fields_tape(sol), _explicit(points))
+    return _residuals(_fields_tape(sol), _explicit(points))[0]
 
 
 def _fields_tape(sol: Solution) -> Tape:
@@ -115,7 +115,9 @@ def _fields_tape(sol: Solution) -> Tape:
     return Tape((sol.p, sol.u, sol.v, sol.w), VARS4, (P_SPACE, 1, 1, 1))
 
 
-def _residuals(tape: Tape, points) -> np.ndarray:
+def _residuals(tape: Tape, points):
+    """The (n, 5) residuals at points, and the rows where |rho| < LOW_RHO,
+    whose r4 and r5 are NaN."""
     jp, ju, jv, jw = tape.run(points)
 
     unit = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
@@ -133,13 +135,13 @@ def _residuals(tape: Tape, points) -> np.ndarray:
 
     r1 = ux + vy + wz
     r3 = rho_t + u * rho_x + v * rho_y + w * rho_z
-    ok = np.abs(rho) >= LOW_RHO
-    rho_safe = np.where(ok, rho, 1.0)
+    low = np.abs(rho) < LOW_RHO
+    rho_safe = np.where(low, 1.0, rho)
     r4 = ut + u * ux + v * uy + w * uz + v + px / rho_safe
     r5 = vt + u * vx + v * vy + w * vz - u + py / rho_safe
-    r4 = np.where(ok, r4, np.nan)
-    r5 = np.where(ok, r5, np.nan)
-    return np.column_stack([r1, r2, r3, r4, r5])
+    r4 = np.where(low, np.nan, r4)
+    r5 = np.where(low, np.nan, r5)
+    return np.column_stack([r1, r2, r3, r4, r5]), low
 
 
 def residual_at(sol: Solution, point) -> np.ndarray:
@@ -181,26 +183,33 @@ def residual_scan(sol: Solution, grid, *,
             values = list(ex.map(lambda b: _residuals(tape, b), blocks))
     else:
         values = [_residuals(tape, b) for b in blocks]
-    r = np.concatenate(values)
+    r, low = map(np.concatenate, zip(*values))
     return ResidualReport(
-        eqs={name: _eq_stat(r[:, j], live) for j, name in enumerate(EQ_NAMES)},
+        eqs={name: _eq_stat(r[:, j], live, low if j >= 3 else None)
+             for j, name in enumerate(EQ_NAMES)},
         total=total,
         evaluated=n,
         excluded=total - n,
-        low_rho=int(np.isnan(r[:, 3]).sum()),
+        low_rho=int(low.sum()),
     )
 
 
-def _eq_stat(r: np.ndarray, pts: np.ndarray) -> EqStat:
+def _eq_stat(r: np.ndarray, pts: np.ndarray, low=None) -> EqStat:
     """Max |r|, rms and worst point of one residual column at pts, over
-    the rows that are not NaN (r4 and r5 where |rho| < LOW_RHO).  The
+    the rows not in the mask low (r4 and r5 where |rho| < LOW_RHO).  The
     worst point is the first maximum of |r|; the rms sums the kept rows
-    as one contiguous array, which numpy sums pairwise.  A column of NaN
-    only gives 0, 0 and the first point."""
-    rows = np.flatnonzero(~np.isnan(r))
+    as one contiguous array, which numpy sums pairwise.  A kept NaN gives
+    inf, inf and the first such point, so the column fails every
+    tolerance.  A column with no kept row gives 0, 0 and the first
+    point."""
+    rows = np.flatnonzero(~low) if low is not None else np.arange(r.size)
     if rows.size == 0:
         return EqStat(0.0, 0.0, tuple(float(q) for q in pts[0]))
     r = r[rows]
+    nan = np.flatnonzero(np.isnan(r))
+    if nan.size:
+        return EqStat(np.inf, np.inf,
+                      tuple(float(q) for q in pts[rows[nan[0]]]))
     a = np.abs(r)
     i = int(np.argmax(a))
     return EqStat(float(a[i]), float(np.sqrt(np.mean(r ** 2))),

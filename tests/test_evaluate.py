@@ -3,10 +3,12 @@ smaller space read off a larger one by truncation, each jet dropped
 after its last read, and the nodes evaluated children first, in the
 order of a walk over the roots largest space first."""
 
+import contextlib
 import itertools
 import math
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 from output_digest import first_errors
 from seaconv import evaluate, jets, verify
-from seaconv.errors import SeaconvError
+from seaconv.errors import EvalDomainError, SeaconvError
 from seaconv.evaluate import eval_jet_batch, eval_values
 from seaconv.expr import (Add, Atan2, Const, FnApp, FnContext, Mul, ParamFn,
                           Var)
@@ -24,6 +26,8 @@ from seaconv.parser import parse_expr, parse_paramfn
 from seaconv.quadrature import Antideriv
 from seaconv.solution import in_domain_mask
 from seaconv.verify import LAPLACE_SPACE, P_SPACE, _fields_tape
+from test_nodes import constants as node_constants
+from test_nodes import points as node_points
 from test_nodes import trees
 
 V4 = ("t", "x", "y", "z")
@@ -423,3 +427,131 @@ def test_an_fnapp_of_a_bound_variable_still_evaluates():
     jet = eval_jet_batch(FnApp(h, 1, Var("q")), V4, PTS, 2, bindings={"q": q})
     assert np.array_equal(jet.value, np.cos(q))
     assert not jet.coef[:, 1:].any()
+
+
+# The domain check on IEEE flags.  A run checks an entry's jet only when
+# its rule raised a flag, when its rule may go non-finite without one, or
+# when the run's points or bindings are not all finite; the loop below
+# checks every entry, as runs did before, and must agree with it.
+
+def run_checking_every_entry(tape, points, bindings=None):
+    """Tape.run with its jets checked after every entry, under the
+    caller's error state."""
+    pts = np.asarray(points, dtype=float)
+    bindings = {k: np.asarray(v, dtype=float)
+                for k, v in (bindings or {}).items()}
+    runs = {}
+    ctxs = {s: evaluate._Ctx(tape.vars, pts, s, bindings, tape.fnapps, runs)
+            for s in tape._spaces}
+    held = [None] * len(tape.entries)
+    for i, (e, kids, space, frees, _, reads, _) in enumerate(tape.entries):
+        args = [held[k].to(s) for k, s in zip(kids, reads)]
+        jet = held[i] = evaluate._RULES[type(e)](e, ctxs[space], *args)
+        if not np.isfinite(jet.coef).all():
+            raise EvalDomainError("non-finite value during evaluation", e)
+        for k in frees:
+            held[k] = None
+    return [held[k].to(space) for k, space in zip(tape.slots, tape.spaces)]
+
+
+def outcome(e, pts, order, every=False):
+    """The jet's bytes, or the type, text and node of the error that
+    evaluating e raises; with every, each tape run, nested ones (function
+    bodies, integrands) too, checks every entry."""
+    try:
+        with np.errstate(all="ignore"), (
+                mock.patch.object(evaluate.Tape, "run",
+                                  run_checking_every_entry)
+                if every else contextlib.nullcontext()):
+            jet = eval_jet_batch(e, V4, pts, order)
+    except Exception as ex:
+        return type(ex), str(ex), getattr(ex, "expr", None)
+    return jet.coef.shape, jet.coef.tobytes()
+
+
+# Constants drawn to overflow (1e200 squared, 1e308 doubled), to underflow
+# (1e-320), to form 0*inf with a zero, and a constant that is not finite.
+extreme = st.one_of(st.sampled_from([1e200, -1e200, 1e308, -1e308, 1e-320,
+                                     -1e-320, math.inf, -math.inf]),
+                    node_constants)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees(consts=extreme), st.lists(node_points, min_size=1, max_size=3),
+       st.integers(0, 2), st.sampled_from([None, math.inf, math.nan]))
+def test_a_run_gated_on_flags_fails_or_returns_as_checking_every_entry(
+        e, points, order, bad):
+    pts = np.array(points, dtype=float)
+    if bad is not None:  # a point that is not finite: every entry checked
+        pts[-1, 1] = bad
+    got, want = outcome(e, pts, order), outcome(e, pts, order, every=True)
+    if len(want) == 3:
+        assert got[:2] == want[:2] and got[2] is want[2], (got, want)
+    else:
+        assert got == want
+
+
+def test_a_flag_on_a_finite_jet_raises_nothing():
+    # 1/(1e200*x) at x = 1: d_recip's u0**2 overflows, and the
+    # x-coefficient -1e-200 comes out as -0.0; the jet is finite.
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        jets.d_recip(np.array([1e200]), 1)
+    e, pts = parse_expr("1/(1e200*x)"), np.array([[0.0, 1.0, 0.0, 0.0]])
+    jet = eval_jet_batch(e, V4, pts, 1)
+    dx = jet.partial((0, 1, 0, 0))
+    assert jet.value.tolist() == [1e-200] and dx.tolist() == [0.0]
+    assert np.signbit(dx[0]) and np.isfinite(jet.coef).all()
+    assert outcome(e, pts, 1) == outcome(e, pts, 1, every=True)
+
+
+def test_an_integral_that_goes_non_finite_without_a_flag_raises(monkeypatch):
+    # Whether np.add.at raises flags differs between numpy releases: an
+    # integral's jet is checked whatever the release does.  Here the
+    # quadrature's result is made infinite by a store, which raises none.
+    node = Antideriv(parse_expr("s", allowed=("s",)), Var("x"), 0.0)
+    quad = evaluate.gauss_kronrod
+
+    def stored(*args):
+        out = quad(*args)
+        out[0] = math.inf
+        return out
+
+    monkeypatch.setattr(evaluate, "gauss_kronrod", stored)
+    tape = evaluate.Tape((node,), V4, (0,))
+    pts = np.array([[0.0, 1.0, 0.0, 0.0]])
+    with pytest.raises(EvalDomainError, match="non-finite value") as exc:
+        tape.run(pts)
+    assert exc.value.expr is node
+    for entry in tape.entries:  # unchecked, nothing would have failed
+        entry[-1] = False
+    assert tape.run(pts)[0].coef.tolist() == [[math.inf]]
+
+
+def test_an_atan2_and_a_constant_that_is_not_finite_are_always_checked():
+    e = Add(Atan2(Var("x"), Var("y")), Mul(Const(math.inf), Var("x")))
+    tape = evaluate.Tape((e,), V4, (1,))
+    checked = {type(entry[0]).__name__: entry[-1] for entry in tape.entries}
+    assert checked == {"Var": False, "Atan2": True, "Const": True,
+                       "Mul": False, "Add": False}
+    assert [entry[-1] for entry in evaluate.Tape(
+        (Const(-math.inf), Const(1e308)), V4, (0, 0)).entries] == [
+            True, False]
+
+
+@pytest.mark.parametrize("caller", [{}, {"all": "raise"},
+                                    {"over": "warn", "invalid": "call"}])
+@pytest.mark.parametrize("src", ["exp(x)", "exp(1000*x)", "log(x - 5)"])
+def test_a_run_leaves_the_caller_s_error_state_as_it_was(caller, src):
+    def mine(kind, flag):
+        raise AssertionError(f"the caller's callback saw {kind}")
+
+    tape = evaluate.Tape((parse_expr(src),), V4, (1,))
+    with np.errstate(call=mine, **caller):
+        state, call = np.geterr(), np.geterrcall()
+        try:
+            tape.run(np.array([[0.0, 1.0, 0.0, 0.0]]))
+        except EvalDomainError:
+            assert src != "exp(x)"
+        else:
+            assert src == "exp(x)"
+        assert np.geterr() == state and np.geterrcall() is call

@@ -40,17 +40,18 @@ constants = st.one_of(st.sampled_from([0.0, -0.0, 1e-200, -1e-200]),
 
 
 @st.composite
-def trees(draw, depth=3, vars=VARS4, antideriv=True, realpow=True):
-    """A raw tree (no folding) of every node type.  Without antideriv,
-    the parser can build it: it holds no Antideriv, and no power has a
-    constant base or a folded exponent."""
-    leaf = st.one_of(st.sampled_from(vars).map(Var), constants.map(Const))
+def trees(draw, depth=3, vars=VARS4, antideriv=True, realpow=True,
+          consts=constants):
+    """A raw tree (no folding) of every node type, its constants drawn
+    from consts.  Without antideriv, the parser can build it: it holds no
+    Antideriv, and no power has a constant base or a folded exponent."""
+    leaf = st.one_of(st.sampled_from(vars).map(Var), consts.map(Const))
     if depth == 0:
         return draw(leaf)
     kinds = ["leaf", "add", "sub", "mul", "div", "intpow", "call", "atan2",
              "fnapp"] + ["antideriv"] * antideriv + ["realpow"] * realpow
     kind = draw(st.sampled_from(kinds))
-    sub = trees(depth - 1, vars, antideriv, realpow)
+    sub = trees(depth - 1, vars, antideriv, realpow, consts)
     if kind == "leaf":
         return draw(leaf)
     if kind in ("intpow", "realpow"):
@@ -74,8 +75,8 @@ def trees(draw, depth=3, vars=VARS4, antideriv=True, realpow=True):
     if kind == "fnapp":
         fn = FNS.fns[draw(st.sampled_from(["f", "g"]))]
         return FnApp(fn, draw(st.integers(0, 3)), draw(sub))
-    body = draw(trees(1, ("s", "x"), False, realpow))
-    inner = draw(trees(depth - 1, vars, False, realpow))
+    body = draw(trees(1, ("s", "x"), False, realpow, consts))
+    inner = draw(trees(depth - 1, vars, False, realpow, consts))
     return Antideriv(body, inner, draw(st.floats(-1.0, 1.0)))
 
 

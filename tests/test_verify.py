@@ -372,8 +372,9 @@ def test_residual_batch_names_its_first_row_that_is_not_finite(
         residual_batch(sol, pts)
 
 
-# Runs of NaN (r4 and r5 where |rho| < LOW_RHO) between runs of values
-# drawn mostly from a few magnitudes, so that |r| ties at its maximum.
+# Runs of low-rho rows (NaN in r4 and r5, where |rho| < LOW_RHO) between
+# runs of values drawn mostly from a few magnitudes, so that |r| ties at
+# its maximum.
 _segments = st.lists(st.one_of(
     st.integers(1, 40).map(lambda k: [math.nan] * k),
     st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.5, -1.5, 3.0, -3.0]),
@@ -381,13 +382,17 @@ _segments = st.lists(st.one_of(
     min_size=1, max_size=8)
 
 
-def eq_stat_oracle(col, pts):
+def eq_stat_oracle(col, low, pts):
     """_eq_stat's report, formed apart from it: the kept rows found by
-    comparison, the first maximum by Python's max, the rms from one
-    np.add.reduce over the kept squares."""
-    kept = [i for i, v in enumerate(col.tolist()) if v == v]
+    comparison, a kept NaN as inf at its first point, else the first
+    maximum by Python's max and the rms from one np.add.reduce over the
+    kept squares."""
+    kept = [i for i in range(col.size) if not low[i]]
     if not kept:
         return EqStat(0.0, 0.0, tuple(pts[0].tolist()))
+    nan = [i for i in kept if col[i] != col[i]]
+    if nan:
+        return EqStat(math.inf, math.inf, tuple(pts[nan[0]].tolist()))
     worst = max(kept, key=lambda i: abs(col[i]))
     square = np.square(np.take(col, kept))
     return EqStat(float(abs(col[worst])),
@@ -396,16 +401,79 @@ def eq_stat_oracle(col, pts):
 
 
 @settings(max_examples=200, deadline=None)
-@given(segments=_segments)
-def test_eq_stat_equals_an_oracle_bitwise(segments):
+@given(segments=_segments, masked=st.booleans(),
+       stray=st.lists(st.integers(0, 10**6), max_size=2))
+def test_eq_stat_equals_an_oracle_bitwise(segments, masked, stray):
+    # masked: the NaN runs are low-rho rows, as in r4 and r5; else no row
+    # is, as in r1 to r3 and check_reduced_2d.  stray rows are NaN too,
+    # which no low rho explains unless the row is low anyway.
     col = np.array([v for seg in segments for v in seg])
+    low = np.isnan(col) if masked else np.zeros(col.size, bool)
+    col[[k % col.size for k in stray]] = math.nan
     res = np.zeros((col.size, 5))
     res[:, 3] = col  # a strided column, as a scan passes it
     pts = np.arange(4.0 * col.size).reshape(-1, 4) / 7.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _eq_stat(res[:, 3], pts)
-    assert repr(got) == repr(eq_stat_oracle(col, pts))
+        got = _eq_stat(res[:, 3], pts, low if masked else None)
+    assert repr(got) == repr(eq_stat_oracle(col, low, pts))
+
+
+def test_a_nan_residual_fails_the_scan_at_its_first_point():
+    # r3 = u rho_x + v rho_y = 1e400 - 1e400 at every point: NaN, where
+    # no rho is low.  Such a NaN used to be dropped, and r3 read 0.
+    sol = rigid_rotation().with_fields(
+        u=field("1e200"), v=field("-1e200"),
+        p=field("z + 1e200*x*z + 1e200*y*z"))
+    with np.errstate(all="ignore"):  # as seaconv verify runs
+        rep = residual_scan(sol, UNIT_GRID)
+    assert rep.eqs["r3"] == EqStat(math.inf, math.inf, (0.0, 0.0, 0.0, 0.0))
+    assert rep.low_rho == 0 and not rep.passes(1e300)
+    # r4 = u u_x + v u_y + ... = 1e400 - 1e400 where x > 0 and x + y > 0,
+    # with rho = 1: such a row used to count as low rho.
+    sol = rigid_rotation().with_fields(u=field("1e200*(x + y)"),
+                                       v=field("-1e200*x"))
+    with np.errstate(all="ignore"):
+        rep = residual_scan(sol, UNIT_GRID)
+        r = residual_batch(sol, UNIT_GRID.points())
+    first = tuple(UNIT_GRID.points()[np.isnan(r[:, 3])][0].tolist())
+    assert first == (0.0, 0.25, 0.0, 0.0)
+    assert rep.eqs["r4"] == EqStat(math.inf, math.inf, first)
+    assert rep.low_rho == 0 and not rep.passes(1e300)
+
+
+def test_a_nan_in_the_reduced_2d_residuals_fails_them():
+    txy = ("t", "x", "y")
+    u, v = (parse_expr(src, None, allowed=txy)
+            for src in ("1e200*(x + y)", "-1e200*x"))
+    zero = parse_expr("0", None, allowed=txy)
+    pts = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+    with np.errstate(all="ignore"):
+        rep = check_reduced_2d(u, v, zero, points=pts)
+    assert rep.eqs["eq_a"] == EqStat(math.inf, math.inf, (0.0, 1.0, 0.0))
+
+
+def test_a_threaded_scan_raises_the_overflow_of_its_first_failing_block(
+        monkeypatch):
+    # Each run collects its own IEEE flags: a flag raised in one thread
+    # must neither go unseen there nor be taken for another thread's.
+    sol = rigid_rotation().with_fields(p=field("z + exp(1000*x)"))
+    monkeypatch.setattr(verify, "BUDGET", 8 * _fields_tape(sol).width)
+    pts = np.random.default_rng(8).uniform(0.0, 0.5, size=(96, 4))
+    pts[72:80, 1] += 1.0  # the tenth of twelve blocks overflows
+    errors = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (None,) + (2,) * 30:
+            with pytest.raises(EvalDomainError) as exc:
+                residual_scan(sol, pts, workers=workers)
+            errors.append((str(exc.value), exc.value.expr))
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors[0][0] == ("non-finite value during evaluation in "
+                            "exp(1000*x)")
+    assert all(e[0] == errors[0][0] and e[1] is errors[0][1] for e in errors)
 
 
 def test_low_rho_points_are_counted_not_crashed():
