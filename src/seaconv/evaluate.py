@@ -6,26 +6,25 @@ order, or a lower set of monomials, jets.py; the spaces must be nested),
 and run on any number of batches; a run leaves it unchanged, so threads
 may share one.  Compiling walks the roots into entries: one per
 structurally distinct node, children first.  A node's key is its type,
-its own fields (floats by their bits, so 0.0 and -0.0 stay apart; a
-parameter function by identity) and its children's slots; it is
-computed once per node object, so a lookup never walks a subtree.
-Equal subtrees that are distinct objects, as a symmetry map or a second
-parse leaves them, share one entry.  The roots are walked largest space
-first, and each node is evaluated in the space of the first root that
-reaches it, restricted to the node's jet variables (jets.restrict): a
-t-only subterm of p runs in {1, t}, a constant in {1}.  A parent reads
-each child in its own root's space restricted to the child's
-variables, a truncation of the child's jet (the roots' spaces are
-nested): a slice of its coefficients where its layout is a prefix, else
-a gather.  Add, Sub and Atan2 lift their operands to their own space,
-Mul and Div multiply only the pairs of coefficients both operands hold
-(jets.mul), and the roots are returned in the spaces asked for.
+its own fields (node._key: floats by their bits, so 0.0 and -0.0 stay
+apart) and its children's slots, computed once per node object, so a
+lookup never walks a subtree: equal subtrees that are distinct objects,
+as a symmetry map or a parse leaves them, share one entry.  The roots
+are walked largest space first, and each node is evaluated in the space
+of the first root that reaches it, restricted to the node's jet
+variables (jets.restrict): a t-only subterm of p runs in {1, t}, a
+constant in {1}.  A parent reads each child in its own root's space
+restricted to the child's variables, a truncation of the child's jet
+(the roots' spaces are nested): a slice of its coefficients where its
+layout is a prefix, else a gather.  Add, Sub and Atan2 lift their
+operands to their own space, Mul and Div multiply only the pairs of
+coefficients both operands hold (jets.mul), and the roots are returned
+in the spaces asked for.
 
-The FnApps of one function on one argument slot (alpha, alpha' and
-alpha'' of t) share one run of the function's body per tape run, at
-the highest order k + n any of them needs, and each reads its
-derivatives off that jet; the body's tape is compiled once per
-(function, order).  The last such FnApp drops the body's jet.
+An FnApp fn^(k)(arg) is no entry: the tape holds arg, FnApp.domain
+(fn(arg) if k > 0), then FnApp.inlined (the body's k-th derivative with
+arg for s), like any other trees, an FnApp in them inlined too; a
+domain error in a body names the substituted node.
 
 An Antideriv's jet (compose_antideriv) integrates each distinct (upper
 limit, ambient values) row once by quadrature.gauss_kronrod, expanding
@@ -35,7 +34,7 @@ z, a z-free integrand runs at order 1.  The stopping test reads only
 those coefficients, so they match a larger space's to within the
 tolerance, not bit for bit; the coefficients through the upper limit
 follow the fundamental theorem of calculus exactly.  The integrand is
-compiled afresh per quadrature level, and nodes keep no cache.
+compiled afresh per quadrature level, and the node keeps no cache.
 
 A run goes entry by entry: the node's rule on its children's jets, and
 a check that the jet is finite where it can fail.  A finite input
@@ -50,24 +49,19 @@ gauss_kronrod) and a Const that is not finite; so is every entry of a
 run whose points or bindings are not all finite.  Inside a run, flags
 go to its callback, not to warnings, and the caller's error state is
 restored when the run returns or raises.  Each entry lists the slots it
-reads last, and drops their jets, so a run holds only the jets still to be
-read, not one per node.  These lists fix the tape's width at compile
-time: the peak number of jet columns a run holds at once, the largest
-sum of ncoef over the tape's jets held together.  It leaves out the
-parameter-function body jets a run keeps between the first and the last
-FnApp of a pair, so a run can hold more: a theorem_2_1 instance under
-a k = 3 map, of width 67, holds up to 78.  A scan sizes its blocks from
-it (verify.py), so its budget is a target, not a bound.  The entries are
-in the post-order of the walk, so the error raised is that of the first
-node in this order to leave its domain: a non-finite jet is caught at
-the first entry that produces it.
+reads last, and drops their jets, so a run holds only the jets still to
+be read, not one per node.  These lists fix the tape's width at compile
+time: the peak number of jet columns a run holds at once, all its jets
+counted, from which a scan sizes its blocks (verify.py).  The entries
+are in the post-order of the walk, so the error raised is that of the
+first node in this order to leave its domain: a non-finite jet is
+caught at the first entry that produces it.
 """
 from __future__ import annotations
 
 import math
 import operator
 from collections import namedtuple
-from dataclasses import fields
 from functools import lru_cache
 
 import numpy as np
@@ -94,9 +88,8 @@ from .jets import (MAX_PUBLIC_ORDER, JetBatch, JetSpace, const_batch,
 from .quadrature import Antideriv, gauss_kronrod
 
 
-# What a rule reads besides its children's jets, in its node's space:
-# fnapps is the tape's Tape.fnapps, and runs the run's body jets.
-_Ctx = namedtuple("_Ctx", "vars points space bindings fnapps runs")
+# What a rule reads besides its children's jets, in its node's space.
+_Ctx = namedtuple("_Ctx", "vars points space bindings")
 
 
 def eval_jet_batch(e, vars, points, order, bindings=None):
@@ -136,11 +129,11 @@ def eval_values(e: Expr, vars, points, bindings=None) -> np.ndarray:
 
 
 def deriv_1d(f, s0: float, k: int) -> float:
-    """k-th derivative of a one-variable function at s0, k = 0..6."""
+    """k-th derivative of a one-variable function at s0, k = 0..6, as the
+    FnApp f^(k)(s) gives it, with the domain errors of f at s0."""
     if not 0 <= k <= 6:
         raise ValueError("k out of range (0..6)")
-    batch = eval_jet_batch(f.body, ("s",), np.array([[float(s0)]]), k)
-    return float(batch.partial((k,))[0])
+    return float(eval_values(f(Var("s"), k), ("s",), [[float(s0)]])[0])
 
 
 def antiderivative_value(node: Antideriv, s: float,
@@ -165,39 +158,27 @@ class Tape:
     """Roots compiled for evaluation in vars, each in its order or space."""
 
     def __init__(self, roots, vars, orders):
-        if not isinstance(orders, tuple) or len(orders) != len(roots):
-            raise ValueError("roots and orders must be tuples of one length")
-        vars = tuple(vars)
-        spaces = tuple(_space(n, len(vars)) for n in orders)
-        ranked = sorted(spaces, key=lambda s: s.ncoef, reverse=True)
-        if any(not b.index.keys() <= a.index.keys()
-               for a, b in zip(ranked, ranked[1:])):
-            raise ValueError("the roots' spaces must be nested")
-        self._compile(roots, vars, spaces, {})
-
-    def _compile(self, roots, vars, spaces, bodies):
         """Walk the roots largest space first (a stable sort); a node with a
         new key appends [node, its children's slots, its space, the
         non-root slots it reads last, its axes, the spaces it reads its
-        children in] after its children's: its space and theirs are the
-        walking root's restricted to their axes (see _slot).  Each entry
-        then gets whether its rule can go non-finite without an IEEE
-        flag, so that run checks its jet every time.
-        The FnApps fn^(k) in a space of order n with one fn and argument
-        slot form a pair, which needs fn's body at the highest k + n of
-        them, past the public cap if need be; bodies gets the body's tape
-        at (id(fn), that order).  fnapps maps id(FnApp) to (its pair,
-        the body's tape, and whether it reads the pair last).  width is
-        a run's peak of held jet columns, the body jets of pairs left
-        out: each entry's jet joins those held, which then drop the
-        slots it reads last."""
-        self.vars, self.spaces = vars, spaces
-        table, entries = {}, []
-        slots = [None] * len(roots)
-        for i in sorted(range(len(roots)), key=lambda i: spaces[i].ncoef,
-                        reverse=True):
+        children in, whether run checks its jet always] after its
+        children's (see _slot).  width is a run's peak of held jet
+        columns: each entry's jet joins those held, which then drop the
+        slots it reads last (an unread one, itself)."""
+        if not isinstance(orders, tuple) or len(orders) != len(roots):
+            raise ValueError("roots and orders must be tuples of one length")
+        self.vars = vars = tuple(vars)
+        self.spaces = spaces = tuple(_space(n, len(vars)) for n in orders)
+        ranked = sorted(range(len(roots)), key=lambda i: spaces[i].ncoef,
+                        reverse=True)
+        if any(not spaces[j].index.keys() <= spaces[i].index.keys()
+               for i, j in zip(ranked, ranked[1:])):
+            raise ValueError("the roots' spaces must be nested")
+        table, entries, slots = {}, [], [None] * len(roots)
+        for i in ranked:
             slots[i] = _slot(roots[i], vars, table, entries, spaces[i])
-        last = {k: i for i, entry in enumerate(entries) for k in entry[1]}
+        last = {k: i for i, entry in enumerate(entries)
+                for k in (i, *entry[1])}
         dropped = [0] * len(entries)  # the columns each entry drops
         for k in set(last).difference(slots):
             entries[last[k]][3].append(k)
@@ -208,26 +189,8 @@ class Tape:
             width = max(width, live)
             live -= cols
         self.width = width
-        apps = [(i, e, (id(e.fn), kids[0]), e.k + space.order)
-                for i, (e, kids, space, *_) in enumerate(entries)
-                if type(e) is FnApp]
-        need, final = {}, {}
-        for i, _, pair, order in apps:
-            need[pair], final[pair] = max(need.get(pair, 0), order), i
-        self.fnapps = {}
-        for i, e, pair, _ in apps:
-            key = (id(e.fn), need[pair])
-            if key not in bodies:
-                bodies[key] = Tape.__new__(Tape)._compile(
-                    (e.fn.body,), ("s",), (jet_space(1, key[1]),), bodies)
-            self.fnapps[id(e)] = (pair, bodies[key], final[pair] == i)
-        for entry in entries:
-            e = entry[0]
-            entry.append(type(e) in (Atan2, Antideriv) or (
-                type(e) is Const and not math.isfinite(e.value)))
         self.entries, self.slots = entries, slots
         self._spaces = {entry[2] for entry in entries}
-        return self
 
     def run(self, points, bindings=None) -> list:
         """The roots' jets at an (npoints, nvars) array of points.  An
@@ -242,9 +205,7 @@ class Tape:
                     for k, v in (bindings or {}).items()}
         every = not (np.isfinite(pts).all() and all(
             np.isfinite(v).all() for v in bindings.values()))
-        runs = {}
-        ctxs = {s: _Ctx(self.vars, pts, s, bindings, self.fnapps, runs)
-                for s in self._spaces}
+        ctxs = {s: _Ctx(self.vars, pts, s, bindings) for s in self._spaces}
         held = [None] * len(self.entries)
         flags = []
         with np.errstate(all="call", under="ignore",
@@ -266,29 +227,34 @@ class Tape:
 def _slot(e, vars, table, tape, space) -> int:
     """The slot of e in tape, shared by every structurally equal node.
     table maps id(node) and a node's key to its slot; the roots keep its
-    nodes alive, so no id is reused.  An Antideriv's body, which
-    compose_antideriv evaluates on its own, is keyed in a table and a
-    tape of its own, table[Antideriv], which are never run.  A new entry
-    gets its axes, the positions in vars of its jet variables: a Var's
-    own, none for a bound Var or a Const, an Antideriv's inner's and its
-    ambient variables', and else its children's.  It is evaluated in
-    space restricted to its axes, and reads each child in space
-    restricted to the child's axes: a truncation of the child's jet,
-    which came from space or a larger root's space."""
+    nodes alive, and an FnApp its domain and inlined trees, so no id is
+    reused.  An FnApp with a new key takes its inlined tree's slot, after
+    its arg's and its domain's.  An Antideriv's body, which
+    compose_antideriv evaluates on its own, is keyed in a table and tape
+    of its own, table[Antideriv], never run.  A new entry gets its axes,
+    the positions in vars of its jet variables: a Var's own, none for a
+    bound Var or a Const, an Antideriv's inner's and its ambient
+    variables', and else its children's.  It is evaluated in space
+    restricted to its axes, and reads each child in space restricted to
+    the child's axes: a truncation of the child's jet, which came from
+    space or a larger root's space."""
     got = table.get(id(e))
     if got is None:
-        own = _OWN_KEYS.get(type(e))
-        if own is None:
+        if type(e) not in _RULES and type(e) is not FnApp:
             raise TypeError(f"cannot evaluate node of type {type(e).__name__}")
         integral = type(e) is Antideriv
         kids = tuple([_slot(c, vars, table, tape, space)
                       for c in ((e.inner,) if integral else e.children())])
-        key = (type(e), own(e), kids)
+        key = (type(e), e._key(e), kids)
         if integral:
             body = table.setdefault(Antideriv, ({}, []))
             key += (_slot(e.body, vars, *body, space),)
         got = table.get(key)
-        if got is None:
+        if got is None and type(e) is FnApp:
+            for tree in e.domain:
+                _slot(tree, vars, table, tape, space)
+            got = table[key] = _slot(e.inlined, vars, table, tape, space)
+        elif got is None:
             axes = frozenset()
             for k in kids:
                 axes |= tape[k][4]
@@ -298,7 +264,9 @@ def _slot(e, vars, table, tape, space) -> int:
                 axes |= {vars.index(v) for v in e.ambient_vars() if v in vars}
             got = table[key] = len(tape)
             tape.append([e, kids, restrict(space, axes), [], axes,
-                         [restrict(space, tape[k][4]) for k in kids]])
+                         [restrict(space, tape[k][4]) for k in kids],
+                         type(e) in (Atan2, Antideriv) or (  # see Tape.run
+                             type(e) is Const and not math.isfinite(e.value))])
         table[id(e)] = got
     return got
 
@@ -319,10 +287,6 @@ def _ev_var(e: Var, ctx):
 def _ev_arith(op):
     """The jet rule of Add or Sub: op of the operands' jets in e's space."""
     return lambda e, ctx, a, b: op(a.to(ctx.space), b.to(ctx.space))
-
-
-def _ev_mul(e: Mul, ctx, a, b):
-    return jets.mul(a, b, ctx.space)
 
 
 def _recip(b: JetBatch, site: Expr) -> JetBatch:
@@ -381,16 +345,6 @@ def _ev_atan2(e: Atan2, ctx, num, den):
         jets.compose_smooth(z, jets.d_log(z.value, ctx.space.order)).coef.imag)
     coef[:, 0] = np.arctan2(b0, a0)
     return JetBatch(ctx.space, coef)
-
-
-def _ev_fnapp(e: FnApp, ctx, inner):
-    pair, tape, last = ctx.fnapps[id(e)]
-    if pair not in ctx.runs:
-        [ctx.runs[pair]] = tape.run(inner.value[:, None])
-    coef = (ctx.runs.pop(pair) if last else ctx.runs[pair]).coef
-    need = e.k + ctx.space.order
-    derivs = coef[:, e.k : need + 1] * jets._FACT[e.k : need + 1]
-    return jets.compose_smooth(inner, derivs)
 
 
 @lru_cache(maxsize=None)
@@ -496,34 +450,11 @@ _RULES = {
     Var: _ev_var,
     Add: _ev_arith(operator.add),
     Sub: _ev_arith(operator.sub),
-    Mul: _ev_mul,
+    Mul: lambda e, ctx, a, b: jets.mul(a, b, ctx.space),
     Div: _ev_div,
     IntPow: _ev_intpow,
     RealPow: _ev_realpow,
     Call: _ev_call,
     Atan2: _ev_atan2,
-    FnApp: _ev_fnapp,
     Antideriv: _ev_antideriv,
 }
-
-
-# Per annotation of an own field: the function name -> (node -> the
-# field's part of the node's key).  Any other field enters by value.
-_FIELD_KEYS = {
-    "float": lambda name: lambda e: float(getattr(e, name)).hex(),
-    "ParamFn": lambda name: lambda e: id(getattr(e, name)),
-}
-
-
-def _own_key(cls):
-    """The function node -> key of its own fields (see the module
-    docstring), with converters chosen once per type from annotations."""
-    types = {f.name: getattr(f.type, "__name__", f.type) for f in fields(cls)}
-    parts = [_FIELD_KEYS.get(types[n], operator.attrgetter)(n)
-             for n in cls._own]
-    if len(parts) < 2:
-        return parts[0] if parts else lambda e: None
-    return lambda e: tuple([part(e) for part in parts])
-
-
-_OWN_KEYS = {cls: _own_key(cls) for cls in _RULES}

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from operator import attrgetter
 
 VARS4 = ("t", "x", "y", "z")
@@ -70,23 +71,24 @@ class Expr:
             out |= c.free_vars()
         return out
 
-    def _subst(self, mapping: dict[str, "Expr"]) -> "Expr":
-        """The node with its children substituted; the node itself when
-        no child changed."""
-        if not self._kids:
-            return self
+    def _subst(self, mapping: dict[str, "Expr"], memo: dict) -> "Expr":
+        """The node with its children substituted, each child object once
+        (memo maps its id to its substitute); itself if none changes."""
         new, changed = [], False
-        for name in self._kids:
-            old = getattr(self, name)
-            new.append(old._subst(mapping))
-            changed = changed or new[-1] is not old
+        for c in map(self.__getattribute__, self._kids):
+            got = memo.get(id(c))
+            if got is None:
+                got = memo[id(c)] = c._subst(mapping, memo)
+            new.append(got)
+            changed = changed or got is not c
         if not changed:
             return self
         for i, name in self._own_at:
             new.insert(i, getattr(self, name))
         return type(self)(*new)
 
-    def _diff(self, var: str) -> "Expr":
+    def _diff(self, var: str, d) -> "Expr":
+        """The node's derivative in var, its children's taken by d."""
         raise NotImplementedError
 
     def _print(self) -> tuple[str, float]:
@@ -113,7 +115,38 @@ def node(cls=None, **options):
     get = attrgetter(*cls._kids) if cls._kids else lambda e: ()
     one = len(cls._kids) == 1
     cls._get_kids = staticmethod((lambda e: (get(e),)) if one else get)
+    cls._key = staticmethod(_own_key(cls))
     return cls
+
+
+# Per annotation of an own field: the function name -> (node -> the
+# field's part of the node's key).  Any other field enters by value.
+_FIELD_KEYS = {"float": lambda name: lambda e: float(getattr(e, name)).hex(),
+               "ParamFn": lambda name: lambda e: id(getattr(e, name))}
+
+
+def _own_key(cls):
+    """node -> its own fields as they tell equal nodes apart (with its
+    type and children): floats by their bits, so 0.0 and -0.0 stay
+    apart, a parameter function by identity, and the rest by value."""
+    kind = {f.name: getattr(f.type, "__name__", f.type) for f in fields(cls)}
+    parts = [_FIELD_KEYS.get(kind[n], attrgetter)(n) for n in cls._own]
+    if len(parts) < 2:
+        return parts[0] if parts else lambda e: ()
+    return lambda e: tuple([part(e) for part in parts])
+
+
+def _memo(step):
+    """f: node -> step(node, f), once per node object (held, so that its
+    id stays its own): shared subtrees cost once, not once per path."""
+    memo = {}
+
+    def f(e):
+        got = memo.get(id(e))
+        if got is None:
+            got = memo[id(e)] = (step(e, f), e)
+        return got[0]
+    return f
 
 
 def _infix(e, op: str, prec: float):
@@ -134,7 +167,7 @@ class Const(Expr):
     def __post_init__(self):
         object.__setattr__(self, "value", float(self.value))
 
-    def _diff(self, var):
+    def _diff(self, var, d):
         return Const(0.0)
 
     def _print(self):
@@ -153,10 +186,10 @@ class Var(Expr):
     def free_vars(self):
         return frozenset((self.name,))
 
-    def _subst(self, mapping):
+    def _subst(self, mapping, memo):
         return mapping.get(self.name, self)
 
-    def _diff(self, var):
+    def _diff(self, var, d):
         return Const(1.0) if self.name == var else Const(0.0)
 
     def _print(self):
@@ -168,8 +201,8 @@ class Add(Expr):
     a: Expr
     b: Expr
 
-    def _diff(self, var):
-        return add(self.a._diff(var), self.b._diff(var))
+    def _diff(self, var, d):
+        return add(d(self.a), d(self.b))
 
     def _print(self):
         return _infix(self, " + ", _PREC_ADD)
@@ -180,8 +213,8 @@ class Sub(Expr):
     a: Expr
     b: Expr
 
-    def _diff(self, var):
-        return sub(self.a._diff(var), self.b._diff(var))
+    def _diff(self, var, d):
+        return sub(d(self.a), d(self.b))
 
     def _print(self):
         return _infix(self, " - ", _PREC_ADD)
@@ -192,10 +225,8 @@ class Mul(Expr):
     a: Expr
     b: Expr
 
-    def _diff(self, var):
-        return add(
-            mul(self.a._diff(var), self.b), mul(self.a, self.b._diff(var))
-        )
+    def _diff(self, var, d):
+        return add(mul(d(self.a), self.b), mul(self.a, d(self.b)))
 
     def _print(self):
         # Mul(Const(-1), e) renders as unary minus unless e is a constant
@@ -213,13 +244,12 @@ class Div(Expr):
     a: Expr
     b: Expr
 
-    def _diff(self, var):
-        da, db = self.a._diff(var), self.b._diff(var)
-        num = sub(mul(da, self.b), mul(self.a, db))
+    def _diff(self, var, d):
+        da, db = d(self.a), d(self.b)
         den = mul(self.b, self.b)
-        if den == Const(0.0):  # the square of a tiny constant underflows
-            return div(div(num, self.b), self.b)
-        return div(num, den)
+        if den == Const(0.0):  # b is a constant whose square underflows
+            return div(da, self.b)
+        return div(sub(mul(da, self.b), mul(self.a, db)), den)
 
     def _print(self):
         return _infix(self, "/", _PREC_MUL)
@@ -232,8 +262,8 @@ def _pow_print(base: Expr, etext: str):
     return f"{lb}^{etext}", _PREC_POW
 
 
-def _pow_diff(base: Expr, e, var: str):
-    return mul(mul(Const(float(e)), pow_node(base, e - 1)), base._diff(var))
+def _pow_diff(base: Expr, e, d):
+    return mul(mul(Const(float(e)), pow_node(base, e - 1)), d(base))
 
 
 @node
@@ -241,8 +271,8 @@ class IntPow(Expr):
     base: Expr
     n: int
 
-    def _diff(self, var):
-        return _pow_diff(self.base, self.n, var)
+    def _diff(self, var, d):
+        return _pow_diff(self.base, self.n, d)
 
     def _print(self):
         return _pow_print(self.base, str(self.n))
@@ -253,8 +283,8 @@ class RealPow(Expr):
     base: Expr
     e: float
 
-    def _diff(self, var):
-        return _pow_diff(self.base, self.e, var)
+    def _diff(self, var, d):
+        return _pow_diff(self.base, self.e, d)
 
     def _print(self):
         return _pow_print(self.base, repr(self.e))
@@ -269,8 +299,8 @@ class Call(Expr):
         if self.kind not in BUILTINS:
             raise ValueError(f"unknown builtin {self.kind!r}")
 
-    def _diff(self, var):
-        return _CALL_DIFF[self.kind](self.arg, self.arg._diff(var))
+    def _diff(self, var, d):
+        return _CALL_DIFF[self.kind](self.arg, d(self.arg))
 
     def _print(self):
         la, _ = self.arg._print()
@@ -298,9 +328,9 @@ class Atan2(Expr):
     num: Expr
     den: Expr
 
-    def _diff(self, var):
+    def _diff(self, var, d):
         b, a = self.num, self.den
-        db, da = b._diff(var), a._diff(var)
+        db, da = d(b), d(a)
         num = sub(mul(db, a), mul(b, da))
         den = add(mul(a, a), mul(b, b))
         if den == Const(0.0):  # two tiny constants: num is the constant 0
@@ -333,6 +363,27 @@ class ParamFn:
     def __call__(self, arg, k: int = 0) -> "FnApp":
         return FnApp(self, int(k), wrap(arg))
 
+    @cached_property
+    def _derivs(self):
+        """The derivatives formed so far, by k, and the step d/ds, which
+        hash-conses: a node equal to one formed before becomes that one."""
+        table = {}
+
+        def canonical(e, cons):  # e over its children's canonical forms
+            e = e._subst({}, {id(c): cons(c) for c in e.children()})
+            return table.setdefault(
+                (type(e), e._key(e), tuple(map(id, e.children()))), e)
+        cons = _memo(canonical)
+        return {0: self.body}, _memo(lambda e, d: cons(e._diff("s", d)))
+
+    def deriv(self, k: int) -> Expr:
+        """The body's k-th derivative in s, formed once over a DAG: each
+        step differentiates each distinct node once, and equal subtrees of
+        all steps are one object, so it grows as its tape does."""
+        derivs, step = self._derivs
+        return derivs[k] if k in derivs else derivs.setdefault(
+            k, step(self.deriv(k - 1)))
+
 
 @node
 class FnApp(Expr):
@@ -346,8 +397,20 @@ class FnApp(Expr):
         if self.k < 0:
             raise ValueError("derivative order must be non-negative")
 
-    def _diff(self, var):
-        return mul(FnApp(self.fn, self.k + 1, self.arg), self.arg._diff(var))
+    def _diff(self, var, d):
+        return mul(FnApp(self.fn, self.k + 1, self.arg), d(self.arg))
+
+    @cached_property
+    def inlined(self) -> Expr:
+        """fn's k-th derivative with arg for s, one object per FnApp."""
+        return substitute(self.fn.deriv(self.k), {"s": self.arg})
+
+    @cached_property
+    def domain(self) -> tuple:
+        """Besides arg, the trees whose domain errors are this FnApp's: for
+        k > 0, fn(arg), as fn^(k) can be defined where fn is not
+        (log(s - 3)' = 1/(s - 3), (1/(s - s))' = 0)."""
+        return (FnApp(self.fn, 0, self.arg),) if self.k else ()
 
     def _print(self):
         la, _ = self.arg._print()
@@ -426,9 +489,11 @@ def mul(a: Expr, b: Expr) -> Expr:
 
 
 def div(a: Expr, b: Expr) -> Expr:
+    """Folding quotient; a constant zero denominator stays a node, whose
+    jet rule raises the domain error (as a derivative of x/0 must)."""
     if isinstance(b, Const):
         if b.value == 0.0:
-            raise ZeroDivisionError("division of an expression by constant zero")
+            return Div(a, b)
         if isinstance(a, Const):
             return Const(a.value / b.value)
         if b.value == 1.0:
@@ -477,14 +542,15 @@ def print_expr(e: Expr) -> str:
 def substitute(e: Expr, mapping: dict[str, Expr]) -> Expr:
     """Simultaneous capture-free substitution of variables.  ParamFn
     bodies are closed over their bound variable and are not entered;
-    antiderivative nodes substitute their ambient parts only."""
+    antiderivative nodes substitute their ambient parts only.  A shared
+    subtree is substituted once and stays shared."""
     mapping = {k: wrap(v) for k, v in mapping.items()}
-    return e._subst(mapping)
+    return e._subst(mapping, {})
 
 
 def diff(e: Expr, var: str) -> Expr:
-    """Symbolic partial derivative with folding constructors."""
-    return e._diff(var)
+    """Symbolic partial derivative (folding), once per node object."""
+    return _memo(lambda n, d: n._diff(var, d))(e)
 
 
 def free_vars(e: Expr) -> frozenset[str]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import QuadratureError
-from .expr import Const, Expr, add, mul, node
+from .expr import Const, Expr, add, mul, node, substitute
 
 DEFAULT_TOL = 1e-10
 # Below MIN_TOL the rounding in a subinterval's Kronrod and Gauss sums
@@ -108,7 +108,7 @@ def _feval(f, svals, rows):
     return out
 
 
-@node(eq=False)
+@node
 class Antideriv(Expr):
     """Definite integral of body (an Expr in s plus ambient variables)
     from the fixed base to the value of the inner expression."""
@@ -134,18 +134,20 @@ class Antideriv(Expr):
     def ambient_vars(self) -> tuple[str, ...]:
         return tuple(sorted(self.body.free_vars() - {"s"}))
 
-    def _subst(self, mapping):
+    def _subst(self, mapping, memo):
         # s is bound in the body: only the ambient variables enter it.
-        nb = self.body._subst({k: v for k, v in mapping.items() if k != "s"})
-        ni = self.inner._subst(mapping)
+        nb = substitute(self.body,
+                        {k: v for k, v in mapping.items() if k != "s"})
+        ni = self.inner._subst(mapping, memo)
         if nb is self.body and ni is self.inner:
             return self
         return Antideriv(nb, ni, self.base, self.tol)
 
-    def _diff(self, var):
-        boundary = mul(self.body._subst({"s": self.inner}),
-                       self.inner._diff(var))
-        dbody = self.body._diff(var)
+    def _diff(self, var, d):
+        boundary = mul(substitute(self.body, {"s": self.inner}),
+                       d(self.inner))
+        # The body's s is its own, not a variable outside the node.
+        dbody = Const(0.0) if var == "s" else d(self.body)
         if isinstance(dbody, Const) and dbody.value == 0.0:
             return boundary
         return add(boundary, Antideriv(dbody, self.inner, self.base, self.tol))

@@ -14,7 +14,7 @@ shares with a velocity is evaluated once, in P_SPACE restricted to the
 subtree's variables, and the velocity reads it by truncation.  A scan
 compiles the tape once and runs it on near-equal blocks of its points,
 as few as keep the jets a run holds (the tape's width in columns)
-within about BUDGET floats; it then reduces each residual column once,
+within BUDGET floats; it then reduces each residual column once,
 over all its points in order.
 Reading rho off p's jet one derivative order higher makes r2 structural.
 """
@@ -31,7 +31,7 @@ from .jets import jet_space
 from .solution import Solution, assert_in_domain, in_domain_mask
 
 LOW_RHO = 1e-9
-BUDGET = 96 * 1024  # floats of jets a run aims to hold (see Tape.width)
+BUDGET = 96 * 1024  # floats of jets a run holds at most (see Tape.width)
 P_SPACE = jet_space(4, 2, frozenset(
     m for m in jet_space(4, 2).monos if sum(m) < 2 or m[3]))
 

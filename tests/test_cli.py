@@ -532,6 +532,18 @@ def test_overflow_in_evaluation_prints_only_the_error(tmp_path):
     assert [str(w.message) for w in caught] == []
 
 
+def test_a_body_that_leaves_its_domain_names_its_substituted_node(tmp_path):
+    desc = write(tmp_path, "dom.desc", "family = theorem_3_1\n"
+                 "alpha(t) = t^2 / 2\nIm(s) = log(s - 3)\n")
+    code, _, err = run(["verify", "--descriptor", desc,
+                        "--grid", "t=0:1:3,x=-1:1:5,y=-1:1:5,z=0:1:3"])
+    assert code == 2
+    assert_one_error_line(err)
+    assert err.startswith("error: log of a non-positive value in "
+                          "log(exp(2*alpha(t))*sqrt(")
+    assert "log(s - 3)" not in err
+
+
 @pytest.mark.parametrize("power, message", [
     ("(-2)^0.5", "real power of a non-positive base"),
     ("0^-1", "division by zero"),

@@ -15,16 +15,18 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from conftest import GRID_DEFAULT
 from output_digest import first_errors
 from seaconv import evaluate, jets, verify
 from seaconv.errors import EvalDomainError, SeaconvError
 from seaconv.evaluate import eval_jet_batch, eval_values
 from seaconv.expr import (Add, Atan2, Const, FnApp, FnContext, Mul, ParamFn,
                           Var)
-from seaconv.jets import MAX_PUBLIC_ORDER, jet_space, var_batch
-from seaconv.parser import parse_expr, parse_paramfn
+from seaconv.jets import MAX_PUBLIC_ORDER, JetBatch, jet_space, var_batch
+from seaconv.parser import MAX_PRIMES, parse_expr, parse_paramfn
 from seaconv.quadrature import Antideriv
 from seaconv.solution import in_domain_mask
+from seaconv.symmetry import SymmetryKind, apply_symmetry
 from seaconv.verify import LAPLACE_SPACE, P_SPACE, _fields_tape
 from test_nodes import constants as node_constants
 from test_nodes import points as node_points
@@ -60,7 +62,8 @@ def test_atan2_fnapp_and_antideriv_jets_are_column_major():
 
 
 def test_an_fnapp_body_runs_above_the_public_order_cap():
-    # At order 4, alpha''''''(t + x) reads alpha's body at order 6 + 4 = 10.
+    # At order 4, alpha''''''(t + x) holds alpha's derivatives of orders
+    # 6 to 6 + 4 = 10: its inlined sixth derivative runs at order 4.
     # d^n[e^s sin s] = 2^(n/2) e^s sin(s + n pi/4).
     ctx = FnContext()
     ctx.register(parse_paramfn("alpha", "s", "sin(s) * exp(s)", None))
@@ -184,8 +187,9 @@ def test_a_chain_holds_a_few_jets_not_one_per_node():
 
 
 def held_peak(tape, points):
-    """The most jet columns tape.run(points) holds at once, counted over
-    its held list as each of its rules returns a jet."""
+    """The most jet columns tape.run(points) holds at once, counted as
+    each of its rules returns a jet: that jet, those of its held list,
+    and any jet that the rules' contexts keep between entries."""
     peak, rules = 0, dict(evaluate._RULES)
 
     def counted(rule):
@@ -194,9 +198,14 @@ def held_peak(tape, points):
             jet = rule(e, ctx, *args)
             run = sys._getframe(1).f_locals
             if run.get("self") is tape:
-                held = sum(j.coef.shape[1] for j in run["held"]
-                           if j is not None)
-                peak = max(peak, held + jet.coef.shape[1])
+                held = {id(j): j for j in run["held"] if j is not None}
+                for field in (f for c in run["ctxs"].values() for f in c):
+                    if isinstance(field, dict):
+                        held.update((id(j), j) for j in field.values()
+                                    if isinstance(j, JetBatch))
+                held[id(jet)] = jet
+                peak = max(peak, sum(j.coef.shape[1]
+                                     for j in held.values()))
             return jet
         return wrapped
 
@@ -210,9 +219,18 @@ def held_peak(tape, points):
 
 def test_a_scan_tape_s_width_is_its_run_s_peak_of_held_columns(
         instance_matrix):
-    for name, sol, grid, _tol in instance_matrix:
+    # Parameter functions included: the theorem_2_1[full] fields under a
+    # k = 3 map apply alpha, alpha' and alpha'' of t and Im of x and y.
+    [full] = [s for n, s, _, _ in instance_matrix if n == "theorem_2_1[full]"]
+    mapped = apply_symmetry(full, SymmetryKind(3, "0.4*sin(t)"))
+    cases = [(n, s, g) for n, s, g, _ in instance_matrix]
+    with_fnapps = 0
+    for name, sol, grid in cases + [("theorem_2_1[full]+k3", mapped,
+                                     GRID_DEFAULT)]:
         tape = _fields_tape(sol)
+        with_fnapps += bool(_fnapps((sol.p, sol.u, sol.v, sol.w)))
         assert tape.width == held_peak(tape, live_points(sol, grid)), name
+    assert with_fnapps >= 5
 
 
 @settings(max_examples=100, deadline=None)
@@ -236,6 +254,43 @@ def test_signed_zero_constants_are_not_merged():
     assert np.array_equal(eval_values(e, V4, PTS[:3]), np.zeros(3))
 
 
+def test_an_fnapp_of_0_and_of_minus_0_are_not_merged():
+    # f(0.0) and f(-0.0) compare equal, but each inlines its own
+    # argument, and atan2 tells them apart: pi + (-pi) = 0.
+    f = ParamFn("f", Atan2(Var("s"), Const(-1.0)))
+    e = Add(FnApp(f, 0, Const(0.0)), FnApp(f, 0, Const(-0.0)))
+    assert e.a == e.b and e.a.inlined is not e.b.inlined
+    assert eval_values(e.a, V4, PTS[:3]).tolist() == [math.pi] * 3
+    assert np.array_equal(eval_values(e, V4, PTS[:3]), np.zeros(3))
+
+
+def test_deep_derivatives_are_dags_no_larger_than_their_tapes():
+    # Plain diff of exp(sin(s))/(1 + s^2) six times is a tree of 179,719
+    # nodes.  Built over a DAG, with equal subtrees one object, deriv(6)
+    # has no more distinct nodes than the tape of f''''''(x) has entries
+    # (a margin of 0: both count the distinct structures, s for x; the
+    # tape has one more, the body's quotient at x, for FnApp.domain).
+    fns = FnContext()
+    f = fns.register(parse_paramfn("f", "s", "exp(sin(s))/(1+s^2)"))
+    seen, stack = {}, [f.deriv(MAX_PRIMES)]
+    while stack:
+        e = stack.pop()
+        if id(e) not in seen:
+            seen[id(e)] = e
+            stack.extend(e.children())
+    e = parse_expr("f" + "'" * MAX_PRIMES + "(x)", fns)
+    tape = evaluate.Tape((e,), V4, (0,))
+    assert len(seen) <= len(tape.entries)
+    assert f.deriv(MAX_PRIMES) is f.deriv(MAX_PRIMES)
+    assert e.inlined is e.inlined and not any(
+        isinstance(n, FnApp) for n, *_ in tape.entries)
+    x = PTS[:, 1]
+    d1 = eval_values(parse_expr("f'(x)", fns), V4, PTS)
+    want = np.exp(np.sin(x)) * (np.cos(x) * (1 + x**2) - 2 * x) / (
+        1 + x**2) ** 2
+    np.testing.assert_allclose(d1, want, rtol=1e-14)
+
+
 def test_equal_subtrees_share_one_jet(monkeypatch):
     calls = []
     compose = jets.compose_smooth
@@ -255,9 +310,14 @@ def test_equal_subtrees_share_one_jet(monkeypatch):
 def _structure(e, seen):
     """A structural key of e made apart from the evaluator's: its type,
     its own fields (floats by their bits, a parameter function by
-    identity) and its children's keys.  Adds to seen the key of every
-    node of e that its evaluation runs a rule for: not those inside an
-    Antideriv's body, which the Antideriv rule evaluates on its own."""
+    identity) and its children's keys; an FnApp's is its inlined tree's.
+    Adds to seen the key of every node of e that its evaluation runs a
+    rule for: an FnApp's argument, domain and inlined trees, not those in
+    an Antideriv's body, which the Antideriv rule evaluates on its own."""
+    if isinstance(e, FnApp):
+        for tree in (e.arg, *e.domain):
+            _structure(tree, seen)
+        return _structure(e.inlined, seen)
     own = [getattr(e, name) for name in type(e)._own]
     own = tuple(v.hex() if isinstance(v, float) else
                 id(v) if isinstance(v, ParamFn) else v for v in own)
@@ -274,7 +334,7 @@ def test_each_distinct_node_s_rule_runs_once_per_call(instance_matrix,
 
     def counted(rule):
         def run(e, ctx, *args):
-            if not depth[0]:  # not a body an FnApp or Antideriv evaluates
+            if not depth[0]:  # not an integrand an Antideriv evaluates
                 ran.append(_structure(e, set()))
             depth[0] += 1
             try:
@@ -299,11 +359,12 @@ def test_each_distinct_node_s_rule_runs_once_per_call(instance_matrix,
 def test_the_first_error_is_the_first_node_s_in_evaluation_order():
     # The cases of tests/output_digest.py at its ERROR_POINT: children
     # before parents, left before right, a parameter function's body
-    # inside its FnApp, and the highest-order root first.
+    # inlined in its FnApp's place, with the argument for s, and the
+    # highest-order root first.
     assert first_errors() == [
         "EvalDomainError: log of a non-positive value in log(x - 5)",
         "EvalDomainError: division by zero in 1/(x - x)",
-        "EvalDomainError: log of a non-positive value in log(s - 3)",
+        "EvalDomainError: log of a non-positive value in log(x - 3)",
         "EvalDomainError: non-finite value during evaluation in "
         "exp(1000*x*1000)",
         "EvalDomainError: log of a non-positive value in log(y - 5)",
@@ -312,63 +373,127 @@ def test_the_first_error_is_the_first_node_s_in_evaluation_order():
 
 def _fnapps(roots):
     """The distinct FnApp nodes of roots, outside Antideriv bodies, by
-    their structural key (see _structure)."""
+    function, k and their argument's structural key (see _structure)."""
     out, stack = {}, list(roots)
     while stack:
         e = stack.pop()
         if isinstance(e, FnApp):
-            out.setdefault(_structure(e, set()), e)
+            out.setdefault((id(e.fn), e.k, _structure(e.arg, set())), e)
         stack.extend(c for c in e.children()
                      if not (isinstance(e, Antideriv) and c is e.body))
     return list(out.values())
 
 
-def test_one_body_run_per_function_and_argument_per_block(instance_matrix,
-                                                          monkeypatch):
-    # alpha, alpha' and alpha'' of t, Im and Im' of one argument: each
-    # (function, argument) pair runs its body once per run of the tape.
-    [(sol, grid)] = [(s, g) for n, s, g, _ in instance_matrix
-                     if n == "theorem_2_1[full]"]
-    roots = (sol.p, sol.u, sol.v, sol.w)
-    apps = _fnapps(roots)
-    pairs = {(id(e.fn), _structure(e.arg, set())) for e in apps}
-    alpha = [e for e in apps if e.fn.name == "alpha"]
-    assert {e.k for e in alpha} >= {0, 1, 2} and len(pairs) < len(apps)
-    assert not _fnapps([e.fn.body for e in apps])  # bodies call no function
-    blocks, residuals = [], verify._residuals
-    with monkeypatch.context() as m:  # the scan's own first block
-        m.setattr(verify, "_residuals",
-                  lambda t, pts: blocks.append(pts) or residuals(t, pts))
-        verify.residual_scan(sol, grid)
-    tape, block = _fields_tape(sol), blocks[0]
-    runs, placed = [], []
-    run, fnapp = evaluate.Tape.run, evaluate._RULES[FnApp]
+def test_no_entry_is_an_fnapp_and_no_run_nests_outside_an_integral(
+        instance_matrix, monkeypatch):
+    # alpha, alpha' and alpha'' of t, Im and Im' of one argument: each is
+    # inlined, so no fields tape holds an FnApp entry, and a run starts
+    # no other run but an integrand's, inside compose_antideriv.
+    nested, integrands, run = [], [0], evaluate.Tape.run
+    compose = evaluate.compose_antideriv
 
     def counted(t, points, bindings=None):
-        if t is not tape:
-            runs.append(t)
+        if t is not tape and not integrands[0]:
+            nested.append(t)
         return run(t, points, bindings)
 
-    def recorded(e, ctx, inner):
-        jet = fnapp(e, ctx, inner)
-        placed.append((e, inner, jet))
+    def integrand(*args):
+        integrands[0] += 1
+        try:
+            return compose(*args)
+        finally:
+            integrands[0] -= 1
+
+    cases = [(_fields_tape(sol), live_points(sol, grid))
+             for _, sol, grid, _ in instance_matrix]
+    monkeypatch.setattr(evaluate.Tape, "run", counted)
+    monkeypatch.setattr(evaluate, "compose_antideriv", integrand)
+    kinds = set()
+    for tape, pts in cases:
+        kinds.update(type(entry[0]) for entry in tape.entries)
+        tape.run(pts)
+    assert Antideriv in kinds and FnApp not in kinds and not nested
+    monkeypatch.undo()
+    # Each FnApp's jet is its function's derivatives at its argument,
+    # composed with the argument's jet, to within FNAPP_RTOL (see below).
+    [(sol, grid)] = [(s, g) for n, s, g, _ in instance_matrix
+                     if n == "theorem_2_1[full]"]
+    apps = _fnapps((sol.p, sol.u, sol.v, sol.w))
+    assert {e.k for e in apps if e.fn.name == "alpha"} >= {0, 1, 2}
+    pts = live_points(sol, grid)
+    for e in apps:
+        got = eval_jet_batch(e, V4, pts, P_SPACE).coef
+        inner = eval_jet_batch(e.arg, V4, pts, P_SPACE)
+        body = eval_jet_batch(e.fn.body, ("s",), inner.value[:, None],
+                              e.k + 2)
+        want = jets.compose_smooth(
+            inner, body.coef[:, e.k:] * jets._FACT[e.k : e.k + 3]).coef
+        assert_near(got, want, e)
+
+
+# An FnApp's jet is its inlined tree's, the body's k-th derivative formed
+# symbolically; compose_smooth of the body's Taylor jet gives the same
+# numbers rounded otherwise.  Where the derivatives cancel, neither jet's
+# own size bounds the gap: (s^-1)^-1 at k = 3 is exactly 0 on one path
+# and rounding noise on the other.  Each path's rounding error is
+# bounded, to first order, by a multiple of the unit roundoff times the
+# sum of |terms| its steps form (a running error bound, see step_terms).
+# The test below compares the two jets to within FNAPP_RTOL of that sum
+# over the two evaluations compared: over 20,000 draws the largest gap
+# was 2.0e-14 of it (tanh(s^3), k = 3), and the sum was at most 42 times
+# the largest step's.  The largest step alone misses a cancellation that
+# a later step scales up: (s/s)/-1e-200 at k = 3 read 2.1e-13 of it.  The
+# draws evaluate at points in [0.5, 1.5]: nearer 0 such a body's
+# cancelled sums grow as 1/s^k, and the Taylor jet's rounding noise
+# swamps the bound, where the inlined tree gives the exact 0.
+FNAPP_RTOL = 1e-13
+
+
+@contextlib.contextmanager
+def step_terms():
+    """A list to which each step the block runs adds, per point, the sum
+    of |terms| it forms: the sum of |coefficients| of each jet a rule
+    returns, the product of those sums for each jets.mul, the |terms| of
+    each compose_smooth series, and tanh's derivative polynomials in
+    |tanh u|."""
+    sums, l1 = [], lambda coef: np.abs(coef).sum(axis=1)
+    rules, mul, compose, d_tanh = (dict(evaluate._RULES), jets.mul,
+                                   jets.compose_smooth, jets.d_tanh)
+
+    def ruled(rule):
+        return lambda e, ctx, *args: kept(rule(e, ctx, *args))
+
+    def kept(jet):
+        sums.append(l1(jet.coef))
         return jet
 
-    monkeypatch.setattr(evaluate.Tape, "run", counted)
-    monkeypatch.setitem(evaluate._RULES, FnApp, recorded)
-    tape.run(block)
-    assert len(runs) == len(pairs)
-    assert len(placed) == len(apps)
-    # Each jet, bit for bit, as a tape of the FnApp's own body at its
-    # own order and compose_smooth give it.
-    monkeypatch.undo()
-    for e, inner, jet in placed:
-        n = e.k + jet.space.order
-        body = eval_jet_batch(e.fn.body, ("s",), inner.value[:, None], n)
-        want = jets.compose_smooth(
-            inner, body.coef[:, e.k:] * jets._FACT[e.k : n + 1]).coef
-        assert np.array_equal(jet.coef, want), e
-        assert np.array_equal(np.signbit(jet.coef), np.signbit(want)), e
+    def composed(u, derivs):
+        n = np.arange(derivs.shape[1])
+        sums.append(l1(np.abs(derivs) / jets._FACT[n]
+                       * l1(u.coef[:, 1:])[:, None] ** n))
+        return compose(u, derivs)
+
+    def tanh(u0, n):
+        sums.append(sum(np.polynomial.polynomial.polyval(
+            np.abs(np.tanh(u0)), np.abs(p)) for p in jets._tanh_polys(n)))
+        return d_tanh(u0, n)
+
+    with mock.patch.dict(evaluate._RULES, {c: ruled(r) for c, r in
+                                           rules.items()}), \
+            mock.patch.object(jets, "mul", lambda a, b, space: (
+                sums.append(l1(a.coef) * l1(b.coef)) or mul(a, b, space))), \
+            mock.patch.object(jets, "compose_smooth", composed), \
+            mock.patch.dict(evaluate._CALLS, {"tanh": (tanh, None)}):
+        yield sums
+
+
+def assert_near(got, want, site, scale=None):
+    """|got - want| <= FNAPP_RTOL * scale at each point, scale defaulting
+    to the largest |coefficient| of want there."""
+    scale = np.abs(want).max(axis=1) if scale is None else scale
+    gap = np.abs(got - want).max(axis=1)
+    assert ((gap == 0) | (gap <= FNAPP_RTOL * scale)).all(), (
+        site, (gap / scale).max())
 
 
 # Spaces for an FnApp of a bare jet variable, which runs in that
@@ -388,27 +513,38 @@ def test_a_bare_variable_argument_is_placed_as_compose_smooth_gives_it(
     vars, space = case
     axis = data.draw(st.integers(0, len(vars) - 1))
     sub = jets.restrict(space, (axis,))  # the powers of the argument
-    h = ParamFn("h", body)
-    pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(16, len(vars)))
-    x = pts[:, axis]
-    want = {}
+    e = FnApp(ParamFn("h", body), k, Var(vars[axis]))
+    rng = np.random.default_rng(5)
+    pts, near = (rng.uniform(lo, hi, size=(16, len(vars)))
+                 for lo, hi in ((-1.0, 1.0), (0.5, 1.5)))
+    want, terms = {}, {}
     try:
         with np.errstate(all="ignore"):
-            got = eval_jet_batch(FnApp(h, k, Var(vars[axis])), vars, pts,
-                                 space)
+            got = eval_jet_batch(e, vars, pts, space)
+            tree = eval_jet_batch(e.inlined, vars, pts, space).coef
+            with step_terms() as got_terms:
+                near_got = eval_jet_batch(e, vars, near, space).coef
+            x = near[:, axis]
             for s in (space, sub):
-                d = eval_jet_batch(body, ("s",), x[:, None], k + s.order)
-                want[s] = jets.compose_smooth(
-                    var_batch(s, axis, x),
-                    d.coef[:, k:] * jets._FACT[k : k + s.order + 1]).coef
+                with step_terms() as terms[s]:
+                    d = eval_jet_batch(body, ("s",), x[:, None], k + s.order)
+                    want[s] = jets.compose_smooth(
+                        var_batch(s, axis, x),
+                        d.coef[:, k:] * jets._FACT[k : k + s.order + 1]).coef
     except SeaconvError:
         reject()
-    assert np.array_equal(got.coef, want[space])
-    # The FnApp is evaluated in sub, from the body's jet at its order, and
-    # its zeros carry compose_smooth's signs there.
-    got = got.to(sub).coef
-    assert np.array_equal(got, want[sub])
-    assert np.array_equal(np.signbit(got), np.signbit(want[sub]))
+    if not all(np.isfinite(j).all() for j in (near_got, *want.values())):
+        reject()
+    # Values and zero signs follow the inlined tree, which runs in sub
+    # (or in {1}, where it is constant).
+    assert tree.tobytes() == got.coef.tobytes()
+    tape = evaluate.Tape((e,), vars, (space,))
+    assert tape.entries[tape.slots[0]][2].monos in (
+        sub.monos, jets.restrict(space, ()).monos)
+    # They agree with compose_smooth of the body's jet, in space and in sub.
+    for s, jet in ((space, near_got),
+                   (sub, jets.JetBatch(space, near_got).to(sub).coef)):
+        assert_near(jet, want[s], e, np.sum(got_terms + terms[s], axis=0))
 
 
 def test_an_fnapp_of_a_bare_variable_has_the_function_s_derivatives():
@@ -417,6 +553,33 @@ def test_an_fnapp_of_a_bare_variable_has_the_function_s_derivatives():
     x = PTS[:, 1]
     assert np.array_equal(jet.value, (3 * x**2 - 1.0))
     assert np.array_equal(jet.partial((0, 1, 0, 0)), 6 * x)
+
+
+def test_an_argument_the_inlined_tree_does_not_read_still_raises():
+    # f'(s) = 1 reads no argument, but log(x - 5) is not defined at x < 5.
+    f = ParamFn("f", Var("s"))
+    assert FnApp(f, 1, Var("x")).inlined == Const(1.0)
+    with pytest.raises(EvalDomainError, match="log of a non-positive") as exc:
+        eval_values(FnApp(f, 1, parse_expr("log(x - 5)")), V4, PTS[:2])
+    assert str(exc.value.expr) == "log(x - 5)"
+
+
+@pytest.mark.parametrize("body, bad", [
+    ("s/0", "division by zero"), ("log(s - 3)", "log of a non-positive"),
+    ("1/(s - s)", "division by zero")])
+def test_a_derivative_raises_where_its_body_is_not_defined(body, bad):
+    # The derivatives of s/0 keep its division by the constant 0 as a node
+    # (folding it raised a ZeroDivisionError while the tape was compiled).
+    # Those of log(s - 3) and 1/(s - s), 1/(s - 3) and the constant 0, are
+    # defined where the body is not, so the body runs too.
+    f = ParamFn("f", parse_expr(body, allowed=("s",)))
+    for k in (0, 1, 2):
+        with pytest.raises(EvalDomainError, match=bad) as exc:
+            eval_values(FnApp(f, k, Var("x")), V4, np.ones((2, 4)))
+        assert str(exc.value.expr) == body.replace("s", "x")
+        with pytest.raises(EvalDomainError, match=bad) as exc:
+            evaluate.deriv_1d(f, 1.0, k)
+        assert str(exc.value.expr) == body
 
 
 def test_an_fnapp_of_a_bound_variable_still_evaluates():
@@ -440,8 +603,7 @@ def run_checking_every_entry(tape, points, bindings=None):
     pts = np.asarray(points, dtype=float)
     bindings = {k: np.asarray(v, dtype=float)
                 for k, v in (bindings or {}).items()}
-    runs = {}
-    ctxs = {s: evaluate._Ctx(tape.vars, pts, s, bindings, tape.fnapps, runs)
+    ctxs = {s: evaluate._Ctx(tape.vars, pts, s, bindings)
             for s in tape._spaces}
     held = [None] * len(tape.entries)
     for i, (e, kids, space, frees, _, reads, _) in enumerate(tape.entries):

@@ -12,9 +12,9 @@ from seaconv import quadrature
 from seaconv.errors import EvalDomainError, QuadratureError
 from seaconv.evaluate import (antiderivative_value, eval_jet, eval_jet_batch,
                               eval_values)
-from seaconv.expr import FnContext, diff
+from seaconv.expr import FnApp, FnContext, ParamFn, Var, diff
 from seaconv.families import build_theorem_4_2, build_theorem_4_3
-from seaconv.parser import parse_expr
+from seaconv.parser import parse_expr, parse_paramfn
 from seaconv.quadrature import Antideriv
 from seaconv.verify import Grid, residual_scan
 
@@ -402,6 +402,31 @@ def test_repeated_rows_and_no_state_on_the_node():
     (K,) = set(antiderivs(sol.p))
     assert set(K.__dict__) == {"body", "inner", "base", "tol"}
     assert repr(residual_scan(sol, grid)) == first
+
+
+def test_a_parameter_function_whose_body_is_an_integral():
+    # F(s) = integral from 0 to s of r^2 dr = s^3 / 3.  Inlined, F' and F''
+    # differentiate the node in its upper limit only: the body's s is
+    # bound in it.  Evaluating the body's jet in s used to raise instead.
+    F = ParamFn("F", Antideriv(_integrand("s^2"), Var("s"), 0.0, 1e-12))
+    x = np.array([[0.0, 1.5, 0.0, 0.0], [0.0, -0.5, 0.0, 0.0]])
+    for k, want in enumerate((x[:, 1] ** 3 / 3, x[:, 1] ** 2, 2 * x[:, 1])):
+        got = eval_values(FnApp(F, k, Var("x")), V4, x)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+    assert diff(F.body, "s") == _integrand("s^2")
+
+
+def test_integrals_are_equal_only_when_their_fields_are():
+    body = parse_expr("exp(s * x)", allowed=("s", "x"))
+    a, b = Antideriv(body, Var("t"), 0.0), Antideriv(body, Var("z"), 0.0)
+    assert a != b and hash(a) != hash(b)
+    assert a != Antideriv(body, Var("t"), 0.5)
+    twin = Antideriv(parse_expr("exp(s * x)", allowed=("s", "x")),
+                     Var("t"), 0.0)
+    assert a == twin and hash(a) == hash(twin)
+    # So an FnApp of either no longer equals the other's.
+    f = parse_paramfn("f", "s", "s^2")
+    assert f(a) != f(b) and f(a) == f(twin)
 
 
 def test_integrand_slices_leave_coefficients_and_samples_unchanged(
