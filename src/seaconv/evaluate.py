@@ -3,13 +3,13 @@ Taylor jets, with scalar convenience wrappers on top.
 
 A Tape is compiled once for one or more roots, each in its own space (an
 order, or a lower set of monomials, jets.py; the spaces must be nested),
-and run on any number of batches; a run leaves it unchanged, so threads
-may share one.  Compiling walks the roots into entries: one per
-structurally distinct node, children first.  A node's key is its type,
-its own fields (node._key: floats by their bits, so 0.0 and -0.0 stay
-apart) and its children's slots, computed once per node object, so a
-lookup never walks a subtree: equal subtrees that are distinct objects,
-as a symmetry map or a parse leaves them, share one entry.  The roots
+and run on any number of batches; a run leaves it unchanged.
+Compiling walks the roots into entries: one per structurally distinct
+node, children first.  A node's key is its type, its own fields
+(node._key: floats by their bits, so 0.0 and -0.0 stay apart) and its
+children's slots, computed once per node object, so a lookup never
+walks a subtree: equal subtrees that are distinct objects, as a
+symmetry map or a parse leaves them, share one entry.  The roots
 are walked largest space first, and each node is evaluated in the space
 of the first root that reaches it, restricted to the node's jet
 variables (jets.restrict): a t-only subterm of p runs in {1, t}, a
@@ -123,9 +123,9 @@ def eval_jet(e: Expr, point, order: int, vars=VARS4) -> JetBatch:
     return eval_jet_batch(e, vars, pts, order)
 
 
-def eval_values(e: Expr, vars, points, bindings=None) -> np.ndarray:
+def eval_values(e: Expr, vars, points) -> np.ndarray:
     """Plain values of e over a batch of points."""
-    return eval_jet_batch(e, vars, points, 0, bindings=bindings).value
+    return eval_jet_batch(e, vars, points, 0).value
 
 
 def deriv_1d(f, s0: float, k: int) -> float:

@@ -43,6 +43,7 @@ EPS_AXIS = 1e-6
 EPS_RAD = 1e-8
 EPS_DEN = 1e-8
 PROBE_COUNT = 64
+PROBE_ORDER = 4  # jet order of the smoothness probe
 
 # The variables of each parameter kind: a config declares a parameter of
 # that kind as name(vars) = ..., and a real constant as name = number.
@@ -91,14 +92,14 @@ def _probe_points(t_range) -> np.ndarray:
     return np.linspace(lo, hi, PROBE_COUNT)
 
 
-def _probe_smooth(fn: ParamFn, t_range, order: int = 4) -> None:
+def _probe_smooth(fn: ParamFn, t_range) -> None:
     pts = _probe_points(t_range)[:, None]
     try:
-        eval_jet_batch(fn.body, ("s",), pts, order)
+        eval_jet_batch(fn.body, ("s",), pts, PROBE_ORDER)
     except EvalDomainError as ex:
         raise HypothesisError(
-            f"{fn.name} failed the order-{order} smoothness probe on the "
-            f"time range: {ex}"
+            f"{fn.name} failed the order-{PROBE_ORDER} smoothness probe on "
+            f"the time range: {ex}"
         ) from ex
 
 

@@ -45,7 +45,7 @@ def apply_symmetry(sol: Solution, kind: SymmetryKind,
             f"w_coupling must be 'transformed' or 'original', got {w_coupling!r}"
         )
     a = kind.alpha
-    _probe_smooth(a, sol.meta.t_range, order=4)
+    _probe_smooth(a, sol.meta.t_range)
     k = kind.k
 
     if k == 4:

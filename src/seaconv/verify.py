@@ -20,7 +20,6 @@ Reading rho off p's jet one derivative order higher makes r2 structural.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,7 +106,7 @@ class ResidualReport:
 def residual_batch(sol: Solution, points) -> np.ndarray:
     """(n, 5) residual values at the given (n, 4) finite points (assumed
     in-guard).  r4/r5 are NaN where |rho| < 1e-9."""
-    return _residuals(_fields_tape(sol), _explicit(points))[0]
+    return _residuals(_fields_tape(sol), _explicit(points, 4))[0]
 
 
 def _fields_tape(sol: Solution) -> Tape:
@@ -146,30 +145,23 @@ def _residuals(tape: Tape, points):
 
 def residual_at(sol: Solution, point) -> np.ndarray:
     """Residual 5-vector at a single in-guard point."""
-    pt = _explicit([point])
+    pt = _explicit([point], 4)
     assert_in_domain(sol, pt[0])
     return residual_batch(sol, pt)[0]
 
 
-def residual_scan(sol: Solution, grid, *,
-                  workers: int | None = None) -> ResidualReport:
+def residual_scan(sol: Solution, grid) -> ResidualReport:
     """Aggregate residuals over the in-guard subset of a grid (or an
     explicit (n, 4) array of finite points).  The fields' tape is
     compiled once and run on near-equal blocks of the points, in point
-    order, as few as keep BUDGET // tape.width rows or fewer in each
-    (threads share the tape, each taking blocks).  The blocks' residuals
-    are joined in point order and each column is reduced once, so a
-    report does not depend on the blocks or the threads: sequential and
-    threaded scans agree bitwise, whatever the block size.
+    order, as few as keep BUDGET // tape.width rows or fewer in each.
+    The blocks' residuals are joined in point order and each column is
+    reduced once, so a report does not depend on the block size.
     A scan raises the error of the first block, in point order, that
     leaves its domain: that of the first node in tape order to leave it
     at any of the block's points.  So a larger block can raise another
     node's error, one that a later point would raise."""
-    if workers is not None and (not isinstance(workers, (int, np.integer))
-                                or workers < 1):
-        raise ValueError(f"workers must be None or an integer >= 1, got "
-                         f"{workers!r}")
-    pts = grid.points() if isinstance(grid, Grid) else _explicit(grid)
+    pts = grid.points() if isinstance(grid, Grid) else _explicit(grid, 4)
     total = pts.shape[0]
     live = pts[in_domain_mask(sol, pts)]
     n = live.shape[0]
@@ -178,11 +170,7 @@ def residual_scan(sol: Solution, grid, *,
 
     tape = _fields_tape(sol)
     blocks = np.array_split(live, -(-n // max(1, BUDGET // tape.width)))
-    if workers and workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            values = list(ex.map(lambda b: _residuals(tape, b), blocks))
-    else:
-        values = [_residuals(tape, b) for b in blocks]
+    values = [_residuals(tape, b) for b in blocks]
     r, low = map(np.concatenate, zip(*values))
     return ResidualReport(
         eqs={name: _eq_stat(r[:, j], live, low if j >= 3 else None)
@@ -216,12 +204,13 @@ def _eq_stat(r: np.ndarray, pts: np.ndarray, low=None) -> EqStat:
                   tuple(float(q) for q in pts[rows[i]]))
 
 
-def _explicit(points) -> np.ndarray:
-    """Explicit points as an (n, 4) float array, each row finite: the
+def _explicit(points, width: int) -> np.ndarray:
+    """Explicit points as an (n, width) float array, each row finite: the
     guards and the fields cannot name a row that is not."""
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 4:
-        raise ValueError(f"points must have shape (n, 4), got {pts.shape}")
+    if pts.ndim != 2 or pts.shape[1] != width:
+        raise ValueError(f"points must have shape (n, {width}), got "
+                         f"{pts.shape}")
     bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
     if bad.size:
         i = int(bad[0])
@@ -282,9 +271,9 @@ LAPLACE_SPACE = jet_space(3, 2, frozenset(
 
 def _txy_points(t_range=(-1.0, 1.0), points=None) -> np.ndarray:
     if points is not None:
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError("probe points must have shape (n, 3)")
+        pts = _explicit(points, 3)
+        if not len(pts):
+            raise ValueError("probe points must not be empty")
         return pts
     ta = np.linspace(float(t_range[0]), float(t_range[1]), 5)
     xa = np.linspace(-1.2, 1.4, 7)

@@ -7,21 +7,19 @@
 
 The first form imports seaconv from <tree>/src and the instance matrix
 from <tree>/tests/conftest.py, and prints one hex digest.  Two trees whose
-digests match produce byte-identical residual reports (sequential, and
-threaded with workers=2), raw residual arrays (every value
-residual_batch returns on the grid's in-guard points, not only the
-report's max, rms and worst point), every order-2 jet coefficient of
-u, v, w and p on those points (p_xx included, which no residual reads)
-and CSV field tables for every instance of
-conftest.build_instance_matrix(), and the sequential and threaded
-(workers=2) reports of the MULTI_BLOCK instances on their grids refined
-to 8 points per axis (4096 points; each of these scans must run its
-tape on two blocks or more, or the digest fails), and the
-check_harmonic and check_reduced_2d reports of the REDUCED_2D instance
-on their default probe grid, and the first error each of error_cases()
-raises at ERROR_POINT, which fixes the order in which the evaluator
-visits the nodes.  The digest checks that a refactor or an optimisation
-leaves every output unchanged.
+digests match produce byte-identical residual reports, raw residual
+arrays (every value residual_batch returns on the grid's in-guard
+points, not only the report's max, rms and worst point), every order-2
+jet coefficient of u, v, w and p on those points (p_xx included, which
+no residual reads) and CSV field tables for every instance of
+conftest.build_instance_matrix(), and the reports of the MULTI_BLOCK
+instances on their grids refined to 8 points per axis (4096 points;
+each of these scans must run its tape on two blocks or more, or the
+digest fails), and the check_harmonic and check_reduced_2d reports of
+the REDUCED_2D instance on their default probe grid, and the first
+error each of error_cases() raises at ERROR_POINT, which fixes the
+order in which the evaluator visits the nodes.  The digest checks that
+a refactor or an optimisation leaves every output unchanged.
 tobytes() writes C order whatever an array's memory layout, so the
 digest does not depend on the layout.
 
@@ -53,9 +51,9 @@ def refined(grid, count=8):
                   (grid.t, grid.x, grid.y, grid.z)))
 
 
-def scan_runs(sol, grid, **options):
-    """residual_scan(sol, grid, **options) and the number of runs of the
-    fields' tape it made: verify._residuals runs it once per block."""
+def scan_runs(sol, grid):
+    """residual_scan(sol, grid) and the number of runs of the fields'
+    tape it made: verify._residuals runs it once per block."""
     from seaconv import verify
 
     runs, residuals = [], verify._residuals
@@ -66,7 +64,7 @@ def scan_runs(sol, grid, **options):
 
     verify._residuals = counted
     try:
-        return verify.residual_scan(sol, grid, **options), len(runs)
+        return verify.residual_scan(sol, grid), len(runs)
     finally:
         verify._residuals = residuals
 
@@ -132,12 +130,7 @@ def instance_outputs():
     from seaconv.verify import residual_batch, residual_scan
 
     for name, sol, grid, _tol in build_instance_matrix():
-        sequential = repr(residual_scan(sol, grid))
-        threaded = repr(residual_scan(sol, grid, workers=2))
-        if threaded != sequential:
-            raise AssertionError(f"{name}: threaded scan differs from the "
-                                 "sequential one")
-        chunks = [name.encode(), sequential.encode()]
+        chunks = [name.encode(), repr(residual_scan(sol, grid)).encode()]
         pts = grid.points()
         live = pts[in_domain_mask(sol, pts)]
         chunks.append(residual_batch(sol, live).tobytes())
@@ -146,12 +139,11 @@ def instance_outputs():
             chunks.append(jet.coef.tobytes())
         chunks.append(field_table(sol, grid).encode())
         if name in MULTI_BLOCK:
-            for workers in (None, 2):
-                report, runs = scan_runs(sol, refined(grid), workers=workers)
-                if runs < 2:
-                    raise AssertionError(f"{name}: the refined scan runs "
-                                         f"as {runs} block, not several")
-                chunks.append(repr(report).encode())
+            report, runs = scan_runs(sol, refined(grid))
+            if runs < 2:
+                raise AssertionError(f"{name}: the refined scan runs as "
+                                     f"{runs} block, not several")
+            chunks.append(repr(report).encode())
         if name == REDUCED_2D:
             chunks.append(repr(reduced_2d_reports(sol)).encode())
         yield name, chunks

@@ -2,8 +2,6 @@
 
 import math
 import operator
-import sys
-import threading
 import warnings
 
 import numpy as np
@@ -126,15 +124,10 @@ def test_scan_rigid_rotation_unit_grid():
 
 
 def test_scan_options_are_keyword_only():
-    # A stray positional number must not be taken for the worker count.
+    # A scan reads a solution and a grid, nothing more: a stray
+    # positional number is an error, not an option.
     with pytest.raises(TypeError):
         residual_scan(rigid_rotation(), UNIT_GRID, 2)
-
-
-@pytest.mark.parametrize("workers", [-3, 0, 2.5, "2"])
-def test_scan_rejects_workers_that_is_not_none_or_a_positive_integer(workers):
-    with pytest.raises(ValueError, match="workers"):
-        residual_scan(rigid_rotation(), UNIT_GRID, workers=workers)
 
 
 def test_scan_vortex_family_on_stated_window():
@@ -198,39 +191,6 @@ def test_scan_rejects_fully_excluded_grid():
     assert "in-guard" in str(exc.value)
 
 
-def test_scan_threaded_matches_sequential_bitwise(monkeypatch):
-    # Eight workers on one shared tape, switching every microsecond, over
-    # 13 blocks: a run that left state on the tape, or read another run's,
-    # would show here.
-    sol = build_theorem_2_1(alpha="t", beta=0.0, b1=1.0, b2=0.0,
-                            Im="s", iota=0.0, sigma="s^2 / 2")
-    g = Grid(t=(0.0, 1.0, 5), x=(0.5, 1.5, 5), y=(-1.0, 1.0, 5),
-             z=(0.5, 1.5, 5))
-    monkeypatch.setattr(verify, "BUDGET", 50 * _fields_tape(sol).width)
-    seq, runs = scan_runs(sol, g)
-    assert runs == 13
-    out = []
-    scan = threading.Thread(target=lambda: out.extend(
-        residual_scan(sol, g, workers=8) for _ in range(5)),
-        daemon=True)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        scan.start()
-        scan.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not scan.is_alive() and len(out) == 5
-    assert all(par == out[0] for par in out)
-    par = out[0]
-    for name in seq.eqs:
-        assert seq.eqs[name].max_abs == par.eqs[name].max_abs
-        assert seq.eqs[name].rms == par.eqs[name].rms
-        assert seq.eqs[name].worst_point == par.eqs[name].worst_point
-    assert (seq.total, seq.evaluated, seq.excluded, seq.low_rho) == (
-        par.total, par.evaluated, par.excluded, par.low_rho)
-
-
 def chunkwise_report(sol, live, total, chunk):
     """The report a scan must give, reduced here from one residual_batch
     call per chunk: max, rms and worst point folded chunk by chunk."""
@@ -262,26 +222,22 @@ def chunkwise_report(sol, live, total, chunk):
 def test_multi_block_scan_equals_the_chunkwise_reduction(instance_matrix,
                                                          name, chunk):
     # 4096 in-guard points in several blocks, none of them a whole number
-    # of 97-point chunks.  With one block, seq and par would not test
-    # threads.
+    # of 97-point chunks.
     (sol, grid), = [(s, g) for n, s, g, _ in instance_matrix if n == name]
     grid = refined(grid)
     pts = grid.points()
     live = pts[in_domain_mask(sol, pts)]
     assert len(live) == 4096
     want = chunkwise_report(sol, live, grid.size, chunk)
-    seq, runs = scan_runs(sol, grid)
-    par, par_runs = scan_runs(sol, grid, workers=2)
-    assert runs >= 2 and par_runs == runs, (runs, par_runs)
-    for got in (seq, par):
-        assert got.eqs.keys() == want.eqs.keys()
-        for eq in EQ_NAMES:
-            assert got.eqs[eq].max_abs == want.eqs[eq].max_abs, eq
-            assert got.eqs[eq].rms == want.eqs[eq].rms, eq
-            assert got.eqs[eq].worst_point == want.eqs[eq].worst_point, eq
-        assert (got.total, got.evaluated, got.excluded, got.low_rho) == (
-            want.total, want.evaluated, want.excluded, want.low_rho)
-    assert par == seq
+    got, runs = scan_runs(sol, grid)
+    assert runs >= 2, runs
+    assert got.eqs.keys() == want.eqs.keys()
+    for eq in EQ_NAMES:
+        assert got.eqs[eq].max_abs == want.eqs[eq].max_abs, eq
+        assert got.eqs[eq].rms == want.eqs[eq].rms, eq
+        assert got.eqs[eq].worst_point == want.eqs[eq].worst_point, eq
+    assert (got.total, got.evaluated, got.excluded, got.low_rho) == (
+        want.total, want.evaluated, want.excluded, want.low_rho)
 
 
 # BUDGET at its extremes: 97 rows per block, and one block per scan.
@@ -295,11 +251,9 @@ def test_the_block_size_does_not_change_a_report(instance_matrix, monkeypatch,
         pts = grid.points()
         live = pts[in_domain_mask(sol, pts)]
         want = repr(chunkwise_report(sol, live, grid.size, chunk))
-        for workers in (None, 2):
-            got, runs = scan_runs(sol, grid, workers=workers)
-            assert repr(got) == want, (name, workers)
-            assert runs == -(-len(live) // (verify.BUDGET // width)), (
-                name, workers)
+        got, runs = scan_runs(sol, grid)
+        assert repr(got) == want, name
+        assert runs == -(-len(live) // (verify.BUDGET // width)), name
 
 
 def test_a_scan_raises_the_error_of_its_first_block_to_fail(monkeypatch):
@@ -312,19 +266,16 @@ def test_a_scan_raises_the_error_of_its_first_block_to_fail(monkeypatch):
     pts[:n, 1] += 1.5
     pts[n:, 2] += 1.5
 
-    def errors():
-        out = []
-        for workers in (None, 2):
-            with pytest.raises(EvalDomainError) as exc:
-                residual_scan(sol, pts, workers=workers)
-            out.append(str(exc.value))
-        return out
+    def error():
+        with pytest.raises(EvalDomainError) as exc:
+            residual_scan(sol, pts)
+        return str(exc.value)
 
     sqrt, log = ("square root of a non-positive value in sqrt(y - 1)",
                  "log of a non-positive value in log(x - 1)")
-    assert errors() == [sqrt, sqrt]
+    assert error() == sqrt
     monkeypatch.setattr(verify, "BUDGET", 1 << 40)
-    assert errors() == [log, log]
+    assert error() == log
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -453,27 +404,24 @@ def test_a_nan_in_the_reduced_2d_residuals_fails_them():
     assert rep.eqs["eq_a"] == EqStat(math.inf, math.inf, (0.0, 1.0, 0.0))
 
 
-def test_a_threaded_scan_raises_the_overflow_of_its_first_failing_block(
-        monkeypatch):
-    # Each run collects its own IEEE flags: a flag raised in one thread
-    # must neither go unseen there nor be taken for another thread's.
+def test_a_scan_raises_the_overflow_of_its_failing_block(monkeypatch):
+    # Each run collects its own IEEE flags: the flag the tenth block
+    # raises must not go unseen among nine clean runs before it, and
+    # the error names the tape's exp(1000*x) node itself.
     sol = rigid_rotation().with_fields(p=field("z + exp(1000*x)"))
     monkeypatch.setattr(verify, "BUDGET", 8 * _fields_tape(sol).width)
     pts = np.random.default_rng(8).uniform(0.0, 0.5, size=(96, 4))
     pts[72:80, 1] += 1.0  # the tenth of twelve blocks overflows
-    errors = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for workers in (None,) + (2,) * 30:
-            with pytest.raises(EvalDomainError) as exc:
-                residual_scan(sol, pts, workers=workers)
-            errors.append((str(exc.value), exc.value.expr))
-    finally:
-        sys.setswitchinterval(interval)
-    assert errors[0][0] == ("non-finite value during evaluation in "
-                            "exp(1000*x)")
-    assert all(e[0] == errors[0][0] and e[1] is errors[0][1] for e in errors)
+    node = sol.p.children()[1]
+    runs, residuals = [], verify._residuals
+    monkeypatch.setattr(verify, "_residuals",
+                        lambda tape, b: runs.append(b) or residuals(tape, b))
+    with pytest.raises(EvalDomainError) as exc:
+        residual_scan(sol, pts)
+    assert len(runs) == 10
+    assert str(exc.value) == ("non-finite value during evaluation in "
+                              "exp(1000*x)")
+    assert exc.value.expr is node
 
 
 def test_low_rho_points_are_counted_not_crashed():
@@ -517,30 +465,28 @@ def test_a_guard_that_cannot_be_evaluated_raises_its_domain_error():
 
 
 def test_a_scan_compiles_its_fields_once(instance_matrix, monkeypatch):
-    """Over a scan of several blocks, sequential or threaded, and of
-    one block: the fields' roots compile once, and no tape compiles
-    while one runs, except an Antideriv's integrand, which
-    compose_antideriv compiles per quadrature level.  Depths are counted
-    per thread, as the workers share a tape."""
+    """Over a scan of several blocks, and of one block: the fields'
+    roots compile once, and no tape compiles while one runs, except an
+    Antideriv's integrand, which compose_antideriv compiles per
+    quadrature level."""
     name = "theorem_4_2[growing]"
     [(sol, grid)] = [(s, g) for n, s, g, _ in instance_matrix if n == name]
-    depth = threading.local()
+    depth = {"integrand": 0, "running": 0}
     compiles = []
 
     def nested(fn, attr):
         def wrapped(*args, **kwargs):
-            setattr(depth, attr, getattr(depth, attr, 0) + 1)
+            depth[attr] += 1
             try:
                 return fn(*args, **kwargs)
             finally:
-                setattr(depth, attr, getattr(depth, attr) - 1)
+                depth[attr] -= 1
         return wrapped
 
     compile_ = evaluate.Tape.__init__
 
     def counted(tape, roots, vars, orders):
-        compiles.append(dict(roots=roots, integrand=getattr(
-            depth, "integrand", 0), running=getattr(depth, "running", 0)))
+        compiles.append(dict(roots=roots, **depth))
         return compile_(tape, roots, vars, orders)
 
     monkeypatch.setattr(evaluate.Tape, "__init__", counted)
@@ -554,19 +500,17 @@ def test_a_scan_compiles_its_fields_once(instance_matrix, monkeypatch):
     def same(roots, exprs):  # the same objects, in the same order
         return len(roots) == len(exprs) and all(map(operator.is_, roots, exprs))
 
-    for options in ((None, verify.BUDGET), (2, verify.BUDGET),
-                    (None, 1 << 40)):
-        workers, budget = options
+    for budget in (verify.BUDGET, 1 << 40):
         compiles.clear()
         monkeypatch.setattr(verify, "BUDGET", budget)
-        residual_scan(sol, refined(grid), workers=workers)
-        assert any(c["integrand"] for c in compiles), options
+        residual_scan(sol, refined(grid))
+        assert any(c["integrand"] for c in compiles), budget
         outside = [c for c in compiles if not c["integrand"]]
-        assert not any(c["running"] for c in outside), options
-        assert sum(same(c["roots"], fields) for c in outside) == 1, options
+        assert not any(c["running"] for c in outside), budget
+        assert sum(same(c["roots"], fields) for c in outside) == 1, budget
         rest = [c for c in outside if not same(c["roots"], fields)]
         assert all(any(same(c["roots"], (g,)) for g in guards)
-                   for c in rest), options
+                   for c in rest), budget
 
 
 @pytest.mark.parametrize("step", [0.0, -1e-4, float("nan"), float("inf")])
@@ -610,6 +554,40 @@ def test_check_harmonic_examples():
     with pytest.raises(ValueError) as exc:
         check_harmonic(field("x^2 - y^2 + z"))
     assert "z" in str(exc.value)
+
+
+def _probes():
+    """check_harmonic and check_reduced_2d of harmonic fields, each as a
+    function of its explicit points."""
+    txy = ("t", "x", "y")
+    theta, zero = (parse_expr(src, None, allowed=txy)
+                   for src in ("x^2 - y^2", "0"))
+    return {"check_harmonic": lambda pts: check_harmonic(theta, points=pts),
+            "check_reduced_2d": lambda pts: check_reduced_2d(
+                zero, zero, zero, points=pts)}
+
+
+# A NaN row used to fail in the evaluator as a non-finite value in x, an
+# empty array in numpy's argmax or with an IndexError.
+@pytest.mark.parametrize("probe", ["check_harmonic", "check_reduced_2d"])
+def test_a_probe_names_its_first_point_that_is_not_finite(probe):
+    pts = [[0.0, 1.0, 1.0], [0.0, np.nan, 1.0], [np.inf, 0.0, 0.0]]
+    with pytest.raises(ValueError, match=r"^point 1 is not finite: "
+                       r"\(0\.0, nan, 1\.0\)$"):
+        _probes()[probe](pts)
+
+
+@pytest.mark.parametrize("probe", ["check_harmonic", "check_reduced_2d"])
+def test_a_probe_rejects_no_points_and_points_of_another_shape(probe):
+    with pytest.raises(ValueError, match="^probe points must not be empty$"):
+        _probes()[probe](np.empty((0, 3)))
+    with pytest.raises(ValueError, match=r"^points must have shape \(n, 3\)"):
+        _probes()[probe](np.zeros((2, 4)))
+
+
+def test_residual_batch_accepts_no_points():
+    r = residual_batch(rigid_rotation(), np.empty((0, 4)))
+    assert r.shape == (0, 5)
 
 
 def test_check_reduced_2d_potential_flow():
