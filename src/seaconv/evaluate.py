@@ -27,10 +27,10 @@ arg for s), like any other trees, an FnApp in them inlined too; a
 domain error in a body names the substituted node.
 
 An Antideriv's jet (compose_antideriv) integrates each distinct (upper
-limit, ambient values) row once by quadrature.gauss_kronrod, expanding
-the integrand in its ambient jet variables only, in the node's space
-restricted to them: under a space whose second-order monomials all hold
-z, a z-free integrand runs at order 1.  The stopping test reads only
+limit, ambient values) row once by quadrature.gauss_kronrod, running the
+integrand on points of s and its ambient variables in the node's space
+restricted to the latter: under a space whose second-order monomials all
+hold z, a z-free integrand runs at order 1.  The stopping test reads only
 those coefficients, so they match a larger space's to within the
 tolerance, not bit for bit; the coefficients through the upper limit
 follow the fundamental theorem of calculus exactly.  The integrand is
@@ -46,7 +46,7 @@ and came out finite passes: d_recip's u0**(k+1) can overflow into a
 zero coefficient.  The rules that can go non-finite without a flag are
 always checked: Atan2 (complex arithmetic), Antideriv (np.add.at in
 gauss_kronrod) and a Const that is not finite; so is every entry of a
-run whose points or bindings are not all finite.  Inside a run, flags
+run whose points are not all finite.  Inside a run, flags
 go to its callback, not to warnings, and the caller's error state is
 restored when the run returns or raises.  Each entry lists the slots it
 reads last, and drops their jets, so a run holds only the jets still to
@@ -89,20 +89,20 @@ from .quadrature import Antideriv, gauss_kronrod
 
 
 # What a rule reads besides its children's jets, in its node's space.
-_Ctx = namedtuple("_Ctx", "vars points space bindings")
+_Ctx = namedtuple("_Ctx", "vars points space")
 
 
-def eval_jet_batch(e, vars, points, order, bindings=None):
+def eval_jet_batch(e, vars, points, order):
     """Evaluate e at an (npoints, nvars) array of points, returning the
     jet batch of order `order` with respect to `vars`, or in `order` if
-    it is a JetSpace in as many variables.  Extra variables may be bound
-    to constant per-point values through `bindings`; those enter with
-    zero derivatives.  Given a tuple of roots and a tuple of orders (or
+    it is a JetSpace in as many variables.  A variable with no monomial
+    in that space is a constant per point: its jets have zero
+    derivatives in it.  Given a tuple of roots and a tuple of orders (or
     spaces) of the same length, returns a list of their jets in that
     order; the roots share one Tape (see the module docstring)."""
     single = not isinstance(e, tuple)
     roots, orders = ((e,), (order,)) if single else (e, order)
-    out = Tape(roots, vars, orders).run(points, bindings)
+    out = Tape(roots, vars, orders).run(points)
     return out[0] if single else out
 
 
@@ -134,24 +134,6 @@ def deriv_1d(f, s0: float, k: int) -> float:
     if not 0 <= k <= 6:
         raise ValueError("k out of range (0..6)")
     return float(eval_values(f(Var("s"), k), ("s",), [[float(s0)]])[0])
-
-
-def antiderivative_value(node: Antideriv, s: float,
-                         ambient: dict[str, float] | None = None) -> float:
-    """Integral of the node's integrand from node.base to s.  Bodies that
-    reference ambient variables need their values supplied."""
-    amb = node.ambient_vars()
-    ambient = ambient or {}
-    missing = [v for v in amb if v not in ambient]
-    if missing:
-        raise ValueError(f"integrand needs ambient values for {missing}")
-    tape = Tape((node.body,), ("s",), (0,))
-
-    def f(svals, rows):
-        binds = {v: np.full(svals.shape[0], float(ambient[v])) for v in amb}
-        return tape.run(svals[:, None], binds)[0].value
-
-    return float(gauss_kronrod(f, [node.base], [float(s)], node.tol)[0, 0])
 
 
 class Tape:
@@ -192,20 +174,17 @@ class Tape:
         self.entries, self.slots = entries, slots
         self._spaces = {entry[2] for entry in entries}
 
-    def run(self, points, bindings=None) -> list:
+    def run(self, points) -> list:
         """The roots' jets at an (npoints, nvars) array of points.  An
         entry's jet is checked for non-finite values when its rule raised
         an IEEE flag, when its rule may not (Atan2, Antideriv, a Const that
-        is not finite), or when the points or bindings are not all finite;
-        so the error raised is that of the first entry to go non-finite."""
+        is not finite), or when the points are not all finite; so the
+        error raised is that of the first entry to go non-finite."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != len(self.vars):
             raise ValueError("points must have shape (npoints, nvars)")
-        bindings = {k: np.asarray(v, dtype=float)
-                    for k, v in (bindings or {}).items()}
-        every = not (np.isfinite(pts).all() and all(
-            np.isfinite(v).all() for v in bindings.values()))
-        ctxs = {s: _Ctx(self.vars, pts, s, bindings) for s in self._spaces}
+        every = not np.isfinite(pts).all()
+        ctxs = {s: _Ctx(self.vars, pts, s) for s in self._spaces}
         held = [None] * len(self.entries)
         flags = []
         with np.errstate(all="call", under="ignore",
@@ -233,7 +212,7 @@ def _slot(e, vars, table, tape, space) -> int:
     compose_antideriv evaluates on its own, is keyed in a table and tape
     of its own, table[Antideriv], never run.  A new entry gets its axes,
     the positions in vars of its jet variables: a Var's own, none for a
-    bound Var or a Const, an Antideriv's inner's and its ambient
+    Var not in vars or a Const, an Antideriv's inner's and its ambient
     variables', and else its children's.  It is evaluated in space
     restricted to its axes, and reads each child in space restricted to
     the child's axes: a truncation of the child's jet, which came from
@@ -276,12 +255,10 @@ def _ev_const(e: Const, ctx):
 
 
 def _ev_var(e: Var, ctx):
-    if e.name in ctx.vars:
-        axis = ctx.vars.index(e.name)
-        return var_batch(ctx.space, axis, ctx.points[:, axis])
-    if e.name in ctx.bindings:
-        return const_batch(ctx.space, ctx.bindings[e.name])
-    raise EvalDomainError(f"variable {e.name} is not bound", e)
+    if e.name not in ctx.vars:
+        raise EvalDomainError(f"variable {e.name} is not bound", e)
+    axis = ctx.vars.index(e.name)
+    return var_batch(ctx.space, axis, ctx.points[:, axis])
 
 
 def _ev_arith(op):
@@ -349,12 +326,12 @@ def _ev_atan2(e: Atan2, ctx, num, den):
 
 @lru_cache(maxsize=None)
 def _embed_tables(space: JetSpace, pos: tuple[int, ...]):
-    """The restriction sub of space to its variables at positions pos,
-    the space of the (s, pos) joint jet, and index maps into space:
+    """The space joint of an integrand's jet in s and the variables at
+    pos, its restriction sub to the latter, and index maps into space:
     lift[i] is the column of sub's i-th coefficient, and tables[k - 1] =
     (dst, src) pulls the coefficients of d^(k-1)f/ds^(k-1) that space
-    holds out of the joint jet, for k = 1..space.order.  The joint space
-    is the total-degree one with m[1:] in sub: the monomials the tables
+    holds out of the joint jet, for k = 1..space.order.  joint is the
+    total-degree space with m[1:] in space: the monomials the tables
     read, and s^order, which keeps the joint jet at space's order, so an
     integrand that holds an Antideriv over s cannot be differentiated at
     any order >= 1."""
@@ -365,68 +342,55 @@ def _embed_tables(space: JetSpace, pos: tuple[int, ...]):
         return space.index.get(tuple(e))
 
     n = space.order
-    sub = jet_space(len(pos), n, frozenset(
-        m for m in jet_space(len(pos), n).monos if col(m) is not None))
     joint = jet_space(len(pos) + 1, n, frozenset(
         m for m in jet_space(len(pos) + 1, n).monos
         if col(m[1:]) is not None))
+    sub = restrict(joint, tuple(range(1, len(pos) + 1)))
     tables = []
     for k in range(1, n + 1):
         dst, src = zip(*((col(m[1:]), i) for i, m in enumerate(joint.monos)
                          if m[0] == k - 1))
         tables.append((np.array(dst), np.array(src)))
-    return (sub, joint, np.array([col(m) for m in sub.monos]),
+    return (sub, joint, np.array([col(m[1:]) for m in sub.monos]),
             tuple(tables))
 
 
 def compose_antideriv(node: Antideriv, G: JetBatch, vars: tuple[str, ...],
-                      points: np.ndarray, bindings=None) -> JetBatch:
+                      points: np.ndarray) -> JetBatch:
     """Jet of the antiderivative as a function of the ambient variables,
-    given the jet G of the upper limit at the same points."""
+    given the jet G of the upper limit at the same points.  The integrand
+    runs on points of s and its ambient variables in vars order; a space
+    with a monomial in s is refused, since that s is the integrand's."""
     space = G.space
     n = space.order
     npts = points.shape[0]
-    if npts == 0:
-        return JetBatch(space, np.zeros((0, space.ncoef)))
-    if n >= 1 and "s" in vars:
+    if "s" in vars and restrict(space, (vars.index("s"),)).order >= 1:
         raise ValueError(
             f"cannot differentiate {node!r} inside an integrand: its "
             f"variable 's' is already a jet variable there")
-    amb = node.ambient_vars()
-    jv = tuple(v for v in vars if v in amb)
-    bindings = bindings or {}
-
-    cols = [G.value]
-    for v in amb:
-        if v in vars:
-            cols.append(points[:, vars.index(v)])
-        elif v in bindings:
-            cols.append(np.asarray(bindings[v], dtype=float))
-        else:
+    for v in node.ambient_vars():
+        if v not in vars:
             raise ValueError(f"ambient variable {v!r} unavailable for integrand")
+    amb = tuple(v for v in vars if v in node.ambient_vars())
+    pos = [vars.index(v) for v in amb]
     # One row per distinct (upper limit, ambient values): the jet depends
-    # on nothing else, and its coefficients in variables outside jv are 0.
-    rows, inv = np.unique(np.column_stack(cols), axis=0, return_inverse=True)
+    # on nothing else, and its coefficients in other variables are 0.
+    rows, inv = np.unique(np.column_stack([G.value, points[:, pos]]),
+                          axis=0, return_inverse=True)
     inv = inv.reshape(-1)
-    jpts = rows[:, [1 + amb.index(v) for v in jv]]
-    rbinds = {v: rows[:, 1 + i] for i, v in enumerate(amb) if v not in jv}
+    sub, joint, lift, tables = _embed_tables(space, tuple(pos))
 
     def f(svals, r):
-        binds = {v: arr[r] for v, arr in rbinds.items()}
-        binds["s"] = svals
-        return eval_jet_batch(node.body, jv, jpts[r], sub, bindings=binds).coef
+        return eval_jet_batch(node.body, ("s",) + amb,
+                              np.column_stack([svals, rows[r, 1:]]), sub).coef
 
-    sub, joint, lift, tables = _embed_tables(space,
-                                             tuple(map(vars.index, jv)))
     Q = gauss_kronrod(f, np.full(rows.shape[0], node.base), rows[:, 0],
                        node.tol)
     A = np.zeros((npts, space.ncoef), order="F")
     A[:, lift] = Q[inv]
 
     if n >= 1:
-        B = eval_jet_batch(node.body, ("s",) + jv,
-                           np.column_stack([rows[:, 0], jpts]), joint,
-                           bindings=rbinds).coef[inv]
+        B = eval_jet_batch(node.body, ("s",) + amb, rows, joint).coef[inv]
         ghat = G.coef.copy(order="K")
         ghat[:, 0] = 0.0
         gpow = ghat
@@ -441,8 +405,7 @@ def compose_antideriv(node: Antideriv, G: JetBatch, vars: tuple[str, ...],
 
 
 def _ev_antideriv(e: Antideriv, ctx, G):
-    return compose_antideriv(e, G.to(ctx.space), ctx.vars, ctx.points,
-                             ctx.bindings)
+    return compose_antideriv(e, G.to(ctx.space), ctx.vars, ctx.points)
 
 
 _RULES = {

@@ -35,7 +35,7 @@ from .expr import (
 from .parser import parse_expr, parse_paramfn
 from .quadrature import Antideriv
 from .solution import Guard, Meta, Solution
-from .verify import check_harmonic
+from .verify import check_harmonic, time_range
 
 T, X, Y, Z, S = Var("t"), Var("x"), Var("y"), Var("z"), Var("s")
 
@@ -87,13 +87,8 @@ def as_field(name: str, value, allowed: tuple[str, ...]) -> Expr:
     raise TypeError(f"parameter {name} must be an Expr, DSL string, or number")
 
 
-def _probe_points(t_range) -> np.ndarray:
-    lo, hi = float(t_range[0]), float(t_range[1])
-    return np.linspace(lo, hi, PROBE_COUNT)
-
-
 def _probe_smooth(fn: ParamFn, t_range) -> None:
-    pts = _probe_points(t_range)[:, None]
+    pts = np.linspace(*t_range, PROBE_COUNT)[:, None]
     try:
         eval_jet_batch(fn.body, ("s",), pts, PROBE_ORDER)
     except EvalDomainError as ex:
@@ -104,7 +99,7 @@ def _probe_smooth(fn: ParamFn, t_range) -> None:
 
 
 def _probe_nonvanishing(fn: ParamFn, t_range) -> None:
-    pts = _probe_points(t_range)[:, None]
+    pts = np.linspace(*t_range, PROBE_COUNT)[:, None]
     vals = eval_jet_batch(fn.body, ("s",), pts, 0).value
     worst = float(np.min(np.abs(vals)))
     if worst < 1e-12:
@@ -161,12 +156,13 @@ def _family(nonvanishing=(), harmonic=(), **kinds):
     order; a parameter with a default may be left out of a config.  The
     builder's keyword arguments besides those, t_range and tol are its
     keyword constants, which a config may set by name.  The registered
-    builder coerces every parameter by its kind and every constant to
-    float, probes each fn_t parameter for smoothness, each nonvanishing
-    one for zeros and each harmonic field against the builder's
-    probe_tol on the time range, calls the body with the coerced
-    arguments, and gives its Solution a Meta of the parameters and
-    constants (tolerances, named *_tol, are not recorded).
+    builder checks that t_range is two finite numbers, coerces every
+    parameter by its kind and every constant to float, probes each fn_t
+    parameter for smoothness, each nonvanishing one for zeros and each
+    harmonic field against the builder's probe_tol on the time range,
+    calls the body with the coerced arguments, and gives its Solution a
+    Meta of the parameters and constants (tolerances, named *_tol, are
+    not recorded).
     """
 
     def register(build):
@@ -190,11 +186,11 @@ def _family(nonvanishing=(), harmonic=(), **kinds):
             bound = sig.bind(*args, **kwargs)
             bound.apply_defaults()
             a = bound.arguments
+            t_range = a["t_range"] = time_range(a["t_range"])
             for name, kind in kinds.items():
                 a[name] = _coerce(name, kind, a[name])
             for name in constants:
                 a[name] = float(a[name])
-            t_range = a["t_range"]
             for name, kind in kinds.items():
                 if kind == "fn_t":
                     _probe_smooth(a[name], t_range)
@@ -203,8 +199,8 @@ def _family(nonvanishing=(), harmonic=(), **kinds):
             for name in harmonic:
                 _probe_harmonic(name, a[name], t_range, a["probe_tol"])
             sol = build(**a)
-            meta = Meta(tag, {n: a[n] for n in recorded},
-                        tuple(map(float, t_range)), float(a["tol"]))
+            meta = Meta(tag, {n: a[n] for n in recorded}, t_range,
+                        float(a["tol"]))
             return replace(sol, meta=meta)
 
         BUILDERS[tag] = builder

@@ -269,13 +269,24 @@ LAPLACE_SPACE = jet_space(3, 2, frozenset(
     m for m in jet_space(3, 2).monos if not m[0] and max(m) == sum(m)))
 
 
+def time_range(t_range) -> tuple[float, float]:
+    """t_range as two finite floats; a ValueError naming it otherwise."""
+    try:
+        lo, hi = map(float, t_range)
+    except (TypeError, ValueError):
+        lo = hi = np.nan
+    if not np.isfinite([lo, hi]).all():
+        raise ValueError(f"t_range must be two finite numbers, got {t_range!r}")
+    return lo, hi
+
+
 def _txy_points(t_range=(-1.0, 1.0), points=None) -> np.ndarray:
+    ta = np.linspace(*time_range(t_range), 5)
     if points is not None:
         pts = _explicit(points, 3)
         if not len(pts):
             raise ValueError("probe points must not be empty")
         return pts
-    ta = np.linspace(float(t_range[0]), float(t_range[1]), 5)
     xa = np.linspace(-1.2, 1.4, 7)
     ya = np.linspace(-1.1, 1.3, 7)
     tt, xx, yy = np.meshgrid(ta, xa, ya, indexing="ij")

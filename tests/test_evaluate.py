@@ -392,10 +392,10 @@ def test_no_entry_is_an_fnapp_and_no_run_nests_outside_an_integral(
     nested, integrands, run = [], [0], evaluate.Tape.run
     compose = evaluate.compose_antideriv
 
-    def counted(t, points, bindings=None):
+    def counted(t, points):
         if t is not tape and not integrands[0]:
             nested.append(t)
-        return run(t, points, bindings)
+        return run(t, points)
 
     def integrand(*args):
         integrands[0] += 1
@@ -583,28 +583,28 @@ def test_a_derivative_raises_where_its_body_is_not_defined(body, bad):
 
 
 def test_an_fnapp_of_a_bound_variable_still_evaluates():
-    # q is bound per point, not a jet variable: h'(q) is composed from a
-    # constant jet, so only its value is nonzero.
+    # q is a fifth column of the points with no monomial in the space, a
+    # constant per point: h'(q) is composed from a constant jet, so only
+    # its value is nonzero.
     h = ParamFn("h", parse_expr("sin(s)", allowed=("s",)))
     q = np.linspace(-1.0, 1.0, PTS.shape[0])
-    jet = eval_jet_batch(FnApp(h, 1, Var("q")), V4, PTS, 2, bindings={"q": q})
+    space = jets.restrict(jet_space(5, 2), (0, 1, 2, 3))
+    jet = eval_jet_batch(FnApp(h, 1, Var("q")), V4 + ("q",),
+                         np.column_stack([PTS, q]), space)
     assert np.array_equal(jet.value, np.cos(q))
     assert not jet.coef[:, 1:].any()
 
 
 # The domain check on IEEE flags.  A run checks an entry's jet only when
 # its rule raised a flag, when its rule may go non-finite without one, or
-# when the run's points or bindings are not all finite; the loop below
-# checks every entry, as runs did before, and must agree with it.
+# when the run's points are not all finite; the loop below checks every
+# entry, as runs did before, and must agree with it.
 
-def run_checking_every_entry(tape, points, bindings=None):
+def run_checking_every_entry(tape, points):
     """Tape.run with its jets checked after every entry, under the
     caller's error state."""
     pts = np.asarray(points, dtype=float)
-    bindings = {k: np.asarray(v, dtype=float)
-                for k, v in (bindings or {}).items()}
-    ctxs = {s: evaluate._Ctx(tape.vars, pts, s, bindings)
-            for s in tape._spaces}
+    ctxs = {s: evaluate._Ctx(tape.vars, pts, s) for s in tape._spaces}
     held = [None] * len(tape.entries)
     for i, (e, kids, space, frees, _, reads, _) in enumerate(tape.entries):
         args = [held[k].to(s) for k, s in zip(kids, reads)]

@@ -1,5 +1,7 @@
 """Solution family builders: spot values, hypothesis probes, guards."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from seaconv.families import (build_prop_4_1, build_theorem_2_1,
                               theorem_3_1_stated_rho)
 from seaconv.parser import parse_expr
 from seaconv.solution import assert_in_domain, in_domain_mask
-from seaconv.verify import check_harmonic, residual_at
+from seaconv.verify import check_harmonic, check_reduced_2d, residual_at
 
 V4 = ("t", "x", "y", "z")
 
@@ -60,6 +62,26 @@ def test_theorem_2_1_rejects_rough_alpha():
                           Im=0.0, iota=0.0, sigma="s",
                           t_range=(-1.0, 1.0))
     assert "alpha" in str(exc.value)
+
+
+XY = parse_expr("x*y")
+
+
+@pytest.mark.parametrize("t_range", [
+    (0.0, math.nan), (0.0, math.inf), (-math.inf, 1.0), (0.0,), (0, 1, 2),
+    ("0", "a"), None])
+@pytest.mark.parametrize("probe", [
+    lambda r: build_prop_4_1(theta="x*y", t_range=r),
+    lambda r: build_theorem_3_1(alpha="exp(t)", Im="s", t_range=r),
+    lambda r: check_harmonic(XY, t_range=r),
+    lambda r: check_reduced_2d(XY, XY, XY, t_range=r),
+], ids=["prop_4_1", "theorem_3_1", "check_harmonic", "check_reduced_2d"])
+def test_a_t_range_that_is_not_two_finite_numbers_is_rejected(probe,
+                                                              t_range):
+    # Before any probe runs: a NaN time range used to pass the harmonic
+    # probe, and an fn_t parameter took the blame for an infinite one.
+    with pytest.raises(ValueError, match="t_range must be two finite"):
+        probe(t_range)
 
 
 def test_theorem_3_1_spot():

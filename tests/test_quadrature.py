@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from conftest import partial_at
 from seaconv import quadrature
 from seaconv.errors import EvalDomainError, QuadratureError
-from seaconv.evaluate import (antiderivative_value, eval_jet, eval_jet_batch,
-                              eval_values)
-from seaconv.expr import FnApp, FnContext, ParamFn, Var, diff
+from seaconv.evaluate import eval_jet, eval_jet_batch, eval_values
+from seaconv.expr import FnApp, FnContext, ParamFn, Var, diff, mul
 from seaconv.families import build_theorem_4_2, build_theorem_4_3
+from seaconv.jets import jet_space, restrict
 from seaconv.parser import parse_expr, parse_paramfn
 from seaconv.quadrature import Antideriv
-from seaconv.verify import Grid, residual_scan
+from seaconv.verify import Grid, fd_cross_check, residual_scan
 
 V4 = ("t", "x", "y", "z")
 S = ("s",)
@@ -24,6 +24,11 @@ S = ("s",)
 
 def _integrand(src, ctx=None):
     return parse_expr(src, ctx, allowed=("s",))
+
+
+def value(node, b):
+    """The node's value where its upper limit, the variable x, is b."""
+    return float(eval_values(node, ("x",), [[b]])[0])
 
 
 def integral(f, a, b, tol=quadrature.DEFAULT_TOL):
@@ -35,13 +40,13 @@ def integral(f, a, b, tol=quadrature.DEFAULT_TOL):
 
 def test_square_integral():
     node = Antideriv(_integrand("s^2"), parse_expr("x", None), 0.0, 1e-10)
-    got = antiderivative_value(node, 2.0)
+    got = value(node, 2.0)
     assert abs(got - 8.0 / 3.0) < 1e-10
 
 
 def test_log_integral():
     node = Antideriv(_integrand("1 / s"), parse_expr("x", None), 1.0, 1e-10)
-    got = antiderivative_value(node, float(np.e))
+    got = value(node, float(np.e))
     assert abs(got - 1.0) < 1e-9
 
 
@@ -55,13 +60,12 @@ def test_antisymmetry():
                      0.25, 1e-11)
     back = Antideriv(_integrand("exp(s) * cos(s)"), parse_expr("x", None),
                      1.75, 1e-11)
-    assert antiderivative_value(node, 1.75) == -antiderivative_value(
-        back, 0.25)
+    assert value(node, 1.75) == -value(back, 0.25)
 
 
 def test_degenerate_interval():
     node = Antideriv(_integrand("exp(s)"), parse_expr("x", None), 1.3, 1e-10)
-    assert antiderivative_value(node, 1.3) == 0.0
+    assert value(node, 1.3) == 0.0
 
 
 @given(st.tuples(*[st.floats(-3, 3) for _ in range(4)]),
@@ -84,7 +88,7 @@ def test_additivity():
     def v(a, b):
         node = Antideriv(_integrand("tanh(s) + s^2"), parse_expr("x", None),
                          a, 1e-11)
-        return antiderivative_value(node, b)
+        return value(node, b)
 
     assert abs(v(0.0, 1.0) + v(1.0, 2.5) - v(0.0, 2.5)) < 1e-9
 
@@ -92,7 +96,7 @@ def test_additivity():
 def test_domain_error_inside_interval():
     node = Antideriv(_integrand("1 / s"), parse_expr("x", None), -1.0, 1e-10)
     with pytest.raises(EvalDomainError):
-        antiderivative_value(node, 1.0)
+        value(node, 1.0)
 
 
 def test_nonconvergence_raises():
@@ -333,6 +337,23 @@ def test_node_integrand_over_s_cannot_be_differentiated(order):
         eval_jet(outer, (0.0, 1.0, 0.0, 0.0), order)
 
 
+def test_an_integral_inside_an_integrand_but_not_over_s_is_differentiated():
+    # F(t, x) = integral from 0 to x of s * (integral from 0 to t of
+    # t * e^r dr) ds = x^2 / 2 * t * (e^t - 1).  The inner node does not
+    # run in the outer integrand's s, so F has a jet.
+    inner = Antideriv(parse_expr("t * exp(s)", None, allowed=("s", "t")),
+                      Var("t"), 0.0, 1e-12)
+    outer = Antideriv(mul(Var("s"), inner), Var("x"), 0.0, 1e-12)
+    pts = np.array([[0.3, 1.5, 0.0, 0.0], [-0.8, 0.4, 0.2, 0.1]])
+    t, x = pts[:, 0], pts[:, 1]
+    e = np.exp(t)
+    g, gt, gtt = t * (e - 1), e - 1 + t * e, (2 + t) * e
+    assert_partials(eval_jet_batch(outer, V4, pts, 2), V4, {
+        "": x ** 2 / 2 * g, "x": x * g, "xx": g, "t": x ** 2 / 2 * gt,
+        "tx": x * gt, "tt": x ** 2 / 2 * gtt})
+    assert fd_cross_check(outer, pts[0]).max_rel < 1e-10
+
+
 def assert_partials(jet, vars, want, tol=1e-11):
     """Every coefficient of an order-2 jet over vars against a closed
     form: want maps a sorted variable string such as 'tx' to that partial
@@ -357,14 +378,21 @@ def test_two_ambient_jet_variables_in_unsorted_vars():
         "yy": x ** 2, "xy": 2 * x * y, "xx": t + y ** 2, "tx": x})
 
 
-def test_ambient_variable_supplied_only_through_bindings():
+def test_an_ambient_variable_outside_the_jet_space_is_a_point_column():
+    # t is a column of the points with no monomial in the space: a
+    # constant per point, with no partials in it.
     body = parse_expr("t * s", None, allowed=("s", "t"))
     node = Antideriv(body, parse_expr("x", None), 0.0, 1e-12)
     x = np.array([0.5, -1.5, 2.0])
     t = np.array([3.0, 0.25, -1.0])
-    out = eval_jet_batch(node, ("x",), x[:, None], 2, bindings={"t": t})
-    assert_partials(out, ("x",), {"": t * x ** 2 / 2, "x": t * x,
-                                  "xx": t})
+    space = restrict(jet_space(2, 2), (0,))
+    out = eval_jet_batch(node, ("x", "t"), np.column_stack([x, t]), space)
+    assert out.space.monos == ((0, 0), (1, 0), (2, 0))
+    assert_partials(out, ("x", "t"), {"": t * x ** 2 / 2, "x": t * x,
+                                      "xx": t})
+    with pytest.raises(ValueError,
+                       match="ambient variable 't' unavailable for integrand"):
+        eval_jet_batch(node, ("x",), x[:, None], 2)
 
 
 def test_body_without_ambient_variables():
@@ -471,7 +499,7 @@ def test_a_t_only_integrand_runs_in_1_and_t_under_p_space(monkeypatch):
 
     def recorded(rule):
         def run(e, ctx, *args):
-            if ctx.vars == ("t",):
+            if ctx.vars == ("s", "t"):
                 seen.add(ctx.space.monos)
             return rule(e, ctx, *args)
         return run
@@ -484,8 +512,12 @@ def test_a_t_only_integrand_runs_in_1_and_t_under_p_space(monkeypatch):
     for cls, rule in list(evaluate._RULES.items()):
         monkeypatch.setitem(evaluate._RULES, cls, recorded(rule))
     got = eval_jet_batch(node, V4, pts, P_SPACE)
-    # Constants run in {1}.
-    assert ((0,), (1,)) in seen and seen <= {((0,),), ((0,), (1,))}
+    # At a quadrature level s has no monomial, and constants run in {1}.
+    levels = {monos for monos in seen if not any(m[0] for m in monos)}
+    assert ((0, 0), (0, 1)) in levels
+    assert levels <= {((0, 0),), ((0, 0), (0, 1))}
+    # The joint jet of the Taylor tail holds t to degree 1 too.
+    assert all(m[1] <= 1 for monos in seen for m in monos)
     # The Gauss-Kronrod stopping test reads fewer columns here: equal to
     # within the tolerance, not bit for bit.
     cols = [full.space.index[m] for m in P_SPACE.monos]
