@@ -19,7 +19,13 @@ restricted to the child's variables, a truncation of the child's jet
 layout is a prefix, else a gather.  Add, Sub and Atan2 lift their
 operands to their own space, Mul and Div multiply only the pairs of
 coefficients both operands hold (jets.mul), and the roots are returned
-in the spaces asked for.
+in the spaces asked for.  A finite constant factor or divisor is
+folded into its Mul's or Div's entry (_fold): the entry reads only the
+other operand, takes the constant (1.0 / c for a divisor) as its rule's
+data, and forms what jets.mul forms, bit for bit, zero signs included;
+the constant gets an entry only where another parent reads it as a
+jet.  A divisor of 0, or one whose reciprocal is not finite, is not
+folded, nor is a constant that is not finite.
 
 An FnApp fn^(k)(arg) is no entry: the tape holds arg, FnApp.domain
 (fn(arg) if k > 0), then FnApp.inlined (the body's k-th derivative with
@@ -27,7 +33,10 @@ arg for s), like any other trees, an FnApp in them inlined too; a
 domain error in a body names the substituted node.
 
 An Antideriv's jet (compose_antideriv) integrates each distinct (upper
-limit, ambient values) row once by quadrature.gauss_kronrod, running the
+limit, ambient values) row once by quadrature.gauss_kronrod, rows told
+apart by their bits (_distinct_rows), so two that differ only in the
+sign of a zero integrate apart; gauss_kronrod keeps rows independent,
+so their order changes no value.  It runs the
 integrand on points of s and its ambient variables in the node's space
 restricted to the latter: under a space whose second-order monomials all
 hold z, a z-free integrand runs at order 1.  The stopping test reads only
@@ -62,7 +71,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -141,12 +150,13 @@ class Tape:
 
     def __init__(self, roots, vars, orders):
         """Walk the roots largest space first (a stable sort); a node with a
-        new key appends [node, its children's slots, its space, the
-        non-root slots it reads last, its axes, the spaces it reads its
-        children in, whether run checks its jet always] after its
-        children's (see _slot).  width is a run's peak of held jet
-        columns: each entry's jet joins those held, which then drop the
-        slots it reads last (an unread one, itself)."""
+        new key appends [node, its rule, the slots of the children it
+        reads as jets, its space, the non-root slots it reads last, its
+        axes, the spaces it reads those children in, whether run checks
+        its jet always] after its children's (see _slot).  width is a
+        run's peak of held jet columns: each entry's jet joins those
+        held, which then drop the slots it reads last (an unread one,
+        itself)."""
         if not isinstance(orders, tuple) or len(orders) != len(roots):
             raise ValueError("roots and orders must be tuples of one length")
         self.vars = vars = tuple(vars)
@@ -160,19 +170,19 @@ class Tape:
         for i in ranked:
             slots[i] = _slot(roots[i], vars, table, entries, spaces[i])
         last = {k: i for i, entry in enumerate(entries)
-                for k in (i, *entry[1])}
+                for k in (i, *entry[2])}
         dropped = [0] * len(entries)  # the columns each entry drops
         for k in set(last).difference(slots):
-            entries[last[k]][3].append(k)
-            dropped[last[k]] += entries[k][2].ncoef
+            entries[last[k]][4].append(k)
+            dropped[last[k]] += entries[k][3].ncoef
         live = width = 0
         for entry, cols in zip(entries, dropped):
-            live += entry[2].ncoef
+            live += entry[3].ncoef
             width = max(width, live)
             live -= cols
         self.width = width
         self.entries, self.slots = entries, slots
-        self._spaces = {entry[2] for entry in entries}
+        self._spaces = {entry[3] for entry in entries}
 
     def run(self, points) -> list:
         """The roots' jets at an (npoints, nvars) array of points.  An
@@ -189,11 +199,11 @@ class Tape:
         flags = []
         with np.errstate(all="call", under="ignore",
                          call=lambda kind, flag: flags.append(kind)):
-            for i, (e, kids, space, frees, _, reads, silent) in enumerate(
+            for i, (e, rule, kids, space, frees, _, reads, check) in enumerate(
                     self.entries):
                 args = [held[k].to(s) for k, s in zip(kids, reads)]
-                jet = held[i] = _RULES[type(e)](e, ctxs[space], *args)
-                if flags or silent or every:
+                jet = held[i] = rule(e, ctxs[space], *args)
+                if flags or check or every:
                     flags.clear()
                     if not np.isfinite(jet.coef).all():
                         raise EvalDomainError(
@@ -210,21 +220,30 @@ def _slot(e, vars, table, tape, space) -> int:
     reused.  An FnApp with a new key takes its inlined tree's slot, after
     its arg's and its domain's.  An Antideriv's body, which
     compose_antideriv evaluates on its own, is keyed in a table and tape
-    of its own, table[Antideriv], never run.  A new entry gets its axes,
-    the positions in vars of its jet variables: a Var's own, none for a
-    Var not in vars or a Const, an Antideriv's inner's and its ambient
-    variables', and else its children's.  It is evaluated in space
-    restricted to its axes, and reads each child in space restricted to
-    the child's axes: a truncation of the child's jet, which came from
-    space or a larger root's space."""
+    of its own, table[Antideriv], never run.  A Mul or Div that _fold
+    gives a constant operand reads only its other operand, and is keyed
+    by its type, the constant's side and bits and that operand's slot;
+    the constant is its rule's data, and gets no slot of its own.  A new
+    entry gets its axes, the positions in vars of its jet variables: a
+    Var's own, none for a Var not in vars or a Const, an Antideriv's
+    inner's and its ambient variables', and else its children's.  It is
+    evaluated in space restricted to its axes, and reads each child in
+    space restricted to the child's axes: a truncation of the child's
+    jet, which came from space or a larger root's space."""
     got = table.get(id(e))
     if got is None:
         if type(e) not in _RULES and type(e) is not FnApp:
             raise TypeError(f"cannot evaluate node of type {type(e).__name__}")
         integral = type(e) is Antideriv
-        kids = tuple([_slot(c, vars, table, tape, space)
-                      for c in ((e.inner,) if integral else e.children())])
-        key = (type(e), e._key(e), kids)
+        fold = _fold(e)
+        if fold is not None:
+            side, value, data = fold
+            kids = (_slot(e.children()[1 - side], vars, table, tape, space),)
+            key = (type(e), side, value.hex(), kids)
+        else:
+            kids = tuple([_slot(c, vars, table, tape, space) for c in
+                          ((e.inner,) if integral else e.children())])
+            key = (type(e), e._key(e), kids)
         if integral:
             body = table.setdefault(Antideriv, ({}, []))
             key += (_slot(e.body, vars, *body, space),)
@@ -236,18 +255,44 @@ def _slot(e, vars, table, tape, space) -> int:
         elif got is None:
             axes = frozenset()
             for k in kids:
-                axes |= tape[k][4]
+                axes |= tape[k][5]
             if type(e) is Var and e.name in vars:
                 axes = frozenset((vars.index(e.name),))
             elif integral:
                 axes |= {vars.index(v) for v in e.ambient_vars() if v in vars}
             got = table[key] = len(tape)
-            tape.append([e, kids, restrict(space, axes), [], axes,
-                         [restrict(space, tape[k][4]) for k in kids],
+            tape.append([e, _RULES[type(e)] if fold is None else
+                         partial(_FOLDS[type(e), side], data),
+                         kids, restrict(space, axes), [], axes,
+                         [restrict(space, tape[k][5]) for k in kids],
                          type(e) in (Atan2, Antideriv) or (  # see Tape.run
                              type(e) is Const and not math.isfinite(e.value))])
         table[id(e)] = got
     return got
+
+
+def _fold(e):
+    """(side, c, data) where e is a Mul or Div whose operand on side (0
+    left, 1 right) is the finite constant c, which its entry takes as
+    data: c, or for a divisor 1.0 / c, as d_recip forms it at order 0;
+    else None.  A Mul tries its left operand first, a Div its right.  A
+    divisor whose 1.0 / c is not finite, 0 included, is not folded, so
+    its Div raises at run time as an unfolded one does; nor is a
+    constant that is not finite, so its always-checked entry stays."""
+    if type(e) is Mul:
+        sides = ((0, e.a), (1, e.b))
+    elif type(e) is Div:
+        sides = ((1, e.b), (0, e.a))
+    else:
+        return None
+    for side, c in sides:
+        if type(c) is not Const or not math.isfinite(c.value):
+            continue
+        if type(e) is Mul or side == 0:
+            return side, c.value, c.value
+        if c.value != 0.0 and math.isfinite(1.0 / c.value):
+            return side, c.value, 1.0 / c.value
+    return None
 
 
 def _ev_const(e: Const, ctx):
@@ -275,6 +320,30 @@ def _recip(b: JetBatch, site: Expr) -> JetBatch:
 
 def _ev_div(e: Div, ctx, a, b):
     return jets.mul(a, _recip(b, e), ctx.space)
+
+
+# The rules of a Mul or Div whose constant operand _fold took as data,
+# by the node's type and the constant's side, on the other operand's jet
+# x, which lives in the node's space.  Each forms what jets.mul forms,
+# bit for bit: a constant's jet lives in {1}, so a product with it on
+# the left is mul_coef's a[:, :1] * b, and one with it on the right adds
+# each x_k * c past the constant term to 0.0, which turns -0.0 into 0.0.
+def _times_left(c, e, ctx, x):
+    return JetBatch(ctx.space, c * x.coef)
+
+
+def _times_right(c, e, ctx, x):
+    coef = x.coef * c
+    coef[:, 1:] += 0.0
+    return JetBatch(ctx.space, coef)
+
+
+_FOLDS = {
+    (Mul, 0): _times_left,
+    (Mul, 1): _times_right,
+    (Div, 0): lambda c, e, ctx, x: _times_left(c, e, ctx, _recip(x, e)),
+    (Div, 1): _times_right,  # times 1.0 / c, as _fold gives it
+}
 
 
 def _ev_intpow(e: IntPow, ctx, base):
@@ -355,6 +424,21 @@ def _embed_tables(space: JetSpace, pos: tuple[int, ...]):
             tuple(tables))
 
 
+def _distinct_rows(a: np.ndarray):
+    """The distinct rows of a float array of shape (n, m), told apart by
+    their bits, so that 0.0 and -0.0 differ, and inv with rows[inv] equal
+    to a bit for bit: a lexsort of the rows' int64 bit patterns, then one
+    comparison of adjacent rows.  Rows come in the order of their bits."""
+    bits = np.ascontiguousarray(a).view(np.int64)
+    order = np.lexsort(bits.T[::-1])
+    ranked = bits[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inv = np.empty(order.size, dtype=np.intp)
+    inv[order] = np.cumsum(new) - 1
+    return a[order[new]], inv
+
+
 def compose_antideriv(node: Antideriv, G: JetBatch, vars: tuple[str, ...],
                       points: np.ndarray) -> JetBatch:
     """Jet of the antiderivative as a function of the ambient variables,
@@ -375,9 +459,7 @@ def compose_antideriv(node: Antideriv, G: JetBatch, vars: tuple[str, ...],
     pos = [vars.index(v) for v in amb]
     # One row per distinct (upper limit, ambient values): the jet depends
     # on nothing else, and its coefficients in other variables are 0.
-    rows, inv = np.unique(np.column_stack([G.value, points[:, pos]]),
-                          axis=0, return_inverse=True)
-    inv = inv.reshape(-1)
+    rows, inv = _distinct_rows(np.column_stack([G.value, points[:, pos]]))
     sub, joint, lift, tables = _embed_tables(space, tuple(pos))
 
     def f(svals, r):

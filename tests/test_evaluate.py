@@ -8,6 +8,7 @@ import itertools
 import math
 import sys
 import tracemalloc
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -20,8 +21,8 @@ from output_digest import first_errors
 from seaconv import evaluate, jets, verify
 from seaconv.errors import EvalDomainError, SeaconvError
 from seaconv.evaluate import eval_jet_batch, eval_values
-from seaconv.expr import (Add, Atan2, Const, FnApp, FnContext, Mul, ParamFn,
-                          Var)
+from seaconv.expr import (Add, Atan2, Call, Const, Div, FnApp, FnContext, Mul,
+                          ParamFn, Var)
 from seaconv.jets import MAX_PUBLIC_ORDER, JetBatch, jet_space, var_batch
 from seaconv.parser import MAX_PRIMES, parse_expr, parse_paramfn
 from seaconv.quadrature import Antideriv
@@ -104,16 +105,17 @@ def live_points(sol, grid):
 
 
 def test_each_node_runs_in_its_root_s_space_restricted_to_its_variables():
-    # P_SPACE's second-order monomials all hold z: sin(t) needs 1 and t,
-    # the product with x needs 1, t and x, the constant 1 alone, and the
-    # root no y.
-    e = parse_expr("2 * sin(t) * x + z^2")
+    # P_SPACE's second-order monomials all hold z: sin(t) and 2 times it
+    # need 1 and t, the product with x needs 1, t and x, the constant 3,
+    # which its Sub reads as a jet, 1 alone, and the root no y.  The 2 is
+    # folded into its product's entry, and has none of its own.
+    e = parse_expr("2 * sin(t) * x + z^2 - 3")
     tape = evaluate.Tape((e,), V4, (P_SPACE,))
     spaces = {str(node): set(space.monos)
-              for node, _, space, *_ in tape.entries}
+              for node, _, _, space, *_ in tape.entries}
     one, t, x, z = ((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1))
-    assert spaces["2"] == {one}
-    assert spaces["sin(t)"] == {one, t}
+    assert "2" not in spaces and spaces["3"] == {one}
+    assert spaces["sin(t)"] == spaces["2*sin(t)"] == {one, t}
     assert spaces["2*sin(t)*x"] == {one, t, x}
     assert spaces["z^2"] == {one, z, (0, 0, 0, 2)}
     assert spaces[str(e)] == {m for m in P_SPACE.monos if not m[2]}
@@ -186,11 +188,32 @@ def test_a_chain_holds_a_few_jets_not_one_per_node():
     assert peak < 10 * jet_bytes, peak / jet_bytes
 
 
+def unfolded():
+    """A context in which a tape compiles no constant into its parent's
+    entry, as before folding."""
+    return mock.patch.object(evaluate, "_fold", lambda e: None)
+
+
+@contextlib.contextmanager
+def wrap_rules(tape, wrap):
+    """tape with the rule of each of its entries replaced by wrap(rule),
+    folded ones included; the original rules are put back on exit."""
+    rules = [entry[1] for entry in tape.entries]
+    for entry in tape.entries:
+        entry[1] = wrap(entry[1])
+    try:
+        yield tape
+    finally:
+        for entry, rule in zip(tape.entries, rules):
+            entry[1] = rule
+
+
 def held_peak(tape, points):
     """The most jet columns tape.run(points) holds at once, counted as
-    each of its rules returns a jet: that jet, those of its held list,
-    and any jet that the rules' contexts keep between entries."""
-    peak, rules = 0, dict(evaluate._RULES)
+    each of its rules returns a jet, a folded one's too: that jet, those
+    of its held list, and any jet that the rules' contexts keep between
+    entries."""
+    peak = 0
 
     def counted(rule):
         def wrapped(e, ctx, *args):
@@ -209,11 +232,8 @@ def held_peak(tape, points):
             return jet
         return wrapped
 
-    evaluate._RULES.update((cls, counted(rule)) for cls, rule in rules.items())
-    try:
+    with wrap_rules(tape, counted):
         tape.run(points)
-    finally:
-        evaluate._RULES.update(rules)
     return peak
 
 
@@ -269,7 +289,8 @@ def test_deep_derivatives_are_dags_no_larger_than_their_tapes():
     # nodes.  Built over a DAG, with equal subtrees one object, deriv(6)
     # has no more distinct nodes than the tape of f''''''(x) has entries
     # (a margin of 0: both count the distinct structures, s for x; the
-    # tape has one more, the body's quotient at x, for FnApp.domain).
+    # tape has one more, the body's quotient at x, for FnApp.domain).  The
+    # tape is compiled without folding, which takes constants off it.
     fns = FnContext()
     f = fns.register(parse_paramfn("f", "s", "exp(sin(s))/(1+s^2)"))
     seen, stack = {}, [f.deriv(MAX_PRIMES)]
@@ -279,7 +300,8 @@ def test_deep_derivatives_are_dags_no_larger_than_their_tapes():
             seen[id(e)] = e
             stack.extend(e.children())
     e = parse_expr("f" + "'" * MAX_PRIMES + "(x)", fns)
-    tape = evaluate.Tape((e,), V4, (0,))
+    with unfolded():
+        tape = evaluate.Tape((e,), V4, (0,))
     assert len(seen) <= len(tape.entries)
     assert f.deriv(MAX_PRIMES) is f.deriv(MAX_PRIMES)
     assert e.inlined is e.inlined and not any(
@@ -313,7 +335,8 @@ def _structure(e, seen):
     identity) and its children's keys; an FnApp's is its inlined tree's.
     Adds to seen the key of every node of e that its evaluation runs a
     rule for: an FnApp's argument, domain and inlined trees, not those in
-    an Antideriv's body, which the Antideriv rule evaluates on its own."""
+    an Antideriv's body, which the Antideriv rule evaluates on its own,
+    nor a constant that evaluate._fold folds into its parent's entry."""
     if isinstance(e, FnApp):
         for tree in (e.arg, *e.domain):
             _structure(tree, seen)
@@ -322,38 +345,39 @@ def _structure(e, seen):
     own = tuple(v.hex() if isinstance(v, float) else
                 id(v) if isinstance(v, ParamFn) else v for v in own)
     body = e.body if isinstance(e, Antideriv) else None
-    key = (type(e), own, tuple(_structure(c, set() if c is body else seen)
-                               for c in e.children()))
+    fold = evaluate._fold(e)
+    folded = None if fold is None else fold[0]
+    key = (type(e), own, tuple(
+        _structure(c, set() if c is body or i == folded else seen)
+        for i, c in enumerate(e.children())))
     seen.add(key)
     return key
 
 
-def test_each_distinct_node_s_rule_runs_once_per_call(instance_matrix,
-                                                      monkeypatch):
-    ran, depth = [], [0]
+def test_each_distinct_node_s_rule_runs_once_per_call(instance_matrix):
+    # Only the tape's own rules are counted, not an integrand's, which an
+    # Antideriv compiles and runs on its own.
+    ran = []
 
     def counted(rule):
         def run(e, ctx, *args):
-            if not depth[0]:  # not an integrand an Antideriv evaluates
-                ran.append(_structure(e, set()))
-            depth[0] += 1
-            try:
-                return rule(e, ctx, *args)
-            finally:
-                depth[0] -= 1
+            ran.append(_structure(e, set()))
+            return rule(e, ctx, *args)
         return run
 
-    for cls, rule in list(evaluate._RULES.items()):
-        monkeypatch.setitem(evaluate._RULES, cls, counted(rule))
+    folded = 0
     for name, sol, grid, _tol in instance_matrix:
         roots = (sol.p, sol.u, sol.v, sol.w)
         want = set()
         for e in roots:
             _structure(e, want)
-        pts = live_points(sol, grid)[:8]  # the guard runs rules too
+        tape = evaluate.Tape(roots, V4, (2, 1, 1, 1))
+        folded += sum(isinstance(entry[1], partial) for entry in tape.entries)
         ran.clear()
-        eval_jet_batch(roots, V4, pts, (2, 1, 1, 1))
+        with wrap_rules(tape, counted):
+            tape.run(live_points(sol, grid)[:8])
         assert len(ran) == len(want) and set(ran) == want, name
+    assert folded
 
 
 def test_the_first_error_is_the_first_node_s_in_evaluation_order():
@@ -455,13 +479,18 @@ def step_terms():
     of |terms| it forms: the sum of |coefficients| of each jet a rule
     returns, the product of those sums for each jets.mul, the |terms| of
     each compose_smooth series, and tanh's derivative polynomials in
-    |tanh u|."""
+    |tanh u|.  A rule that folds a constant factor forms its product's
+    terms as the coefficients of the jet it returns, so that jet counts
+    twice, as jets.mul's step and as the rule's."""
     sums, l1 = [], lambda coef: np.abs(coef).sum(axis=1)
     rules, mul, compose, d_tanh = (dict(evaluate._RULES), jets.mul,
                                    jets.compose_smooth, jets.d_tanh)
 
     def ruled(rule):
         return lambda e, ctx, *args: kept(rule(e, ctx, *args))
+
+    def folded(rule):
+        return lambda c, e, ctx, x: kept(kept(rule(c, e, ctx, x)))
 
     def kept(jet):
         sums.append(l1(jet.coef))
@@ -480,6 +509,8 @@ def step_terms():
 
     with mock.patch.dict(evaluate._RULES, {c: ruled(r) for c, r in
                                            rules.items()}), \
+            mock.patch.dict(evaluate._FOLDS, {k: folded(r) for k, r in
+                                              evaluate._FOLDS.items()}), \
             mock.patch.object(jets, "mul", lambda a, b, space: (
                 sums.append(l1(a.coef) * l1(b.coef)) or mul(a, b, space))), \
             mock.patch.object(jets, "compose_smooth", composed), \
@@ -539,7 +570,7 @@ def test_a_bare_variable_argument_is_placed_as_compose_smooth_gives_it(
     # (or in {1}, where it is constant).
     assert tree.tobytes() == got.coef.tobytes()
     tape = evaluate.Tape((e,), vars, (space,))
-    assert tape.entries[tape.slots[0]][2].monos in (
+    assert tape.entries[tape.slots[0]][3].monos in (
         sub.monos, jets.restrict(space, ()).monos)
     # They agree with compose_smooth of the body's jet, in space and in sub.
     for s, jet in ((space, near_got),
@@ -606,9 +637,10 @@ def run_checking_every_entry(tape, points):
     pts = np.asarray(points, dtype=float)
     ctxs = {s: evaluate._Ctx(tape.vars, pts, s) for s in tape._spaces}
     held = [None] * len(tape.entries)
-    for i, (e, kids, space, frees, _, reads, _) in enumerate(tape.entries):
+    for i, (e, rule, kids, space, frees, _, reads, _) in enumerate(
+            tape.entries):
         args = [held[k].to(s) for k, s in zip(kids, reads)]
-        jet = held[i] = evaluate._RULES[type(e)](e, ctxs[space], *args)
+        jet = held[i] = rule(e, ctxs[space], *args)
         if not np.isfinite(jet.coef).all():
             raise EvalDomainError("non-finite value during evaluation", e)
         for k in frees:
@@ -717,3 +749,121 @@ def test_a_run_leaves_the_caller_s_error_state_as_it_was(caller, src):
         else:
             assert src == "exp(x)"
         assert np.geterr() == state and np.geterrcall() is call
+
+
+# Constant folding.  A finite constant factor or divisor of a Mul or Div
+# is its entry's data, not an entry of its own; each folded rule must
+# give the bytes and the first error of the unfolded tape.
+FOLD_CONSTS = [0.0, -0.0, 1.0, -1.0, 0.1, 1e308, -1e-308, 5e-324]
+
+
+@st.composite
+def folds(draw):
+    """A Mul or Div with a constant of FOLD_CONSTS on either side, of a
+    tree whose own constants come from FOLD_CONSTS too, alone or as an
+    operand of a product, sum or call."""
+    c = Const(draw(st.sampled_from(FOLD_CONSTS)))
+    x = draw(trees(2, V4, True, False, st.sampled_from(FOLD_CONSTS)))
+    op = draw(st.sampled_from([Mul, Div]))
+    e = op(c, x) if draw(st.booleans()) else op(x, c)
+    outer = draw(st.sampled_from(["none", "mul", "add", "exp"]))
+    y = Var(draw(st.sampled_from(V4)))
+    return {"none": e, "mul": Mul(y, e), "add": Add(e, y),
+            "exp": Call("exp", e)}[outer]
+
+
+@settings(max_examples=300, deadline=None)
+@given(folds(), st.lists(node_points, min_size=1, max_size=3),
+       st.integers(0, 2), st.booleans())
+def test_a_folded_constant_gives_the_bytes_and_errors_of_its_node(
+        e, points, order, zero):
+    pts = np.array(points, dtype=float)
+    if zero:  # signed zeros in the jets of x and y
+        pts[0, 1:3] = (0.0, -0.0)
+    got = outcome(e, pts, order)
+    with unfolded():
+        want = outcome(e, pts, order)
+    if len(want) == 3:
+        assert got[:2] == want[:2] and got[2] is want[2], (got, want)
+    else:
+        assert got == want
+
+
+def test_a_divisor_of_0_or_one_with_no_finite_reciprocal_is_not_folded():
+    pts = np.array([[0.0, 1.0, 0.0, 0.0]])
+    for c, message in ((0.0, "division by zero"), (-0.0, "division by zero"),
+                       (5e-324, "non-finite value during evaluation")):
+        e = Div(Var("x"), Const(c))
+        tape = evaluate.Tape((e,), V4, (1,))
+        assert [type(entry[0]) for entry in tape.entries] == [Var, Const, Div]
+        assert not any(isinstance(entry[1], partial) for entry in tape.entries)
+        with pytest.raises(EvalDomainError, match=message) as exc:
+            tape.run(pts)
+        assert exc.value.expr is e
+    # 1/5e-324 overflows: folding would have to store inf as the data.
+    assert math.isinf(1.0 / 5e-324) and evaluate._fold(e) is None
+
+
+def test_0_times_x_and_minus_0_times_x_stay_two_entries():
+    x = Var("x")
+    e = Add(Mul(Const(0.0), x), Mul(Const(-0.0), x))
+    tape = evaluate.Tape((e,), V4, (1,))
+    assert [type(entry[0]) for entry in tape.entries] == [Var, Mul, Mul, Add]
+    assert [entry[1].args for entry in tape.entries[1:3]] == [(0.0,), (-0.0,)]
+    pts = np.array([[0.0, -1.0, 0.0, 0.0]])
+    a, b = (eval_jet_batch(m, V4, pts, 1).value[0] for m in (e.a, e.b))
+    assert (a, np.signbit(a), b, np.signbit(b)) == (0.0, True, 0.0, False)
+
+
+def test_no_fields_tape_keeps_a_finite_constant_factor_or_divisor(
+        instance_matrix):
+    # Every Mul or Div entry with a finite constant operand is folded: an
+    # unfolded one has none but a divisor with no finite reciprocal.
+    folded = 0
+    for name, sol, _grid, _tol in instance_matrix:
+        for node, rule, *_ in _fields_tape(sol).entries:
+            folded += isinstance(rule, partial)
+            if type(node) not in (Mul, Div) or isinstance(rule, partial):
+                continue
+            for side, c in enumerate(node.children()):
+                if isinstance(c, Const) and math.isfinite(c.value):
+                    assert type(node) is Div and side == 1 and (
+                        c.value == 0.0 or math.isinf(1.0 / c.value)), (
+                            name, node)
+    assert folded
+
+
+# An integral's distinct (upper limit, ambient values) rows.
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 3]), st.data())
+def test_distinct_rows_are_told_apart_by_their_bits(ncols, data):
+    rows = data.draw(st.lists(st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, -1.5, 1e-300]), min_size=ncols,
+        max_size=ncols), max_size=8))
+    a = np.array(rows, dtype=float).reshape(len(rows), ncols)
+    got, inv = evaluate._distinct_rows(a)
+    assert got.shape[1] == a.shape[1] and inv.shape == (a.shape[0],)
+    assert got[inv].tobytes() == a.tobytes()
+    assert len({r.tobytes() for r in got}) == len(got)
+    # With -0.0 merged into 0.0, they are np.unique's rows.
+    merged, _ = evaluate._distinct_rows(a + 0.0)
+    assert sorted(map(tuple, merged)) == sorted(map(tuple, np.unique(
+        a, axis=0)))
+
+
+def test_an_integral_s_jet_does_not_depend_on_the_order_of_its_points():
+    # Rows repeat, and x and y take both signs of 0: atan2(x, -1) is pi
+    # at x = 0.0 and -pi at x = -0.0, so those rows integrate apart.
+    body = Add(parse_expr("exp(s*y) * cos(s + x)", allowed=("s", "x", "y")),
+               Mul(Atan2(Var("x"), Const(-1.0)), Var("s")))
+    node = Antideriv(body, parse_expr("t + z"), 0.0)
+    rng = np.random.default_rng(6)
+    pts = rng.choice([0.0, -0.0, 0.5, -0.25], size=(60, 4))
+    pts[:2] = [[0.25, 0.0, 0.5, 0.25], [0.25, -0.0, 0.5, 0.25]]
+    jet = eval_jet_batch(node, V4, pts, 2)
+    for seed in range(3):
+        perm = np.random.default_rng(seed).permutation(len(pts))
+        assert eval_jet_batch(node, V4, pts[perm], 2).coef.tobytes() == (
+            jet.coef[perm].tobytes())
+    assert jet.value[0] - jet.value[1] == pytest.approx(math.pi * 0.5**2)
