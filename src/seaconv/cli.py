@@ -4,6 +4,7 @@ them, scan residuals, and export field tables."""
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import re
 import sys
@@ -22,7 +23,9 @@ from .verify import EQ_NAMES, Grid, residual_scan
 
 FIELD_NAMES = ("u", "v", "w", "p")
 CSV_HEADER = "t,x,y,z,u,v,w,p,rho,in_domain"
-_ROW = "%s," + ",".join(["%.17g"] * 5) + ",true"  # t,x,y,z, then 5 fields
+# The cells of an in-guard row after its t,x,y,z prefix: 5 fields, flag.
+_CELLS = "," + ",".join(["%.17g"] * 5) + ",true\n"
+_EMPTY = ",,,,,,false"
 
 _KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)\s*(?:\(([^)]*)\))?$")
 
@@ -370,19 +373,22 @@ def cmd_verify(descriptor_path: str, grid_flag: str | None = None,
 
 def field_table(sol: Solution, grid: Grid) -> str:
     """CSV field table, one row per point of grid.points() (t slowest);
-    points outside the guards get empty cells."""
+    points outside the guards get empty cells.  The in-guard cells are
+    formatted by one % over a template repeated once per in-guard row."""
     pts = grid.points()
     mask = in_domain_mask(sol, pts)
-    values = iter(())
+    cells = iter(())
     if mask.any():
         inside, fields = pts[mask], sol.fields()
         roots = tuple(fields[name] for name in FIELD_NAMES + ("rho",))
         batches = evaluate.eval_jet_batch(roots, VARS4, inside,
                                           (0,) * len(roots))
-        values = iter(np.column_stack([b.value for b in batches]).tolist())
+        values = np.column_stack([b.value for b in batches])
+        cells = iter((_CELLS * len(values)
+                      % tuple(values.ravel().tolist())).splitlines())
     prefixes = map(",".join, itertools.product(
         *([_fmt(c) for c in axis] for axis in grid.axes())))
-    rows = [_ROW % (prefix, *next(values)) if live else prefix + ",,,,,,false"
+    rows = [prefix + (next(cells) if live else _EMPTY)
             for prefix, live in zip(prefixes, mask.tolist())]
     return "\n".join([CSV_HEADER] + rows) + "\n"
 
@@ -406,7 +412,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def _build_argparser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    later main call: parsing leaves it unchanged."""
     ap = _ArgumentParser(
         prog="seaconv",
         description="Build, transform, verify, and export exact solutions "

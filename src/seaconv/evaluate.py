@@ -100,6 +100,13 @@ from .quadrature import Antideriv, gauss_kronrod
 # What a rule reads besides its children's jets, in its node's space.
 _Ctx = namedtuple("_Ctx", "vars points space")
 
+# The fields of a tape entry, a list (see Tape.__init__ and _slot): the
+# node, its rule, the slots of the children it reads as jets, its space,
+# the non-root slots it reads last, its axes, the spaces it reads those
+# children in, and whether run checks its jet always.  A list indexed by
+# these compiles faster than a record with named attributes.
+NODE, RULE, KIDS, SPACE, FREES, AXES, READS, CHECK = range(8)
+
 
 def eval_jet_batch(e, vars, points, order):
     """Evaluate e at an (npoints, nvars) array of points, returning the
@@ -150,13 +157,10 @@ class Tape:
 
     def __init__(self, roots, vars, orders):
         """Walk the roots largest space first (a stable sort); a node with a
-        new key appends [node, its rule, the slots of the children it
-        reads as jets, its space, the non-root slots it reads last, its
-        axes, the spaces it reads those children in, whether run checks
-        its jet always] after its children's (see _slot).  width is a
-        run's peak of held jet columns: each entry's jet joins those
-        held, which then drop the slots it reads last (an unread one,
-        itself)."""
+        new key appends its entry after its children's (see _slot).
+        width is a run's peak of held jet columns: each entry's jet joins
+        those held, which then drop the slots it reads last (an unread
+        one, itself)."""
         if not isinstance(orders, tuple) or len(orders) != len(roots):
             raise ValueError("roots and orders must be tuples of one length")
         self.vars = vars = tuple(vars)
@@ -170,19 +174,19 @@ class Tape:
         for i in ranked:
             slots[i] = _slot(roots[i], vars, table, entries, spaces[i])
         last = {k: i for i, entry in enumerate(entries)
-                for k in (i, *entry[2])}
+                for k in (i, *entry[KIDS])}
         dropped = [0] * len(entries)  # the columns each entry drops
         for k in set(last).difference(slots):
-            entries[last[k]][4].append(k)
-            dropped[last[k]] += entries[k][3].ncoef
+            entries[last[k]][FREES].append(k)
+            dropped[last[k]] += entries[k][SPACE].ncoef
         live = width = 0
         for entry, cols in zip(entries, dropped):
-            live += entry[3].ncoef
+            live += entry[SPACE].ncoef
             width = max(width, live)
             live -= cols
         self.width = width
         self.entries, self.slots = entries, slots
-        self._spaces = {entry[3] for entry in entries}
+        self._spaces = {entry[SPACE] for entry in entries}
 
     def run(self, points) -> list:
         """The roots' jets at an (npoints, nvars) array of points.  An
@@ -199,16 +203,18 @@ class Tape:
         flags = []
         with np.errstate(all="call", under="ignore",
                          call=lambda kind, flag: flags.append(kind)):
-            for i, (e, rule, kids, space, frees, _, reads, check) in enumerate(
-                    self.entries):
-                args = [held[k].to(s) for k, s in zip(kids, reads)]
-                jet = held[i] = rule(e, ctxs[space], *args)
-                if flags or check or every:
+            for i, entry in enumerate(self.entries):
+                args = [held[k].to(s)
+                        for k, s in zip(entry[KIDS], entry[READS])]
+                jet = held[i] = entry[RULE](entry[NODE], ctxs[entry[SPACE]],
+                                            *args)
+                if flags or entry[CHECK] or every:
                     flags.clear()
                     if not np.isfinite(jet.coef).all():
                         raise EvalDomainError(
-                            "non-finite value during evaluation", e)
-                for k in frees:
+                            "non-finite value during evaluation",
+                            entry[NODE])
+                for k in entry[FREES]:
                     held[k] = None
         return [held[k].to(space) for k, space in zip(self.slots, self.spaces)]
 
@@ -255,7 +261,7 @@ def _slot(e, vars, table, tape, space) -> int:
         elif got is None:
             axes = frozenset()
             for k in kids:
-                axes |= tape[k][5]
+                axes |= tape[k][AXES]
             if type(e) is Var and e.name in vars:
                 axes = frozenset((vars.index(e.name),))
             elif integral:
@@ -264,7 +270,7 @@ def _slot(e, vars, table, tape, space) -> int:
             tape.append([e, _RULES[type(e)] if fold is None else
                          partial(_FOLDS[type(e), side], data),
                          kids, restrict(space, axes), [], axes,
-                         [restrict(space, tape[k][5]) for k in kids],
+                         [restrict(space, tape[k][AXES]) for k in kids],
                          type(e) in (Atan2, Antideriv) or (  # see Tape.run
                              type(e) is Const and not math.isfinite(e.value))])
         table[id(e)] = got

@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from seaconv.cli import build_from_config, field_table, load_config, main, \
-    parse_config_text, parse_grid_spec, serialize_config
+import seaconv
+from seaconv.cli import _build_argparser, build_from_config, field_table, \
+    load_config, main, parse_config_text, parse_grid_spec, serialize_config
 from seaconv.errors import ConfigError
 from seaconv.evaluate import eval_values
-from seaconv.expr import print_expr
+from seaconv.expr import Const, print_expr
 from seaconv.families import FAMILIES, KIND_VARS, build_theorem_3_1, \
     param_key, rigid_rotation
 from seaconv.solution import in_domain_mask
@@ -299,14 +300,30 @@ def test_field_table_edge_grids_match_the_per_cell_reference():
     # linspace ends an axis of two or more points on its max: -0.0 here.
     signed_zero = Grid(t=(-1.0, -0.0, 2), x=(-0.0, -0.0, 2),
                        y=(-1.0, 1.0, 3), z=(0.5, 0.5, 1))
+    # The in-guard cells are formatted by one % over the whole table: a
+    # negative zero, the least subnormal, the largest double and a float
+    # with no short decimal form, beside rows on the axis, which are
+    # excluded.
+    extreme = vortex.with_fields(
+        u=Const(-0.0), v=Const(5e-324), w=Const(1.7976931348623157e308),
+        p=Const(0.1))
+    mixed = Grid(t=(0.0, 1.0, 2), x=(0.0, 1.0, 3), y=(0.0, 1.0, 2),
+                 z=(-1.0, 1.0, 2))
     cases = [(vortex, on_axis), (rigid_rotation(), single),
-             (vortex, single), (rigid_rotation(), signed_zero)]
+             (vortex, single), (rigid_rotation(), signed_zero),
+             (extreme, mixed)]
     for sol, grid in cases:
         table = field_table(sol, grid)
         assert table == reference_field_table(sol, grid), grid
         assert len(table.splitlines()) == 1 + grid.size
     last = field_table(rigid_rotation(), signed_zero).splitlines()[-1]
     assert last.startswith("-0,-0,1,0.5,")
+    rows = field_table(extreme, mixed).splitlines()[1:]
+    live = in_domain_mask(extreme, mixed.points())
+    assert live.any() and not live.all()
+    cells = ",-0,4.9406564584124654e-324,1.7976931348623157e+308," \
+        "0.10000000000000001,0,true"
+    assert [row.endswith(cells) for row in rows] == live.tolist()
 
 
 def test_config_error_carries_line_number(tmp_path):
@@ -668,6 +685,38 @@ def test_help_exits_0():
     code, out, err = run(["--help"])
     assert code == 0
     assert out.startswith("usage: seaconv") and err == ""
+
+
+def test_one_parser_serves_repeated_in_process_calls(tmp_path):
+    # seaconv.main builds its parser on the first call and keeps it: help,
+    # two bad command lines, then build, transform and export print and
+    # write the same bytes through the kept parser as through a fresh one.
+    cfg = write(tmp_path, "thm31.cfg", VORTEX_CFG)
+    desc, shifted, csv = (str(tmp_path / name)
+                          for name in ("d.desc", "s.desc", "f.csv"))
+    commands = [["--help"], ["--bogus"], ["transform", "--k", "5"],
+                ["build", "--config", cfg, "--out", desc],
+                ["transform", "--descriptor", desc, "--k", "3",
+                 "--alpha", "sin(t)", "--out", shifted],
+                ["export", "--descriptor", shifted,
+                 "--grid", "t=0:1:3,x=-1:1:5,y=-1:1:4,z=0:1:2",
+                 "--out", csv]]
+
+    def session():
+        return ([run(args) for args in commands],
+                [Path(p).read_bytes() for p in (desc, shifted, csv)])
+
+    assert seaconv.main is main
+    _build_argparser.cache_clear()
+    first = session()
+    (help_code, help_text, _), *errors, built, moved, exported = first[0]
+    assert help_code == 0 and help_text.startswith("usage: seaconv")
+    for code, out, err in errors:
+        assert (code, out) == (2, "")
+        assert_one_error_line(err)
+    assert built == moved == exported == (0, "", "")
+    assert session() == first
+    assert _build_argparser.cache_info().misses == 1
 
 
 def test_unexpected_exception_exits_2(tmp_path, monkeypatch):

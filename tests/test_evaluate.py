@@ -20,7 +20,8 @@ from conftest import GRID_DEFAULT
 from output_digest import first_errors
 from seaconv import evaluate, jets, verify
 from seaconv.errors import EvalDomainError, SeaconvError
-from seaconv.evaluate import eval_jet_batch, eval_values
+from seaconv.evaluate import (CHECK, FREES, KIDS, NODE, READS, RULE, SPACE,
+                               eval_jet_batch, eval_values)
 from seaconv.expr import (Add, Atan2, Call, Const, Div, FnApp, FnContext, Mul,
                           ParamFn, Var)
 from seaconv.jets import MAX_PUBLIC_ORDER, JetBatch, jet_space, var_batch
@@ -111,8 +112,8 @@ def test_each_node_runs_in_its_root_s_space_restricted_to_its_variables():
     # folded into its product's entry, and has none of its own.
     e = parse_expr("2 * sin(t) * x + z^2 - 3")
     tape = evaluate.Tape((e,), V4, (P_SPACE,))
-    spaces = {str(node): set(space.monos)
-              for node, _, _, space, *_ in tape.entries}
+    spaces = {str(entry[NODE]): set(entry[SPACE].monos)
+              for entry in tape.entries}
     one, t, x, z = ((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1))
     assert "2" not in spaces and spaces["3"] == {one}
     assert spaces["sin(t)"] == spaces["2*sin(t)"] == {one, t}
@@ -198,14 +199,14 @@ def unfolded():
 def wrap_rules(tape, wrap):
     """tape with the rule of each of its entries replaced by wrap(rule),
     folded ones included; the original rules are put back on exit."""
-    rules = [entry[1] for entry in tape.entries]
+    rules = [entry[RULE] for entry in tape.entries]
     for entry in tape.entries:
-        entry[1] = wrap(entry[1])
+        entry[RULE] = wrap(entry[RULE])
     try:
         yield tape
     finally:
         for entry, rule in zip(tape.entries, rules):
-            entry[1] = rule
+            entry[RULE] = rule
 
 
 def held_peak(tape, points):
@@ -305,7 +306,7 @@ def test_deep_derivatives_are_dags_no_larger_than_their_tapes():
     assert len(seen) <= len(tape.entries)
     assert f.deriv(MAX_PRIMES) is f.deriv(MAX_PRIMES)
     assert e.inlined is e.inlined and not any(
-        isinstance(n, FnApp) for n, *_ in tape.entries)
+        isinstance(entry[NODE], FnApp) for entry in tape.entries)
     x = PTS[:, 1]
     d1 = eval_values(parse_expr("f'(x)", fns), V4, PTS)
     want = np.exp(np.sin(x)) * (np.cos(x) * (1 + x**2) - 2 * x) / (
@@ -372,7 +373,8 @@ def test_each_distinct_node_s_rule_runs_once_per_call(instance_matrix):
         for e in roots:
             _structure(e, want)
         tape = evaluate.Tape(roots, V4, (2, 1, 1, 1))
-        folded += sum(isinstance(entry[1], partial) for entry in tape.entries)
+        folded += sum(isinstance(entry[RULE], partial)
+                      for entry in tape.entries)
         ran.clear()
         with wrap_rules(tape, counted):
             tape.run(live_points(sol, grid)[:8])
@@ -434,7 +436,7 @@ def test_no_entry_is_an_fnapp_and_no_run_nests_outside_an_integral(
     monkeypatch.setattr(evaluate, "compose_antideriv", integrand)
     kinds = set()
     for tape, pts in cases:
-        kinds.update(type(entry[0]) for entry in tape.entries)
+        kinds.update(type(entry[NODE]) for entry in tape.entries)
         tape.run(pts)
     assert Antideriv in kinds and FnApp not in kinds and not nested
     monkeypatch.undo()
@@ -570,7 +572,7 @@ def test_a_bare_variable_argument_is_placed_as_compose_smooth_gives_it(
     # (or in {1}, where it is constant).
     assert tree.tobytes() == got.coef.tobytes()
     tape = evaluate.Tape((e,), vars, (space,))
-    assert tape.entries[tape.slots[0]][3].monos in (
+    assert tape.entries[tape.slots[0]][SPACE].monos in (
         sub.monos, jets.restrict(space, ()).monos)
     # They agree with compose_smooth of the body's jet, in space and in sub.
     for s, jet in ((space, near_got),
@@ -637,13 +639,13 @@ def run_checking_every_entry(tape, points):
     pts = np.asarray(points, dtype=float)
     ctxs = {s: evaluate._Ctx(tape.vars, pts, s) for s in tape._spaces}
     held = [None] * len(tape.entries)
-    for i, (e, rule, kids, space, frees, _, reads, _) in enumerate(
-            tape.entries):
-        args = [held[k].to(s) for k, s in zip(kids, reads)]
-        jet = held[i] = rule(e, ctxs[space], *args)
+    for i, entry in enumerate(tape.entries):
+        args = [held[k].to(s) for k, s in zip(entry[KIDS], entry[READS])]
+        jet = held[i] = entry[RULE](entry[NODE], ctxs[entry[SPACE]], *args)
         if not np.isfinite(jet.coef).all():
-            raise EvalDomainError("non-finite value during evaluation", e)
-        for k in frees:
+            raise EvalDomainError("non-finite value during evaluation",
+                                  entry[NODE])
+        for k in entry[FREES]:
             held[k] = None
     return [held[k].to(space) for k, space in zip(tape.slots, tape.spaces)]
 
@@ -717,17 +719,18 @@ def test_an_integral_that_goes_non_finite_without_a_flag_raises(monkeypatch):
         tape.run(pts)
     assert exc.value.expr is node
     for entry in tape.entries:  # unchecked, nothing would have failed
-        entry[-1] = False
+        entry[CHECK] = False
     assert tape.run(pts)[0].coef.tolist() == [[math.inf]]
 
 
 def test_an_atan2_and_a_constant_that_is_not_finite_are_always_checked():
     e = Add(Atan2(Var("x"), Var("y")), Mul(Const(math.inf), Var("x")))
     tape = evaluate.Tape((e,), V4, (1,))
-    checked = {type(entry[0]).__name__: entry[-1] for entry in tape.entries}
+    checked = {type(entry[NODE]).__name__: entry[CHECK]
+               for entry in tape.entries}
     assert checked == {"Var": False, "Atan2": True, "Const": True,
                        "Mul": False, "Add": False}
-    assert [entry[-1] for entry in evaluate.Tape(
+    assert [entry[CHECK] for entry in evaluate.Tape(
         (Const(-math.inf), Const(1e308)), V4, (0, 0)).entries] == [
             True, False]
 
@@ -795,8 +798,10 @@ def test_a_divisor_of_0_or_one_with_no_finite_reciprocal_is_not_folded():
                        (5e-324, "non-finite value during evaluation")):
         e = Div(Var("x"), Const(c))
         tape = evaluate.Tape((e,), V4, (1,))
-        assert [type(entry[0]) for entry in tape.entries] == [Var, Const, Div]
-        assert not any(isinstance(entry[1], partial) for entry in tape.entries)
+        assert [type(entry[NODE]) for entry in tape.entries] == [
+            Var, Const, Div]
+        assert not any(isinstance(entry[RULE], partial)
+                       for entry in tape.entries)
         with pytest.raises(EvalDomainError, match=message) as exc:
             tape.run(pts)
         assert exc.value.expr is e
@@ -808,8 +813,10 @@ def test_0_times_x_and_minus_0_times_x_stay_two_entries():
     x = Var("x")
     e = Add(Mul(Const(0.0), x), Mul(Const(-0.0), x))
     tape = evaluate.Tape((e,), V4, (1,))
-    assert [type(entry[0]) for entry in tape.entries] == [Var, Mul, Mul, Add]
-    assert [entry[1].args for entry in tape.entries[1:3]] == [(0.0,), (-0.0,)]
+    assert [type(entry[NODE]) for entry in tape.entries] == [
+        Var, Mul, Mul, Add]
+    assert [entry[RULE].args for entry in tape.entries[1:3]] == [
+        (0.0,), (-0.0,)]
     pts = np.array([[0.0, -1.0, 0.0, 0.0]])
     a, b = (eval_jet_batch(m, V4, pts, 1).value[0] for m in (e.a, e.b))
     assert (a, np.signbit(a), b, np.signbit(b)) == (0.0, True, 0.0, False)
@@ -821,7 +828,8 @@ def test_no_fields_tape_keeps_a_finite_constant_factor_or_divisor(
     # unfolded one has none but a divisor with no finite reciprocal.
     folded = 0
     for name, sol, _grid, _tol in instance_matrix:
-        for node, rule, *_ in _fields_tape(sol).entries:
+        for entry in _fields_tape(sol).entries:
+            node, rule = entry[NODE], entry[RULE]
             folded += isinstance(rule, partial)
             if type(node) not in (Mul, Div) or isinstance(rule, partial):
                 continue
