@@ -65,6 +65,16 @@ counted, from which a scan sizes its blocks (verify.py).  The entries
 are in the post-order of the walk, so the error raised is that of the
 first node in this order to leave its domain: a non-finite jet is
 caught at the first entry that produces it.
+
+A part of a tape runs on its own: split(axes) lists the entries whose
+axes lie within axes, which read only each other, and marks those whose
+jets leave the part, as roots or read by another entry.  run_part runs
+the part at points of the caller's choosing, such as one per distinct
+time; run, given those jets and each point's row in them, runs the other
+entries only, and each entry that reads a part's jet reads its rows
+gathered to the run's points.  Each rule's arithmetic is per row, so
+the roots keep their bits.  A caller that has checked its points are
+finite says so (checked=True), and the run skips that check.
 """
 from __future__ import annotations
 
@@ -188,35 +198,73 @@ class Tape:
         self.entries, self.slots = entries, slots
         self._spaces = {entry[SPACE] for entry in entries}
 
-    def run(self, points) -> list:
+    def split(self, axes) -> dict:
+        """The part of the tape whose entries' axes lie within axes, a
+        frozenset of positions in vars: {slot: whether a root or an entry
+        outside the part reads its jet}, in tape order.  An entry's axes
+        hold its children's, so the part reads only its own jets and
+        runs on its own (run_part)."""
+        inside = {i for i, entry in enumerate(self.entries)
+                  if entry[AXES] <= axes}
+        read = set(self.slots).union(*(
+            entry[KIDS] for i, entry in enumerate(self.entries)
+            if i not in inside))
+        return {i: i in read for i in sorted(inside)}
+
+    def run(self, points, given=None, *, checked=False) -> list:
         """The roots' jets at an (npoints, nvars) array of points.  An
         entry's jet is checked for non-finite values when its rule raised
         an IEEE flag, when its rule may not (Atan2, Antideriv, a Const that
-        is not finite), or when the points are not all finite; so the
-        error raised is that of the first entry to go non-finite."""
+        is not finite), or when the points are not all finite, which a
+        caller that has checked them says by checked=True; so the error
+        raised is that of the first entry to go non-finite.  given =
+        (jets, rows) takes a part's jets from run_part at other points in
+        place of running its entries: row j of points reads row rows[j]
+        of each."""
+        held = self._run(points, None, given, checked)
+        return [held[k].to(space) for k, space in zip(self.slots, self.spaces)]
+
+    def run_part(self, points, part, *, checked=False) -> dict:
+        """The jets at points of a part (split) that leave it, by slot;
+        its other slots map to None.  Run as run runs them."""
+        held = self._run(points, part, None, checked)
+        return {i: held[i] if out else None for i, out in part.items()}
+
+    def _run(self, points, part, given, checked) -> list:
+        """The held jets after running the entries of part, all kept, or
+        if part is None those of the whole tape, each dropped after its
+        last read, with given's part taken from it (see run)."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != len(self.vars):
             raise ValueError("points must have shape (npoints, nvars)")
-        every = not np.isfinite(pts).all()
+        every = not checked and not np.isfinite(pts).all()
         ctxs = {s: _Ctx(self.vars, pts, s) for s in self._spaces}
         held = [None] * len(self.entries)
+        jets, rows = given or ({}, None)
         flags = []
         with np.errstate(all="call", under="ignore",
                          call=lambda kind, flag: flags.append(kind)):
-            for i, entry in enumerate(self.entries):
-                args = [held[k].to(s)
-                        for k, s in zip(entry[KIDS], entry[READS])]
-                jet = held[i] = entry[RULE](entry[NODE], ctxs[entry[SPACE]],
-                                            *args)
-                if flags or entry[CHECK] or every:
-                    flags.clear()
-                    if not np.isfinite(jet.coef).all():
-                        raise EvalDomainError(
-                            "non-finite value during evaluation",
-                            entry[NODE])
-                for k in entry[FREES]:
-                    held[k] = None
-        return [held[k].to(space) for k, space in zip(self.slots, self.spaces)]
+            for i in range(len(self.entries)) if part is None else part:
+                entry = self.entries[i]
+                if i in jets:
+                    jet = jets[i]
+                    held[i] = None if jet is None else JetBatch(
+                        jet.space, np.take(jet.coef.T, rows, axis=1).T)
+                else:
+                    args = [held[k].to(s)
+                            for k, s in zip(entry[KIDS], entry[READS])]
+                    jet = held[i] = entry[RULE](
+                        entry[NODE], ctxs[entry[SPACE]], *args)
+                    if flags or entry[CHECK] or every:
+                        flags.clear()
+                        if not np.isfinite(jet.coef).all():
+                            raise EvalDomainError(
+                                "non-finite value during evaluation",
+                                entry[NODE])
+                if part is None:
+                    for k in entry[FREES]:
+                        held[k] = None
+        return held
 
 
 def _slot(e, vars, table, tape, space) -> int:
@@ -432,9 +480,11 @@ def _embed_tables(space: JetSpace, pos: tuple[int, ...]):
 
 def _distinct_rows(a: np.ndarray):
     """The distinct rows of a float array of shape (n, m), told apart by
-    their bits, so that 0.0 and -0.0 differ, and inv with rows[inv] equal
-    to a bit for bit: a lexsort of the rows' int64 bit patterns, then one
-    comparison of adjacent rows.  Rows come in the order of their bits."""
+    their bits, so that 0.0 and -0.0 differ: first, the index in a of
+    each one's first occurrence, and inv with a[first][inv] equal to a
+    bit for bit.  A stable lexsort of the rows' int64 bit patterns, then
+    one comparison of adjacent rows; they come in the order of their
+    bits."""
     bits = np.ascontiguousarray(a).view(np.int64)
     order = np.lexsort(bits.T[::-1])
     ranked = bits[order]
@@ -442,7 +492,7 @@ def _distinct_rows(a: np.ndarray):
     new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
     inv = np.empty(order.size, dtype=np.intp)
     inv[order] = np.cumsum(new) - 1
-    return a[order[new]], inv
+    return order[new], inv
 
 
 def compose_antideriv(node: Antideriv, G: JetBatch, vars: tuple[str, ...],
@@ -465,7 +515,9 @@ def compose_antideriv(node: Antideriv, G: JetBatch, vars: tuple[str, ...],
     pos = [vars.index(v) for v in amb]
     # One row per distinct (upper limit, ambient values): the jet depends
     # on nothing else, and its coefficients in other variables are 0.
-    rows, inv = _distinct_rows(np.column_stack([G.value, points[:, pos]]))
+    keys = np.column_stack([G.value, points[:, pos]])
+    first, inv = _distinct_rows(keys)
+    rows = keys[first]
     sub, joint, lift, tables = _embed_tables(space, tuple(pos))
 
     def f(svals, r):

@@ -15,7 +15,9 @@ subtree's variables, and the velocity reads it by truncation.  A scan
 compiles the tape once and runs it on near-equal blocks of its points,
 as few as keep the jets a run holds (the tape's width in columns)
 within BUDGET floats; it then reduces each residual column once,
-over all its points in order.
+over all its points in order.  Before two blocks or more, the tape's
+t-only entries (Tape.split) run once, at one point per distinct time
+(the t pass), and each block reads their jets by its points' times.
 Reading rho off p's jet one derivative order higher makes r2 structural.
 """
 from __future__ import annotations
@@ -24,12 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluate import Tape, eval_jet_batch, eval_values
+from .evaluate import Tape, _distinct_rows, eval_jet_batch, eval_values
 from .expr import VARS4, Expr
 from .jets import jet_space
 from .solution import Solution, assert_in_domain, in_domain_mask
 
 LOW_RHO = 1e-9
+T_AXES = frozenset((VARS4.index("t"),))
 BUDGET = 96 * 1024  # floats of jets a run holds at most (see Tape.width)
 P_SPACE = jet_space(4, 2, frozenset(
     m for m in jet_space(4, 2).monos if sum(m) < 2 or m[3]))
@@ -114,10 +117,11 @@ def _fields_tape(sol: Solution) -> Tape:
     return Tape((sol.p, sol.u, sol.v, sol.w), VARS4, (P_SPACE, 1, 1, 1))
 
 
-def _residuals(tape: Tape, points):
+def _residuals(tape: Tape, points, given=None):
     """The (n, 5) residuals at points, and the rows where |rho| < LOW_RHO,
-    whose r4 and r5 are NaN."""
-    jp, ju, jv, jw = tape.run(points)
+    whose r4 and r5 are NaN; given as Tape.run takes it.  The points are
+    finite: a Grid's, or checked by _explicit."""
+    jp, ju, jv, jw = tape.run(points, given, checked=True)
 
     unit = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     u, v, w = ju.value, jv.value, jw.value
@@ -155,12 +159,18 @@ def residual_scan(sol: Solution, grid) -> ResidualReport:
     explicit (n, 4) array of finite points).  The fields' tape is
     compiled once and run on near-equal blocks of the points, in point
     order, as few as keep BUDGET // tape.width rows or fewer in each.
-    The blocks' residuals are joined in point order and each column is
-    reduced once, so a report does not depend on the block size.
-    A scan raises the error of the first block, in point order, that
-    leaves its domain: that of the first node in tape order to leave it
-    at any of the block's points.  So a larger block can raise another
-    node's error, one that a later point would raise."""
+    Where there are two blocks or more, its entries in t alone run
+    first, once, at one in-guard point per distinct time, times told
+    apart by their bits (the t pass); each block runs the other entries,
+    and reads a t-only jet's row by each point's time.  The blocks'
+    residuals are joined in point order and each column is reduced
+    once, so a report does not depend on the block size.  A scan raises
+    the error of the first block, in point order, that leaves its
+    domain: that of the first node in tape order to leave it at any of
+    the block's points.  So a larger block can raise another node's
+    error, one that a later point would raise.  A t pass that raises is
+    set aside, and the blocks run without it, so the error stays the
+    first failing block's."""
     pts = grid.points() if isinstance(grid, Grid) else _explicit(grid, 4)
     total = pts.shape[0]
     live = pts[in_domain_mask(sol, pts)]
@@ -170,7 +180,18 @@ def residual_scan(sol: Solution, grid) -> ResidualReport:
 
     tape = _fields_tape(sol)
     blocks = np.array_split(live, -(-n // max(1, BUDGET // tape.width)))
-    values = [_residuals(tape, b) for b in blocks]
+    given = [None] * len(blocks)
+    if len(blocks) > 1:  # in one block, each entry runs once anyway
+        first, times = _distinct_rows(live[:, :1])
+        try:
+            jets = tape.run_part(live[first], tape.split(T_AXES),
+                                 checked=True)
+        except Exception:
+            pass  # the blocks raise the error of the first to fail
+        else:
+            given = [(jets, rows)
+                     for rows in np.array_split(times, len(blocks))]
+    values = [_residuals(tape, b, g) for b, g in zip(blocks, given)]
     r, low = map(np.concatenate, zip(*values))
     return ResidualReport(
         eqs={name: _eq_stat(r[:, j], live, low if j >= 3 else None)
@@ -184,24 +205,23 @@ def residual_scan(sol: Solution, grid) -> ResidualReport:
 
 def _eq_stat(r: np.ndarray, pts: np.ndarray, low=None) -> EqStat:
     """Max |r|, rms and worst point of one residual column at pts, over
-    the rows not in the mask low (r4 and r5 where |rho| < LOW_RHO).  The
-    worst point is the first maximum of |r|; the rms sums the kept rows
-    as one contiguous array, which numpy sums pairwise.  A kept NaN gives
-    inf, inf and the first such point, so the column fails every
-    tolerance.  A column with no kept row gives 0, 0 and the first
-    point."""
-    rows = np.flatnonzero(~low) if low is not None else np.arange(r.size)
-    if rows.size == 0:
-        return EqStat(0.0, 0.0, tuple(float(q) for q in pts[0]))
-    r = r[rows]
+    the rows not in the mask low (r4 and r5 where |rho| < LOW_RHO); a
+    column that drops no row is read in place.  The worst point is the
+    first maximum of |r|; the rms sums the kept rows' squares, a fresh
+    contiguous array, which numpy sums pairwise.  A kept NaN gives inf,
+    inf and the first such point, so the column fails every tolerance.
+    A column with no kept row gives 0, 0 and the first point."""
+    if low is not None and low.any():
+        if low.all():
+            return EqStat(0.0, 0.0, tuple(float(q) for q in pts[0]))
+        r, pts = r[~low], pts[~low]
     nan = np.flatnonzero(np.isnan(r))
     if nan.size:
-        return EqStat(np.inf, np.inf,
-                      tuple(float(q) for q in pts[rows[nan[0]]]))
+        return EqStat(np.inf, np.inf, tuple(float(q) for q in pts[nan[0]]))
     a = np.abs(r)
     i = int(np.argmax(a))
     return EqStat(float(a[i]), float(np.sqrt(np.mean(r ** 2))),
-                  tuple(float(q) for q in pts[rows[i]]))
+                  tuple(float(q) for q in pts[i]))
 
 
 def _explicit(points, width: int) -> np.ndarray:

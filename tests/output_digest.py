@@ -58,9 +58,9 @@ def scan_runs(sol, grid):
 
     runs, residuals = [], verify._residuals
 
-    def counted(tape, points):
+    def counted(tape, points, *given):
         runs.append(len(points))
-        return residuals(tape, points)
+        return residuals(tape, points, *given)
 
     verify._residuals = counted
     try:

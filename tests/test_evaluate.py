@@ -850,12 +850,16 @@ def test_distinct_rows_are_told_apart_by_their_bits(ncols, data):
         st.sampled_from([0.0, -0.0, 1.0, -1.5, 1e-300]), min_size=ncols,
         max_size=ncols), max_size=8))
     a = np.array(rows, dtype=float).reshape(len(rows), ncols)
-    got, inv = evaluate._distinct_rows(a)
-    assert got.shape[1] == a.shape[1] and inv.shape == (a.shape[0],)
+    first, inv = evaluate._distinct_rows(a)
+    got = a[first]
+    assert inv.shape == (a.shape[0],)
     assert got[inv].tobytes() == a.tobytes()
     assert len({r.tobytes() for r in got}) == len(got)
+    # Each is the first row of its bits.
+    assert all(inv[i] not in inv[:i] for i in first)
     # With -0.0 merged into 0.0, they are np.unique's rows.
-    merged, _ = evaluate._distinct_rows(a + 0.0)
+    b = a + 0.0
+    merged = b[evaluate._distinct_rows(b)[0]]
     assert sorted(map(tuple, merged)) == sorted(map(tuple, np.unique(
         a, axis=0)))
 

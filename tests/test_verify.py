@@ -13,6 +13,8 @@ from conftest import sample_in_guard
 from output_digest import MULTI_BLOCK, refined, scan_runs
 from seaconv import evaluate, verify
 from seaconv.errors import EvalDomainError, GuardError
+from seaconv.evaluate import AXES, RULE
+from seaconv.expr import VARS4, Add
 from seaconv.families import (build_prop_4_1, build_theorem_2_1,
                               build_theorem_3_1, build_theorem_4_4,
                               harmonic_poly, rigid_rotation)
@@ -278,6 +280,84 @@ def test_a_scan_raises_the_error_of_its_first_block_to_fail(monkeypatch):
     assert error() == log
 
 
+# The t pass: a scan runs the entries of t alone once, at its distinct
+# times, and every other entry once per block.
+@pytest.mark.parametrize("name", MULTI_BLOCK)
+def test_a_scan_runs_its_t_only_entries_once_at_its_distinct_times(
+        instance_matrix, monkeypatch, name):
+    (sol, grid), = [(s, g) for n, s, g, _ in instance_matrix if n == name]
+    grid = refined(grid)
+    rows, tapes, compile_ = {}, [], verify._fields_tape
+
+    def counted(sol):
+        tape = compile_(sol)
+        for i, entry in enumerate(tape.entries):
+            def rule(e, ctx, *args, _i=i, _rule=entry[RULE]):
+                rows.setdefault(_i, []).append(len(ctx.points))
+                return _rule(e, ctx, *args)
+            entry[RULE] = rule
+        tapes.append(tape)
+        return tape
+
+    monkeypatch.setattr(verify, "_fields_tape", counted)
+    rep, runs = scan_runs(sol, grid)
+    assert runs >= 2 and rep.evaluated == grid.size
+    [tape] = tapes
+    t_only = [entry[AXES] <= {VARS4.index("t")} for entry in tape.entries]
+    assert 0 < sum(t_only) < len(t_only)
+    for i, t in enumerate(t_only):
+        if t:
+            assert rows[i] == [grid.t[2]], i
+        else:
+            assert len(rows[i]) == runs and sum(rows[i]) == grid.size, i
+
+
+def test_a_scan_tells_its_times_apart_by_their_bits(instance_matrix):
+    # atan2(t, -1) is pi at t = 0.0 and -pi at t = -0.0, and u + c(t)
+    # moves r5 by -c(t): so a scan that took one of those times for the
+    # other would move r5's rms.  Drawn at random, times come in no order.
+    # These residuals are far from 0, so sums folded chunk by chunk round
+    # otherwise than a scan's one sum: the oracle takes one chunk.
+    [full] = [s for n, s, _, _ in instance_matrix if n == "theorem_2_1[full]"]
+    sol = full.with_fields(u=Add(full.u, field("4 + atan2(t, -1)")))
+    rng = np.random.default_rng(9)
+    pts = rng.uniform(-1.0, 1.0, size=(4096, 4))
+    pts[:, 0] = rng.choice([0.0, -0.0, 0.5, 1.0], size=len(pts))
+    live = pts[in_domain_mask(sol, pts)]
+    assert {q.tobytes() for q in live[:, 0]} == {
+        np.float64(q).tobytes() for q in (0.0, -0.0, 0.5, 1.0)}
+    got, runs = scan_runs(sol, pts)
+    assert runs >= 2
+    assert repr(got) == repr(chunkwise_report(sol, live, len(pts), len(live)))
+
+
+@pytest.mark.parametrize("p, one_block", [
+    ("z + log(x - 1) + sqrt(t - 1)", "log"),
+    ("z + sqrt(t - 1) + log(x - 1)", "sqrt")])
+def test_a_failing_t_pass_leaves_the_first_block_s_error(monkeypatch, p,
+                                                         one_block):
+    # The first block fails only log(x - 1); the t-only sqrt(t - 1)
+    # fails only at the second block's times, which the t pass runs
+    # first.  So the scan raises the log's error, and one block of both
+    # raises the error of the one the tape runs first.
+    sol = build_prop_4_1(theta="x^2 - y^2").with_fields(p=field(p))
+    n = verify.BUDGET // _fields_tape(sol).width
+    pts = np.random.default_rng(6).uniform(0.0, 0.5, size=(2 * n, 4))
+    pts[:n, 0] += 1.5
+    pts[n:, 1] += 1.5
+
+    def error():
+        with pytest.raises(EvalDomainError) as exc:
+            residual_scan(sol, pts)
+        return str(exc.value)
+
+    errors = {"sqrt": "square root of a non-positive value in sqrt(t - 1)",
+              "log": "log of a non-positive value in log(x - 1)"}
+    assert error() == errors["log"]
+    monkeypatch.setattr(verify, "BUDGET", 1 << 40)
+    assert error() == errors[one_block]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("name", ["theorem_3_1[curved]",
                                   "theorem_4_2[growing]"])
@@ -414,8 +494,8 @@ def test_a_scan_raises_the_overflow_of_its_failing_block(monkeypatch):
     pts[72:80, 1] += 1.0  # the tenth of twelve blocks overflows
     node = sol.p.children()[1]
     runs, residuals = [], verify._residuals
-    monkeypatch.setattr(verify, "_residuals",
-                        lambda tape, b: runs.append(b) or residuals(tape, b))
+    monkeypatch.setattr(verify, "_residuals", lambda tape, b, *given: (
+        runs.append(b) or residuals(tape, b, *given)))
     with pytest.raises(EvalDomainError) as exc:
         residual_scan(sol, pts)
     assert len(runs) == 10
