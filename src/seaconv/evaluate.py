@@ -43,7 +43,10 @@ hold z, a z-free integrand runs at order 1.  The stopping test reads only
 those coefficients, so they match a larger space's to within the
 tolerance, not bit for bit; the coefficients through the upper limit
 follow the fundamental theorem of calculus exactly.  The integrand is
-compiled afresh per quadrature level, and the node keeps no cache.
+compiled once per call into a tape of its own, and the node keeps no
+cache.  Its entries in the ambient variables alone run once, at the
+distinct ambient rows (split and run_part, below), and each quadrature
+level runs the others, reading those jets by its samples' rows.
 
 A run goes entry by entry: the node's rule on its children's jets, and
 a check that the jet is finite where it can fail.  A finite input
@@ -500,7 +503,13 @@ def compose_antideriv(node: Antideriv, G: JetBatch, vars: tuple[str, ...],
     """Jet of the antiderivative as a function of the ambient variables,
     given the jet G of the upper limit at the same points.  The integrand
     runs on points of s and its ambient variables in vars order; a space
-    with a monomial in s is refused, since that s is the integrand's."""
+    with a monomial in s is refused, since that s is the integrand's.
+    Its tape is compiled once per call.  Where it has ambient variables,
+    the entries in those alone run first, once, at the distinct ambient
+    rows (the ambient pass), and each quadrature level reads them by its
+    samples' rows; an ambient pass that raises is set aside, and the
+    levels run the whole tape, so the error is that of the first level
+    to fail, as without the pass."""
     space = G.space
     n = space.order
     npts = points.shape[0]
@@ -519,10 +528,23 @@ def compose_antideriv(node: Antideriv, G: JetBatch, vars: tuple[str, ...],
     first, inv = _distinct_rows(keys)
     rows = keys[first]
     sub, joint, lift, tables = _embed_tables(space, tuple(pos))
+    tape = Tape((node.body,), ("s",) + amb, (sub,))
+    ambient_jets = None
+    if amb:
+        # No entry of the part reads s: the pass puts the base there.
+        ambient, row = _distinct_rows(rows[:, 1:])
+        pts = np.column_stack([np.full(ambient.size, node.base),
+                               rows[ambient, 1:]])
+        part = tape.split(frozenset(range(1, len(amb) + 1)))
+        try:
+            ambient_jets = tape.run_part(pts, part)
+        except Exception:
+            pass  # the levels raise the error of the first to fail
 
     def f(svals, r):
-        return eval_jet_batch(node.body, ("s",) + amb,
-                              np.column_stack([svals, rows[r, 1:]]), sub).coef
+        pts = np.column_stack([svals, rows[r, 1:]])
+        given = None if ambient_jets is None else (ambient_jets, row[r])
+        return tape.run(pts, given)[0].coef
 
     Q = gauss_kronrod(f, np.full(rows.shape[0], node.base), rows[:, 0],
                        node.tol)

@@ -418,10 +418,10 @@ def test_no_entry_is_an_fnapp_and_no_run_nests_outside_an_integral(
     nested, integrands, run = [], [0], evaluate.Tape.run
     compose = evaluate.compose_antideriv
 
-    def counted(t, points):
+    def counted(t, points, given=None, *, checked=False):
         if t is not tape and not integrands[0]:
             nested.append(t)
-        return run(t, points)
+        return run(t, points, given, checked=checked)
 
     def integrand(*args):
         integrands[0] += 1
@@ -633,36 +633,69 @@ def test_an_fnapp_of_a_bound_variable_still_evaluates():
 # when the run's points are not all finite; the loop below checks every
 # entry, as runs did before, and must agree with it.
 
-def run_checking_every_entry(tape, points):
-    """Tape.run with its jets checked after every entry, under the
-    caller's error state."""
+def checking_every_entry(tape, points, part=None, given=None):
+    """The jets Tape._run holds after running part's entries, all kept,
+    or if part is None the whole tape's, each dropped after its last
+    read, given's part read from it; each jet checked after its entry,
+    under the caller's error state."""
     pts = np.asarray(points, dtype=float)
     ctxs = {s: evaluate._Ctx(tape.vars, pts, s) for s in tape._spaces}
     held = [None] * len(tape.entries)
-    for i, entry in enumerate(tape.entries):
-        args = [held[k].to(s) for k, s in zip(entry[KIDS], entry[READS])]
-        jet = held[i] = entry[RULE](entry[NODE], ctxs[entry[SPACE]], *args)
-        if not np.isfinite(jet.coef).all():
-            raise EvalDomainError("non-finite value during evaluation",
-                                  entry[NODE])
-        for k in entry[FREES]:
-            held[k] = None
+    jets, rows = given or ({}, None)
+    for i in range(len(tape.entries)) if part is None else part:
+        entry = tape.entries[i]
+        if i in jets:
+            jet = jets[i]
+            held[i] = None if jet is None else JetBatch(
+                jet.space, np.asfortranarray(jet.coef[rows]))
+        else:
+            args = [held[k].to(s) for k, s in zip(entry[KIDS], entry[READS])]
+            jet = held[i] = entry[RULE](entry[NODE], ctxs[entry[SPACE]],
+                                        *args)
+            if not np.isfinite(jet.coef).all():
+                raise EvalDomainError("non-finite value during evaluation",
+                                      entry[NODE])
+        if part is None:
+            for k in entry[FREES]:
+                held[k] = None
+    return held
+
+
+def run_checking_every_entry(tape, points, given=None, *, checked=False):
+    """Tape.run with its jets checked after every entry."""
+    held = checking_every_entry(tape, points, given=given)
     return [held[k].to(space) for k, space in zip(tape.slots, tape.spaces)]
+
+
+def run_part_checking_every_entry(tape, points, part, *, checked=False):
+    """Tape.run_part with its jets checked after every entry."""
+    held = checking_every_entry(tape, points, part)
+    return {i: held[i] if out else None for i, out in part.items()}
 
 
 def outcome(e, pts, order, every=False):
     """The jet's bytes, or the type, text and node of the error that
     evaluating e raises; with every, each tape run, nested ones (function
-    bodies, integrands) too, checks every entry."""
+    bodies, integrands and their ambient passes) too, checks every
+    entry."""
     try:
         with np.errstate(all="ignore"), (
-                mock.patch.object(evaluate.Tape, "run",
-                                  run_checking_every_entry)
+                mock.patch.multiple(
+                    evaluate.Tape, run=run_checking_every_entry,
+                    run_part=run_part_checking_every_entry)
                 if every else contextlib.nullcontext()):
             jet = eval_jet_batch(e, V4, pts, order)
     except Exception as ex:
         return type(ex), str(ex), getattr(ex, "expr", None)
     return jet.coef.shape, jet.coef.tobytes()
+
+
+def assert_same_outcome(got, want):
+    """Two outcomes: the same jet, or the same error on the same node."""
+    if len(want) == 3:
+        assert got[:2] == want[:2] and got[2] is want[2], (got, want)
+    else:
+        assert got == want
 
 
 # Constants drawn to overflow (1e200 squared, 1e308 doubled), to underflow
@@ -680,11 +713,8 @@ def test_a_run_gated_on_flags_fails_or_returns_as_checking_every_entry(
     pts = np.array(points, dtype=float)
     if bad is not None:  # a point that is not finite: every entry checked
         pts[-1, 1] = bad
-    got, want = outcome(e, pts, order), outcome(e, pts, order, every=True)
-    if len(want) == 3:
-        assert got[:2] == want[:2] and got[2] is want[2], (got, want)
-    else:
-        assert got == want
+    assert_same_outcome(outcome(e, pts, order),
+                        outcome(e, pts, order, every=True))
 
 
 def test_a_flag_on_a_finite_jet_raises_nothing():

@@ -1,6 +1,7 @@
 """Adaptive Gauss-Kronrod quadrature and the antiderivative node."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,15 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import partial_at
-from seaconv import quadrature
+from seaconv import evaluate, quadrature
 from seaconv.errors import EvalDomainError, QuadratureError
 from seaconv.evaluate import eval_jet, eval_jet_batch, eval_values
 from seaconv.expr import FnApp, FnContext, ParamFn, Var, diff, mul
 from seaconv.families import build_theorem_4_2, build_theorem_4_3
-from seaconv.jets import jet_space, restrict
+from seaconv.jets import JetBatch, jet_space, restrict
 from seaconv.parser import parse_expr, parse_paramfn
 from seaconv.quadrature import Antideriv
-from seaconv.verify import Grid, fd_cross_check, residual_scan
+from seaconv.solution import in_domain_mask
+from seaconv.verify import Grid, _fields_tape, fd_cross_check, residual_scan
+from test_evaluate import assert_same_outcome, outcome
+from test_nodes import points as node_points
+from test_nodes import trees
 
 V4 = ("t", "x", "y", "z")
 S = ("s",)
@@ -522,3 +527,199 @@ def test_a_t_only_integrand_runs_in_1_and_t_under_p_space(monkeypatch):
     # within the tolerance, not bit for bit.
     cols = [full.space.index[m] for m in P_SPACE.monos]
     assert np.allclose(got.coef, full.coef[:, cols], rtol=1e-12, atol=1e-12)
+
+
+# The integrand's tape: compiled once per compose_antideriv call, its
+# entries in the ambient variables alone run once at the distinct ambient
+# rows, and each level reads them by its samples' rows.  Each rule acts
+# row by row, so every jet keeps the bits of a run of the whole tape.
+
+def fresh_per_call(node, G, vars, points):
+    """The reference of evaluate.compose_antideriv: each call of the
+    integrand, per level or slice of a level, is a fresh eval_jet_batch,
+    which compiles and runs the whole integrand."""
+    space, npts = G.space, points.shape[0]
+    if "s" in vars and restrict(space, (vars.index("s"),)).order >= 1:
+        raise ValueError(f"cannot differentiate {node!r} inside an "
+                         f"integrand: its variable 's' is already a jet "
+                         f"variable there")
+    amb = tuple(v for v in vars if v in node.ambient_vars())
+    pos = [vars.index(v) for v in amb]
+    keys = np.column_stack([G.value, points[:, pos]])
+    first, inv = evaluate._distinct_rows(keys)
+    rows = keys[first]
+    sub, joint, lift, tables = evaluate._embed_tables(space, tuple(pos))
+
+    def f(svals, r):
+        return eval_jet_batch(node.body, ("s",) + amb,
+                              np.column_stack([svals, rows[r, 1:]]), sub).coef
+
+    Q = quadrature.gauss_kronrod(f, np.full(rows.shape[0], node.base),
+                                 rows[:, 0], node.tol)
+    A = np.zeros((npts, space.ncoef), order="F")
+    A[:, lift] = Q[inv]
+    if space.order >= 1:
+        B = eval_jet_batch(node.body, ("s",) + amb, rows, joint).coef[inv]
+        ghat = G.coef.copy(order="K")
+        ghat[:, 0] = 0.0
+        gpow = ghat
+        for k, (dst, src) in enumerate(tables, start=1):
+            Dk = np.zeros((npts, space.ncoef), order="F")
+            Dk[:, dst] = B[:, src]
+            A += space.mul_coef(Dk, gpow) / k
+            if k < space.order:
+                gpow = space.mul_coef(gpow, ghat)
+    return JetBatch(space, A)
+
+
+def fresh_outcome(e, pts, order):
+    """outcome with every Antideriv's jet rule calling fresh_per_call."""
+    with mock.patch.object(evaluate, "compose_antideriv", fresh_per_call):
+        return outcome(e, pts, order)
+
+
+# Integrands over s, t and x, whose ambient pass holds t- and x-only
+# entries; points whose (t, x) rows repeat under other upper limits, and
+# a base that some of those limits equal.
+@settings(max_examples=200, deadline=None)
+@given(body=trees(2, ("s", "t", "x"), False, False),
+       inner=trees(1, V4, False, False),
+       base=st.sampled_from([-0.55, 0.0, 0.45]),
+       points=st.lists(node_points, min_size=1, max_size=4),
+       order=st.integers(0, 2))
+def test_the_integrand_s_tape_gives_the_jets_of_a_fresh_run_per_level(
+        body, inner, base, points, order):
+    node = Antideriv(body, inner, base, 1e-8)
+    pts = np.array(points, dtype=float)
+    pts = np.vstack([pts, pts[:, [0, 1, 3, 2]]])  # y and z swapped
+    assert_same_outcome(outcome(node, pts, order),
+                        fresh_outcome(node, pts, order))
+
+
+def test_an_ambient_factor_that_fails_only_where_nothing_is_integrated():
+    # log(t - 0.5) is not defined at t = 0.25, whose only row has its
+    # upper limit x at the base: the ambient pass raises and is set
+    # aside, the levels never sample that row, and its value is 0.
+    node = Antideriv(parse_expr("s * log(t - 0.5)", allowed=("s", "t")),
+                     Var("x"), 0.5)
+    pts = np.array([[1.0, 2.0, 0.0, 0.0], [0.25, 0.5, 0.0, 0.0],
+                    [2.0, -1.0, 0.0, 0.0]])
+    run_part, raised = evaluate.Tape.run_part, []
+
+    def recorded(tape, points, part, *, checked=False):
+        try:
+            return run_part(tape, points, part, checked=checked)
+        except EvalDomainError as exc:
+            raised.append(str(exc))
+            raise
+
+    with mock.patch.object(evaluate.Tape, "run_part", recorded):
+        got = eval_jet_batch(node, V4, pts, 0).coef
+    assert raised == ["log of a non-positive value in log(t - 0.5)"]
+    assert fresh_outcome(node, pts, 0) == (got.shape, got.tobytes())
+    # log(t - 0.5) (x^2 - 0.25) / 2 at the other rows.
+    want = np.log([0.5, 1.5]) * [1.875, 0.375]
+    np.testing.assert_allclose(got[[0, 2], 0], want, rtol=1e-12)
+    assert got[1, 0] == 0.0
+    # From order 1 the Taylor tail reads the integrand at every upper
+    # limit, the base's too: the same error with and without the pass.
+    assert_same_outcome(outcome(node, pts, 1),
+                        fresh_outcome(node, pts, 1))
+    assert outcome(node, pts, 1)[1] == raised[0]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_an_ambient_factor_that_fails_on_a_live_row_raises_as_before(order):
+    # At t = 0.25 the upper limit differs from the base: the first level
+    # samples log(t - 0.5) there, and raises its error on its node.
+    node = Antideriv(parse_expr("s * log(t - 0.5)", allowed=("s", "t")),
+                     Var("x"), 0.5)
+    pts = np.array([[1.0, 2.0, 0.0, 0.0], [0.25, 1.5, 0.0, 0.0]])
+    got = outcome(node, pts, order)
+    assert_same_outcome(got, fresh_outcome(node, pts, order))
+    assert got[:2] == (EvalDomainError,
+                       "log of a non-positive value in log(t - 0.5)")
+    assert str(got[2]) == "log(t - 0.5)"
+
+
+def test_an_integral_compiles_its_integrand_once_and_runs_each_sample_once(
+        instance_matrix, monkeypatch):
+    # theorem_4_2[growing]'s pressure holds one integral, whose integrand
+    # reads t.  Its compose_antideriv call compiles one tape in the sub
+    # space and one for the joint jet B; its ambient pass runs once, on
+    # the distinct times of its rows; and the sub tape's runs take every
+    # sample gauss_kronrod asks for, in order, once.
+    [(sol, grid)] = [(s, g) for n, s, g, _ in instance_matrix
+                     if n == "theorem_4_2[growing]"]
+    tape, pts = _fields_tape(sol), grid.points()
+    pts = pts[in_domain_mask(sol, pts)]
+    Tape, calls = evaluate.Tape, []
+    compose, init, run, run_part, feval = (
+        evaluate.compose_antideriv, Tape.__init__, Tape.run, Tape.run_part,
+        quadrature._feval)
+
+    def traced(node, G, vars, points):
+        calls.append(dict(node=node, G=G, vars=vars, compiles=[], runs=[],
+                          parts=[], asked=[]))
+        return compose(node, G, vars, points)
+
+    def compiled(t, roots, vars, orders):
+        calls[-1]["compiles"].append((tuple(vars), orders))
+        init(t, roots, vars, orders)
+
+    def ran(t, points, given=None, *, checked=False):
+        if t is not tape:
+            calls[-1]["runs"].append((t, points[:, 0].copy(),
+                                      given is not None))
+        return run(t, points, given, checked=checked)
+
+    def ran_part(t, points, part, *, checked=False):
+        calls[-1]["parts"].append((t, points))
+        return run_part(t, points, part, checked=checked)
+
+    def asked(f, svals, rows):
+        calls[-1]["asked"].append(svals)
+        return feval(f, svals, rows)
+
+    for owner, name, fn in ((evaluate, "compose_antideriv", traced),
+                            (Tape, "__init__", compiled), (Tape, "run", ran),
+                            (Tape, "run_part", ran_part),
+                            (quadrature, "_feval", asked)):
+        monkeypatch.setattr(owner, name, fn)
+    tape.run(pts)
+    monkeypatch.undo()
+    [call] = calls
+    node, G, vars = call["node"], call["G"], call["vars"]
+    assert node.ambient_vars() == ("t",)
+    t = vars.index("t")
+    nrows = len(evaluate._distinct_rows(
+        np.column_stack([G.value, pts[:, t]]))[0])
+    ntimes = len(evaluate._distinct_rows(pts[:, [t]])[0])
+    sub, joint, _, _ = evaluate._embed_tables(G.space, (t,))
+    assert call["compiles"] == [(("s", "t"), (sub,)), (("s", "t"), (joint,))]
+    [(part_tape, part_pts)] = call["parts"]
+    assert part_tape.spaces == (sub,) and len(part_pts) == ntimes
+    levels = [r for r in call["runs"] if r[0] is part_tape]
+    assert all(given for _, _, given in levels)
+    got = np.concatenate([s for _, s, _ in levels])
+    assert got.tobytes() == np.concatenate(call["asked"]).tobytes()
+    [(_, at, _)] = [r for r in call["runs"] if r[0] is not part_tape]
+    assert len(at) == nrows
+    # The samples and the joint jet's rows of this instance's one integral
+    # (the benchmark's tracer counts only the latter, through
+    # eval_jet_batch): 2,505 samples in 3 levels, on 75 rows of 5 times.
+    assert (len(got), len(levels), nrows, ntimes) == (2505, 3, 75, 5)
+
+
+def test_the_ambient_pass_tells_its_rows_apart_by_their_bits():
+    # atan2(t, -1) is pi at t = 0.0 and -pi at t = -0.0: the two rows
+    # share their upper limit, and each must read its own ambient jet.
+    node = Antideriv(parse_expr("s * atan2(t, -1)", allowed=("s", "t")),
+                     Var("x"), 0.0)
+    pts = np.array([[0.0, 1.0, 0.0, 0.0], [-0.0, 1.0, 0.0, 0.0]])
+    for order in (0, 1, 2):
+        got = outcome(node, pts, order)
+        assert got == fresh_outcome(node, pts, order)
+        coef = np.frombuffer(got[1]).reshape(got[0])
+        np.testing.assert_allclose(coef[:, 0], [math.pi / 2, -math.pi / 2],
+                                   rtol=1e-15)
