@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -373,24 +374,68 @@ def cmd_verify(descriptor_path: str, grid_flag: str | None = None,
 
 def field_table(sol: Solution, grid: Grid) -> str:
     """CSV field table, one row per point of grid.points() (t slowest);
-    points outside the guards get empty cells.  The in-guard cells are
-    formatted by one % over a template repeated once per in-guard row."""
+    points outside the guards get empty cells.  The fields' tape runs at
+    the in-guard points, and _cells formats their values."""
     pts = grid.points()
     mask = in_domain_mask(sol, pts)
     cells = iter(())
     if mask.any():
-        inside, fields = pts[mask], sol.fields()
+        fields = sol.fields()
         roots = tuple(fields[name] for name in FIELD_NAMES + ("rho",))
-        batches = evaluate.eval_jet_batch(roots, VARS4, inside,
-                                          (0,) * len(roots))
-        values = np.column_stack([b.value for b in batches])
-        cells = iter((_CELLS * len(values)
-                      % tuple(values.ravel().tolist())).splitlines())
+        tape = evaluate.Tape(roots, VARS4, (0,) * len(roots))
+        values = np.column_stack([b.value for b in tape.run(pts[mask])])
+        axes = [tape.entries[k][evaluate.AXES] for k in tape.slots]
+        cells = iter(_cells(values, axes, grid, mask).splitlines())
     prefixes = map(",".join, itertools.product(
         *([_fmt(c) for c in axis] for axis in grid.axes())))
     rows = [prefix + (next(cells) if live else _EMPTY)
             for prefix, live in zip(prefixes, mask.tolist())]
     return "\n".join([CSV_HEADER] + rows) + "\n"
+
+
+def _cells(values, axes, grid: Grid, mask) -> str:
+    """The cells of the in-guard rows after their t,x,y,z prefix, one
+    line per row, from their (n, 5) values and each column's axes (its
+    root's tape entry's, positions in t,x,y,z).  A column in all four
+    axes is formatted where the rows are, by one % over a template
+    repeated once per row.  Any other column's value depends only on its
+    axes, so it is formatted once per distinct in-guard projection of the
+    grid's multi-index onto them, at the projection's first row, and the
+    strings are gathered back to the rows; a constant one is formatted
+    once, into the template.  Every cell keeps its bytes."""
+    n = len(values)
+    if all(len(a) == 4 for a in axes):
+        return _format(_CELLS * n, tuple(values.ravel().tolist()))
+    shape = tuple(int(axis[2]) for axis in (grid.t, grid.x, grid.y, grid.z))
+    index = np.unravel_index(np.flatnonzero(mask), shape)
+    template, columns = [], []
+    for j, a in enumerate(axes):
+        if len(a) == 4:
+            template.append("%.17g")
+            columns.append(values[:, j].tolist())
+        elif not a:
+            template.append(_format("%.17g", tuple(values[:1, j].tolist())))
+        else:
+            ids = np.zeros(n, dtype=np.intp)
+            for k in sorted(a):
+                ids = ids * shape[k] + index[k]
+            first = np.full(math.prod(shape[k] for k in a), n)
+            np.minimum.at(first, ids, np.arange(n))
+            seen = first < n
+            text = _format("%.17g\n" * seen.sum(),
+                           tuple(values[first[seen], j].tolist()))
+            strings = text.split("\n")
+            template.append("%s")
+            columns.append(list(map(strings.__getitem__,
+                                    (np.cumsum(seen) - 1)[ids].tolist())))
+    row = "," + ",".join(template) + ",true\n"
+    return _format(row * n,
+                   tuple(itertools.chain.from_iterable(zip(*columns))))
+
+
+def _format(template: str, args: tuple) -> str:
+    """template % args: every number a table formats passes here."""
+    return template % args
 
 
 def cmd_export(descriptor_path: str, grid_flag: str | None = None,

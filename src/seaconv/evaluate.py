@@ -45,8 +45,9 @@ tolerance, not bit for bit; the coefficients through the upper limit
 follow the fundamental theorem of calculus exactly.  The integrand is
 compiled once per call into a tape of its own, and the node keeps no
 cache.  Its entries in the ambient variables alone run once, at the
-distinct ambient rows (split and run_part, below), and each quadrature
-level runs the others, reading those jets by its samples' rows.
+distinct ambient rows that quadrature samples (split and run_part,
+below), and each quadrature level runs the others, reading those jets
+by its samples' rows.
 
 A run goes entry by entry: the node's rule on its children's jets, and
 a check that the jet is finite where it can fail.  A finite input
@@ -506,10 +507,11 @@ def compose_antideriv(node: Antideriv, G: JetBatch, vars: tuple[str, ...],
     with a monomial in s is refused, since that s is the integrand's.
     Its tape is compiled once per call.  Where it has ambient variables,
     the entries in those alone run first, once, at the distinct ambient
-    rows (the ambient pass), and each quadrature level reads them by its
-    samples' rows; an ambient pass that raises is set aside, and the
-    levels run the whole tape, so the error is that of the first level
-    to fail, as without the pass."""
+    rows of the integrals whose upper limit is not the base, the rows
+    gauss_kronrod samples (the ambient pass), and each quadrature level
+    reads them by its samples' rows; an ambient pass that raises is set
+    aside, and the levels run the whole tape, so the error is that of
+    the first level to fail, as without the pass."""
     space = G.space
     n = space.order
     npts = points.shape[0]
@@ -517,10 +519,11 @@ def compose_antideriv(node: Antideriv, G: JetBatch, vars: tuple[str, ...],
         raise ValueError(
             f"cannot differentiate {node!r} inside an integrand: its "
             f"variable 's' is already a jet variable there")
-    for v in node.ambient_vars():
+    ambient_vars = node.ambient_vars()
+    for v in ambient_vars:
         if v not in vars:
             raise ValueError(f"ambient variable {v!r} unavailable for integrand")
-    amb = tuple(v for v in vars if v in node.ambient_vars())
+    amb = tuple(v for v in vars if v in ambient_vars)
     pos = [vars.index(v) for v in amb]
     # One row per distinct (upper limit, ambient values): the jet depends
     # on nothing else, and its coefficients in other variables are 0.
@@ -531,10 +534,13 @@ def compose_antideriv(node: Antideriv, G: JetBatch, vars: tuple[str, ...],
     tape = Tape((node.body,), ("s",) + amb, (sub,))
     ambient_jets = None
     if amb:
-        # No entry of the part reads s: the pass puts the base there.
-        ambient, row = _distinct_rows(rows[:, 1:])
+        # Only rows whose upper limit is not the base are sampled.  No
+        # entry of the part reads s: the pass puts the base there.
+        live = np.flatnonzero(rows[:, 0] != node.base)
+        row = np.zeros(rows.shape[0], dtype=np.intp)
+        ambient, row[live] = _distinct_rows(rows[live, 1:])
         pts = np.column_stack([np.full(ambient.size, node.base),
-                               rows[ambient, 1:]])
+                               rows[live[ambient], 1:]])
         part = tape.split(frozenset(range(1, len(amb) + 1)))
         try:
             ambient_jets = tape.run_part(pts, part)

@@ -326,14 +326,20 @@ def d_log(u0: np.ndarray, n: int) -> np.ndarray:
 
 def d_sin(u0: np.ndarray, n: int) -> np.ndarray:
     s, c = np.sin(u0), np.cos(u0)
-    cycle = (s, c, -s, -c)
-    return np.stack([cycle[k % 4] for k in range(n + 1)], axis=1)
+    return _cycle((s, c, -s, -c), n)
 
 
 def d_cos(u0: np.ndarray, n: int) -> np.ndarray:
     s, c = np.sin(u0), np.cos(u0)
-    cycle = (c, -s, -c, s)
-    return np.stack([cycle[k % 4] for k in range(n + 1)], axis=1)
+    return _cycle((c, -s, -c, s), n)
+
+
+def _cycle(cycle: tuple, n: int) -> np.ndarray:
+    """Columns 0..n, column k a copy of cycle[k % 4]."""
+    out = np.empty((cycle[0].shape[0], n + 1), dtype=cycle[0].dtype)
+    for k in range(n + 1):
+        out[:, k] = cycle[k % 4]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -348,11 +354,16 @@ def _tanh_polys(n: int) -> tuple:
 
 
 def d_tanh(u0: np.ndarray, n: int) -> np.ndarray:
+    """Horner's rule in T = tanh u0 on each of _tanh_polys(n), in the
+    steps of numpy's polyval, bit for bit: c[-1] + T*0, then c[i] +
+    acc*T for i from len(c) - 2 down to 0."""
     T = np.tanh(u0)
-    polys = _tanh_polys(n)
     out = np.empty((u0.shape[0], n + 1))
-    for k in range(n + 1):
-        out[:, k] = np.polynomial.polynomial.polyval(T, polys[k])
+    for k, c in enumerate(_tanh_polys(n)):
+        acc = c[-1] + T * 0
+        for ci in c[-2::-1]:
+            acc = ci + acc * T
+        out[:, k] = acc
     return out
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 import seaconv
+from seaconv import cli
 from seaconv.cli import _build_argparser, build_from_config, field_table, \
     load_config, main, parse_config_text, parse_grid_spec, serialize_config
 from seaconv.errors import ConfigError
@@ -22,6 +24,7 @@ from seaconv.evaluate import eval_values
 from seaconv.expr import Const, print_expr
 from seaconv.families import FAMILIES, KIND_VARS, build_theorem_3_1, \
     param_key, rigid_rotation
+from seaconv.parser import parse_expr
 from seaconv.solution import in_domain_mask
 from seaconv.verify import Grid
 
@@ -309,13 +312,33 @@ def test_field_table_edge_grids_match_the_per_cell_reference():
         p=Const(0.1))
     mixed = Grid(t=(0.0, 1.0, 2), x=(0.0, 1.0, 3), y=(0.0, 1.0, 2),
                  z=(-1.0, 1.0, 2))
+    # Fields in fewer than four axes, formatted once per in-guard
+    # projection: u = t*x in (t, x), 0.0 or -0.0 at t = 0 by the sign of
+    # x; v in (t, z), whose z axis has one point; w in (t, x, y); p in
+    # (y, z), not a prefix of t,x,y,z; rho = 2, a constant.  The x^2+y^2
+    # guard drops the rows at x = y = 0 from projections that keep
+    # others, and with w in all four axes the table mixes both paths.
+    projected = vortex.with_fields(
+        u=parse_expr("t * x", allowed=V4),
+        v=parse_expr("z * cos(t)", allowed=V4),
+        w=parse_expr("x * y - t", allowed=V4),
+        p=parse_expr("2 * z + y", allowed=V4))
+    four = projected.with_fields(w=parse_expr("x * y - t * z", allowed=V4))
+    axis_rows = Grid(t=(0.0, 1.0, 3), x=(-1.0, 1.0, 3), y=(-1.0, 1.0, 3),
+                     z=(0.5, 0.5, 1))
     cases = [(vortex, on_axis), (rigid_rotation(), single),
              (vortex, single), (rigid_rotation(), signed_zero),
-             (extreme, mixed)]
+             (extreme, mixed), (projected, axis_rows), (four, axis_rows)]
     for sol, grid in cases:
         table = field_table(sol, grid)
         assert table == reference_field_table(sol, grid), grid
         assert len(table.splitlines()) == 1 + grid.size
+    live = in_domain_mask(projected, axis_rows.points()).reshape(3, 3, 3)
+    assert not live[:, 1, 1].any() and live[:, 1].any() and live[:, :, 1].any()
+    cells = [row.split(",")[4:] for row in
+             field_table(projected, axis_rows).splitlines()[1:]]
+    assert {c[0] for c in cells if c[0].endswith("0")} == {"-0", "0"}
+    assert {c[4] for c in cells if c[-1] == "true"} == {"2"}
     last = field_table(rigid_rotation(), signed_zero).splitlines()[-1]
     assert last.startswith("-0,-0,1,0.5,")
     rows = field_table(extreme, mixed).splitlines()[1:]
@@ -324,6 +347,43 @@ def test_field_table_edge_grids_match_the_per_cell_reference():
     cells = ",-0,4.9406564584124654e-324,1.7976931348623157e+308," \
         "0.10000000000000001,0,true"
     assert [row.endswith(cells) for row in rows] == live.tolist()
+
+
+def formatted_values(sol, grid):
+    """The numbers field_table formats for one table: the float
+    arguments of its % passes, which format them by %.17g."""
+    counted = []
+
+    def count(template, args):
+        counted.append(sum(type(a) is float for a in args))
+        return cli_format(template, args)
+
+    cli_format = cli._format
+    with mock.patch.object(cli, "_format", count):
+        field_table(sol, grid)
+    return sum(counted)
+
+
+def test_a_field_table_formats_each_field_once_per_projection():
+    # Under a k = 1 shear u is in (t, x), v in (t, y), w in (t, x, y),
+    # p in all four axes and rho is constant: 5*10*10*8 rows.
+    sol = build_from_config(parse_config_text(
+        "family = prop_4_1\n"
+        "theta(t,x,y) = 0.5*t*(x^3 - 3*x*y^2) + 0.4*(x^2 - y^2)\n"
+        "zeta(t,x,y) = 0.3*sin(t)*x\n"
+        "transform = 1; 0.1*t^2/2\n"))
+    grid = parse_grid_spec("t=0:1:5,x=-1:1:10,y=-1:1:10,z=0:1:8")
+    assert in_domain_mask(sol, grid.points()).all()
+    assert formatted_values(sol, grid) == 4000 + 50 + 50 + 500 + 1
+    # These theorem_2_1 fields are all in four axes: every cell is
+    # formatted.
+    sol = build_from_config(parse_config_text(
+        "family = theorem_2_1\nalpha(t) = 0.5*sin(t)\nbeta(t) = 0.4*cos(t)\n"
+        "b1 = 0.5\nb2 = -0.3\nIm(s) = tanh(s)\niota(s) = 0.7*s\n"
+        "sigma(s) = exp(0.8*s)\ntransform = 2; 0.2*sin(t)\n"))
+    live = in_domain_mask(sol, grid.points()).sum()
+    assert live > 0
+    assert formatted_values(sol, grid) == 5 * live
 
 
 def test_config_error_carries_line_number(tmp_path):

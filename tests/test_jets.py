@@ -13,7 +13,9 @@ from seaconv.errors import EvalDomainError
 from seaconv.evaluate import deriv_1d, eval_jet, eval_jet_batch, eval_values
 from seaconv.expr import FnContext
 from seaconv.jets import (JetBatch, JetSpace, compose_smooth, const_batch,
-                          int_power, jet_space, mul, restrict, var_batch)
+                          d_cos, d_sin, d_tanh, int_power, jet_space, mul,
+                          restrict, var_batch)
+from seaconv.jets import _tanh_polys
 from seaconv.parser import parse_expr, parse_paramfn
 from seaconv.verify import P_SPACE
 
@@ -251,6 +253,36 @@ def test_restrict_keeps_the_monomials_in_the_axes_and_drops_nothing_else():
     assert restrict(P_SPACE, (0, 1)).monos == ((0, 0, 0, 0), (0, 1, 0, 0),
                                                (1, 0, 0, 0))
     assert restrict(P_SPACE, ()) is jet_space(4, 0)
+
+
+# The derivative columns of sin, cos and tanh as numpy's stack and polyval
+# give them, bit for bit.
+def reference_derivs(kind, u0, n):
+    if kind == "tanh":
+        T = np.tanh(u0)
+        return np.column_stack([np.polynomial.polynomial.polyval(T, c)
+                                for c in _tanh_polys(n)])
+    s, c = np.sin(u0), np.cos(u0)
+    cycle = (s, c, -s, -c) if kind == "sin" else (c, -s, -c, s)
+    return np.stack([cycle[k % 4] for k in range(n + 1)], axis=1)
+
+
+@pytest.mark.parametrize("order", range(7))
+@pytest.mark.parametrize("kind, derivs", [("sin", d_sin), ("cos", d_cos),
+                                          ("tanh", d_tanh)])
+def test_smooth_derivatives_match_numpy_bit_for_bit(kind, derivs, order):
+    rng = np.random.default_rng(order)
+    u0 = np.concatenate([
+        [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 20.0, -20.0, 710.0,
+         -1e300, np.pi, -np.pi / 2],
+        rng.uniform(-4.0, 4.0, 5000), rng.normal(0.0, 1e-8, 500)])
+    got, want = derivs(u0, order), reference_derivs(kind, u0, order)
+    assert got.shape == want.shape == (u0.size, order + 1)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    # Zero signs are among the bits compared: sin(-0.0) is -0.0, while
+    # polyval's 0.0 + 1.0 * T turns tanh's -0.0 into 0.0.
+    assert np.signbit(got[1, 0]) == (kind == "sin")
 
 
 def test_jets_of_different_spaces_do_not_add_or_multiply():
