@@ -44,10 +44,9 @@ those coefficients, so they match a larger space's to within the
 tolerance, not bit for bit; the coefficients through the upper limit
 follow the fundamental theorem of calculus exactly.  The integrand is
 compiled once per call into a tape of its own, and the node keeps no
-cache.  Its entries in the ambient variables alone run once, at the
-distinct ambient rows that quadrature samples (split and run_part,
-below), and each quadrature level runs the others, reading those jets
-by its samples' rows.
+cache.  Its entries in the ambient variables alone are hoisted (below):
+they run once, at the distinct ambient rows that quadrature samples,
+and each level reads their jets by its samples' rows.
 
 A run goes entry by entry: the node's rule on its children's jets, and
 a check that the jet is finite where it can fail.  A finite input
@@ -70,15 +69,15 @@ are in the post-order of the walk, so the error raised is that of the
 first node in this order to leave its domain: a non-finite jet is
 caught at the first entry that produces it.
 
-A part of a tape runs on its own: split(axes) lists the entries whose
-axes lie within axes, which read only each other, and marks those whose
-jets leave the part, as roots or read by another entry.  run_part runs
-the part at points of the caller's choosing, such as one per distinct
-time; run, given those jets and each point's row in them, runs the other
-entries only, and each entry that reads a part's jet reads its rows
-gathered to the run's points.  Each rule's arithmetic is per row, so
-the roots keep their bits.  A caller that has checked its points are
-finite says so (checked=True), and the run skips that check.
+Tape.hoist(points, axes) is loop-invariant code motion, for a scan's
+t pass (verify.py) and an integral's ambient pass: the entries whose
+axes lie within axes read only each other, and run once per distinct
+row of the points on those axes; run, given their jets and each point's
+row in them, runs the other entries only, reading those rows gathered
+to its points.  Each rule's arithmetic is per row, so the roots keep
+their bits.  A hoist that raises gives None, and the caller's runs
+raise the error they raise without it.  A caller that has checked its
+points are finite says so (checked=True), and the run skips that check.
 """
 from __future__ import annotations
 
@@ -200,20 +199,8 @@ class Tape:
             live -= cols
         self.width = width
         self.entries, self.slots = entries, slots
+        self.axes = tuple(entries[k][AXES] for k in slots)
         self._spaces = {entry[SPACE] for entry in entries}
-
-    def split(self, axes) -> dict:
-        """The part of the tape whose entries' axes lie within axes, a
-        frozenset of positions in vars: {slot: whether a root or an entry
-        outside the part reads its jet}, in tape order.  An entry's axes
-        hold its children's, so the part reads only its own jets and
-        runs on its own (run_part)."""
-        inside = {i for i, entry in enumerate(self.entries)
-                  if entry[AXES] <= axes}
-        read = set(self.slots).union(*(
-            entry[KIDS] for i, entry in enumerate(self.entries)
-            if i not in inside))
-        return {i: i in read for i in sorted(inside)}
 
     def run(self, points, given=None, *, checked=False) -> list:
         """The roots' jets at an (npoints, nvars) array of points.  An
@@ -222,22 +209,35 @@ class Tape:
         is not finite), or when the points are not all finite, which a
         caller that has checked them says by checked=True; so the error
         raised is that of the first entry to go non-finite.  given =
-        (jets, rows) takes a part's jets from run_part at other points in
-        place of running its entries: row j of points reads row rows[j]
-        of each."""
+        (jets, rows), from hoist, takes those jets in place of running
+        their entries: row j of points reads row rows[j] of each."""
         held = self._run(points, None, given, checked)
         return [held[k].to(space) for k, space in zip(self.slots, self.spaces)]
 
-    def run_part(self, points, part, *, checked=False) -> dict:
-        """The jets at points of a part (split) that leave it, by slot;
-        its other slots map to None.  Run as run runs them."""
-        held = self._run(points, part, None, checked)
-        return {i: held[i] if out else None for i, out in part.items()}
+    def hoist(self, points, axes, *, checked=False):
+        """given for run at points: the jets of the entries whose axes lie
+        within axes, a frozenset of positions in vars, run once per
+        distinct row of points[:, sorted(axes)] (_distinct_rows), at its
+        first point, and each point's row in them.  An entry's axes hold
+        its children's, so these entries read only each other; a jet that
+        no root and no other entry reads is None.  None if they raise:
+        run without them raises the error of the first entry to fail."""
+        pts = np.asarray(points, dtype=float)
+        part = [i for i, entry in enumerate(self.entries)
+                if entry[AXES] <= axes]
+        read = set(self.slots).union(*(
+            entry[KIDS] for entry in self.entries if not entry[AXES] <= axes))
+        first, rows = _distinct_rows(pts[:, sorted(axes)])
+        try:
+            held = self._run(pts[first], part, None, checked)
+        except Exception:
+            return None
+        return {i: held[i] if i in read else None for i in part}, rows
 
     def _run(self, points, part, given, checked) -> list:
         """The held jets after running the entries of part, all kept, or
         if part is None those of the whole tape, each dropped after its
-        last read, with given's part taken from it (see run)."""
+        last read, with given's jets taken from it (see run)."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != len(self.vars):
             raise ValueError("points must have shape (npoints, nvars)")
@@ -488,9 +488,10 @@ def _distinct_rows(a: np.ndarray):
     each one's first occurrence, and inv with a[first][inv] equal to a
     bit for bit.  A stable lexsort of the rows' int64 bit patterns, then
     one comparison of adjacent rows; they come in the order of their
-    bits."""
+    bits.  Rows of no columns are all one row."""
     bits = np.ascontiguousarray(a).view(np.int64)
-    order = np.lexsort(bits.T[::-1])
+    order = (np.lexsort(bits.T[::-1]) if bits.shape[1] else
+             np.arange(bits.shape[0]))
     ranked = bits[order]
     new = np.ones(order.size, dtype=bool)
     new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
@@ -506,12 +507,11 @@ def compose_antideriv(node: Antideriv, G: JetBatch, vars: tuple[str, ...],
     runs on points of s and its ambient variables in vars order; a space
     with a monomial in s is refused, since that s is the integrand's.
     Its tape is compiled once per call.  Where it has ambient variables,
-    the entries in those alone run first, once, at the distinct ambient
-    rows of the integrals whose upper limit is not the base, the rows
-    gauss_kronrod samples (the ambient pass), and each quadrature level
-    reads them by its samples' rows; an ambient pass that raises is set
-    aside, and the levels run the whole tape, so the error is that of
-    the first level to fail, as without the pass."""
+    the ambient pass hoists the entries in those alone (Tape.hoist) at
+    the rows of the integrals whose upper limit is not the base, the
+    rows gauss_kronrod samples, and each quadrature level reads them by
+    its samples' rows; where the pass raises, the levels run the whole
+    tape, so the error is that of the first level to fail."""
     space = G.space
     n = space.order
     npts = points.shape[0]
@@ -532,24 +532,21 @@ def compose_antideriv(node: Antideriv, G: JetBatch, vars: tuple[str, ...],
     rows = keys[first]
     sub, joint, lift, tables = _embed_tables(space, tuple(pos))
     tape = Tape((node.body,), ("s",) + amb, (sub,))
-    ambient_jets = None
+    hoisted = None
     if amb:
         # Only rows whose upper limit is not the base are sampled.  No
-        # entry of the part reads s: the pass puts the base there.
+        # hoisted entry reads s: the pass puts the base there.
         live = np.flatnonzero(rows[:, 0] != node.base)
+        pts = rows[live]
+        pts[:, 0] = node.base
+        hoisted = tape.hoist(pts, frozenset(range(1, len(amb) + 1)))
+    if hoisted is not None:
         row = np.zeros(rows.shape[0], dtype=np.intp)
-        ambient, row[live] = _distinct_rows(rows[live, 1:])
-        pts = np.column_stack([np.full(ambient.size, node.base),
-                               rows[live[ambient], 1:]])
-        part = tape.split(frozenset(range(1, len(amb) + 1)))
-        try:
-            ambient_jets = tape.run_part(pts, part)
-        except Exception:
-            pass  # the levels raise the error of the first to fail
+        row[live] = hoisted[1]
 
     def f(svals, r):
         pts = np.column_stack([svals, rows[r, 1:]])
-        given = None if ambient_jets is None else (ambient_jets, row[r])
+        given = None if hoisted is None else (hoisted[0], row[r])
         return tape.run(pts, given)[0].coef
 
     Q = gauss_kronrod(f, np.full(rows.shape[0], node.base), rows[:, 0],

@@ -87,7 +87,9 @@ def as_field(name: str, value, allowed: tuple[str, ...]) -> Expr:
     raise TypeError(f"parameter {name} must be an Expr, DSL string, or number")
 
 
-def _probe_smooth(fn: ParamFn, t_range) -> None:
+def probe_smooth(fn: ParamFn, t_range) -> None:
+    """A HypothesisError where fn's order-PROBE_ORDER jet is not defined
+    at PROBE_COUNT points spanning t_range."""
     pts = np.linspace(*t_range, PROBE_COUNT)[:, None]
     try:
         eval_jet_batch(fn.body, ("s",), pts, PROBE_ORDER)
@@ -193,7 +195,7 @@ def _family(nonvanishing=(), harmonic=(), **kinds):
                 a[name] = float(a[name])
             for name, kind in kinds.items():
                 if kind == "fn_t":
-                    _probe_smooth(a[name], t_range)
+                    probe_smooth(a[name], t_range)
             for name in nonvanishing:
                 _probe_nonvanishing(a[name], t_range)
             for name in harmonic:

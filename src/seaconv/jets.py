@@ -354,12 +354,15 @@ def _tanh_polys(n: int) -> tuple:
 
 
 def d_tanh(u0: np.ndarray, n: int) -> np.ndarray:
-    """Horner's rule in T = tanh u0 on each of _tanh_polys(n), in the
-    steps of numpy's polyval, bit for bit: c[-1] + T*0, then c[i] +
-    acc*T for i from len(c) - 2 down to 0."""
+    """T = tanh u0, then Horner's rule in T on each further polynomial
+    of _tanh_polys(n), in the steps of numpy's polyval, bit for bit:
+    c[-1] + T*0, then c[i] + acc*T for i from len(c) - 2 down to 0.
+    Column 0 is T itself, so tanh(-0.0) is -0.0, as np.tanh gives it
+    (polyval's 0.0 + 1.0*T would give 0.0)."""
     T = np.tanh(u0)
     out = np.empty((u0.shape[0], n + 1))
-    for k, c in enumerate(_tanh_polys(n)):
+    out[:, 0] = T
+    for k, c in enumerate(_tanh_polys(n)[1:], start=1):
         acc = c[-1] + T * 0
         for ci in c[-2::-1]:
             acc = ci + acc * T

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .expr import ParamFn, Var, add, mul, neg, print_expr, sub, substitute
-from .families import as_paramfn, _probe_smooth
+from .families import as_paramfn, probe_smooth
 from .solution import Guard, Solution
 
 T = Var("t")
@@ -45,7 +45,7 @@ def apply_symmetry(sol: Solution, kind: SymmetryKind,
             f"w_coupling must be 'transformed' or 'original', got {w_coupling!r}"
         )
     a = kind.alpha
-    _probe_smooth(a, sol.meta.t_range)
+    probe_smooth(a, sol.meta.t_range)
     k = kind.k
 
     if k == 4:

@@ -15,9 +15,9 @@ subtree's variables, and the velocity reads it by truncation.  A scan
 compiles the tape once and runs it on near-equal blocks of its points,
 as few as keep the jets a run holds (the tape's width in columns)
 within BUDGET floats; it then reduces each residual column once,
-over all its points in order.  Before two blocks or more, the tape's
-t-only entries (Tape.split) run once, at one point per distinct time
-(the t pass), and each block reads their jets by its points' times.
+over all its points in order.  Before two blocks or more, the t pass
+hoists the tape's t-only entries (Tape.hoist) out of the blocks: they
+run once per distinct time, and each block reads them by its times.
 Reading rho off p's jet one derivative order higher makes r2 structural.
 """
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluate import Tape, _distinct_rows, eval_jet_batch, eval_values
+from .evaluate import Tape, eval_jet_batch, eval_values
 from .expr import VARS4, Expr
 from .jets import jet_space
 from .solution import Solution, assert_in_domain, in_domain_mask
@@ -159,18 +159,17 @@ def residual_scan(sol: Solution, grid) -> ResidualReport:
     explicit (n, 4) array of finite points).  The fields' tape is
     compiled once and run on near-equal blocks of the points, in point
     order, as few as keep BUDGET // tape.width rows or fewer in each.
-    Where there are two blocks or more, its entries in t alone run
-    first, once, at one in-guard point per distinct time, times told
-    apart by their bits (the t pass); each block runs the other entries,
-    and reads a t-only jet's row by each point's time.  The blocks'
-    residuals are joined in point order and each column is reduced
-    once, so a report does not depend on the block size.  A scan raises
-    the error of the first block, in point order, that leaves its
-    domain: that of the first node in tape order to leave it at any of
-    the block's points.  So a larger block can raise another node's
-    error, one that a later point would raise.  A t pass that raises is
-    set aside, and the blocks run without it, so the error stays the
-    first failing block's."""
+    Where there are two blocks or more, the t pass hoists its entries
+    in t alone (Tape.hoist): they run once per distinct time, times told
+    apart by their bits, and each block runs the others, reading a
+    t-only jet's row by each point's time.  The blocks' residuals are
+    joined in point order and each column is reduced once, so a report
+    does not depend on the block size.  A scan raises the error of the
+    first block, in point order, that leaves its domain: that of the
+    first node in tape order to leave it at any of the block's points.
+    So a larger block can raise another node's error, one that a later
+    point would raise.  Where the t pass raises, the blocks run without
+    it, so the error stays the first failing block's."""
     pts = grid.points() if isinstance(grid, Grid) else _explicit(grid, 4)
     total = pts.shape[0]
     live = pts[in_domain_mask(sol, pts)]
@@ -182,15 +181,10 @@ def residual_scan(sol: Solution, grid) -> ResidualReport:
     blocks = np.array_split(live, -(-n // max(1, BUDGET // tape.width)))
     given = [None] * len(blocks)
     if len(blocks) > 1:  # in one block, each entry runs once anyway
-        first, times = _distinct_rows(live[:, :1])
-        try:
-            jets = tape.run_part(live[first], tape.split(T_AXES),
-                                 checked=True)
-        except Exception:
-            pass  # the blocks raise the error of the first to fail
-        else:
-            given = [(jets, rows)
-                     for rows in np.array_split(times, len(blocks))]
+        hoisted = tape.hoist(live, T_AXES, checked=True)
+        if hoisted is not None:
+            given = [(hoisted[0], rows)
+                     for rows in np.array_split(hoisted[1], len(blocks))]
     values = [_residuals(tape, b, g) for b, g in zip(blocks, given)]
     r, low = map(np.concatenate, zip(*values))
     return ResidualReport(

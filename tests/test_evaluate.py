@@ -20,8 +20,8 @@ from conftest import GRID_DEFAULT
 from output_digest import first_errors
 from seaconv import evaluate, jets, verify
 from seaconv.errors import EvalDomainError, SeaconvError
-from seaconv.evaluate import (CHECK, FREES, KIDS, NODE, READS, RULE, SPACE,
-                               eval_jet_batch, eval_values)
+from seaconv.evaluate import (AXES, CHECK, FREES, KIDS, NODE, READS, RULE,
+                               SPACE, eval_jet_batch, eval_values)
 from seaconv.expr import (Add, Atan2, Call, Const, Div, FnApp, FnContext, Mul,
                           ParamFn, Var)
 from seaconv.jets import MAX_PUBLIC_ORDER, JetBatch, jet_space, var_batch
@@ -633,11 +633,11 @@ def test_an_fnapp_of_a_bound_variable_still_evaluates():
 # when the run's points are not all finite; the loop below checks every
 # entry, as runs did before, and must agree with it.
 
-def checking_every_entry(tape, points, part=None, given=None):
-    """The jets Tape._run holds after running part's entries, all kept,
-    or if part is None the whole tape's, each dropped after its last
-    read, given's part read from it; each jet checked after its entry,
-    under the caller's error state."""
+def checking_every_entry(tape, points, part, given, checked):
+    """Tape._run with each jet checked after its entry, under the
+    caller's error state: the jets held after running part's entries,
+    all kept, or if part is None the whole tape's, each dropped after its
+    last read, given's jets read from it."""
     pts = np.asarray(points, dtype=float)
     ctxs = {s: evaluate._Ctx(tape.vars, pts, s) for s in tape._spaces}
     held = [None] * len(tape.entries)
@@ -661,18 +661,6 @@ def checking_every_entry(tape, points, part=None, given=None):
     return held
 
 
-def run_checking_every_entry(tape, points, given=None, *, checked=False):
-    """Tape.run with its jets checked after every entry."""
-    held = checking_every_entry(tape, points, given=given)
-    return [held[k].to(space) for k, space in zip(tape.slots, tape.spaces)]
-
-
-def run_part_checking_every_entry(tape, points, part, *, checked=False):
-    """Tape.run_part with its jets checked after every entry."""
-    held = checking_every_entry(tape, points, part)
-    return {i: held[i] if out else None for i, out in part.items()}
-
-
 def outcome(e, pts, order, every=False):
     """The jet's bytes, or the type, text and node of the error that
     evaluating e raises; with every, each tape run, nested ones (function
@@ -680,9 +668,7 @@ def outcome(e, pts, order, every=False):
     entry."""
     try:
         with np.errstate(all="ignore"), (
-                mock.patch.multiple(
-                    evaluate.Tape, run=run_checking_every_entry,
-                    run_part=run_part_checking_every_entry)
+                mock.patch.object(evaluate.Tape, "_run", checking_every_entry)
                 if every else contextlib.nullcontext()):
             jet = eval_jet_batch(e, V4, pts, order)
     except Exception as ex:
@@ -892,6 +878,55 @@ def test_distinct_rows_are_told_apart_by_their_bits(ncols, data):
     merged = b[evaluate._distinct_rows(b)[0]]
     assert sorted(map(tuple, merged)) == sorted(map(tuple, np.unique(
         a, axis=0)))
+
+
+# Tape.hoist: the entries within a set of axes run once per distinct row
+# of the points on those axes, and a run given their jets reads them by
+# each point's row.  Each column of the points takes one of a few values,
+# 0.0 and -0.0 among them, so rows repeat on every set of axes, full rows
+# repeat too, and some differ only in the sign of a zero.
+
+def raises(run, pts):
+    """Whether run(pts) raises."""
+    try:
+        with np.errstate(all="ignore"):
+            run(pts)
+    except Exception:
+        return True
+    return False
+
+
+def run_outcome(tape, pts, given=None):
+    """outcome of tape.run(pts, given), for a tape of one root."""
+    try:
+        with np.errstate(all="ignore"):
+            [jet] = tape.run(pts, given)
+    except Exception as ex:
+        return type(ex), str(ex), getattr(ex, "expr", None)
+    return jet.coef.shape, jet.coef.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(trees(), st.lists(node_points, min_size=1, max_size=3),
+       st.integers(0, 2), st.data())
+def test_a_run_given_hoisted_jets_has_the_outcome_of_a_whole_run(
+        e, base, order, data):
+    base = [(0.0,) * 4, (-0.0,) * 4, *base]
+    cols = st.lists(st.integers(0, len(base) - 1), min_size=4, max_size=4)
+    pts = np.array([[base[i][c] for c, i in enumerate(data.draw(cols))]
+                    for _ in range(data.draw(st.integers(1, 6)))])
+    pts = np.vstack([pts, pts[::-1]])
+    tape = evaluate.Tape((e,), V4, (order,))
+    whole = run_outcome(tape, pts)
+    for axes in map(frozenset, itertools.chain.from_iterable(
+            itertools.combinations(range(4), r) for r in range(5))):
+        with np.errstate(all="ignore"):
+            hoisted = tape.hoist(pts, axes)
+        part = tuple(entry[NODE] for entry in tape.entries
+                     if entry[AXES] <= axes)
+        oracle = evaluate.Tape(part, V4, (order,) * len(part))
+        assert (hoisted is None) == raises(oracle.run, pts), sorted(axes)
+        assert_same_outcome(run_outcome(tape, pts, hoisted), whole)
 
 
 def test_an_integral_s_jet_does_not_depend_on_the_order_of_its_points():

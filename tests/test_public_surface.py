@@ -87,3 +87,16 @@ def test_quadrature_imports_nothing_from_evaluate():
 
 def test_paramfn_has_no_value_at():
     assert not hasattr(seaconv.ParamFn, "value_at")
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_modules_import_no_private_name_from_a_sibling(path):
+    # A name a sibling module reads is part of its owner's surface, so it
+    # carries no leading underscore.
+    found = [(node.module, alias.name, node.lineno)
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ImportFrom)
+             and (node.level or (node.module or "").startswith("seaconv"))
+             for alias in node.names if alias.name.startswith("_")]
+    assert found == []

@@ -596,6 +596,12 @@ def test_the_integrand_s_tape_gives_the_jets_of_a_fresh_run_per_level(
                         fresh_outcome(node, pts, order))
 
 
+def distinct(points, axes):
+    """The points Tape.hoist runs its entries at: the first of each
+    distinct row of points on axes."""
+    return points[evaluate._distinct_rows(points[:, sorted(axes)])[0]]
+
+
 def test_an_ambient_factor_that_fails_only_where_nothing_is_integrated():
     # log(t - 0.5) is not defined at t = 0.25, whose only row has its
     # upper limit x at the base: the levels never sample that row, so
@@ -604,14 +610,14 @@ def test_an_ambient_factor_that_fails_only_where_nothing_is_integrated():
                      Var("x"), 0.5)
     pts = np.array([[1.0, 2.0, 0.0, 0.0], [0.25, 0.5, 0.0, 0.0],
                     [2.0, -1.0, 0.0, 0.0]])
-    run_part, passes = evaluate.Tape.run_part, []
+    hoist, passes = evaluate.Tape.hoist, []
 
-    def recorded(tape, points, part, *, checked=False):
-        out = run_part(tape, points, part, checked=checked)
-        passes.append(points[:, 1].tolist())
+    def recorded(tape, points, axes, *, checked=False):
+        out = hoist(tape, points, axes, checked=checked)
+        passes.append(distinct(points, axes)[:, 1].tolist())
         return out
 
-    with mock.patch.object(evaluate.Tape, "run_part", recorded):
+    with mock.patch.object(evaluate.Tape, "hoist", recorded):
         got = eval_jet_batch(node, V4, pts, 0).coef
     assert passes == [[1.0, 2.0]]  # the times of the rows integrated
     assert fresh_outcome(node, pts, 0) == (got.shape, got.tobytes())
@@ -653,8 +659,8 @@ def test_an_integral_compiles_its_integrand_once_and_runs_each_sample_once(
     tape, pts = _fields_tape(sol), grid.points()
     pts = pts[in_domain_mask(sol, pts)]
     Tape, calls = evaluate.Tape, []
-    compose, init, run, run_part, feval = (
-        evaluate.compose_antideriv, Tape.__init__, Tape.run, Tape.run_part,
+    compose, init, run, hoist, feval = (
+        evaluate.compose_antideriv, Tape.__init__, Tape.run, Tape.hoist,
         quadrature._feval)
 
     def traced(node, G, vars, points):
@@ -672,9 +678,9 @@ def test_an_integral_compiles_its_integrand_once_and_runs_each_sample_once(
                                       given is not None))
         return run(t, points, given, checked=checked)
 
-    def ran_part(t, points, part, *, checked=False):
-        calls[-1]["parts"].append((t, points))
-        return run_part(t, points, part, checked=checked)
+    def hoisted(t, points, axes, *, checked=False):
+        calls[-1]["parts"].append((t, distinct(points, axes)))
+        return hoist(t, points, axes, checked=checked)
 
     def asked(f, svals, rows):
         calls[-1]["asked"].append(svals)
@@ -682,7 +688,7 @@ def test_an_integral_compiles_its_integrand_once_and_runs_each_sample_once(
 
     for owner, name, fn in ((evaluate, "compose_antideriv", traced),
                             (Tape, "__init__", compiled), (Tape, "run", ran),
-                            (Tape, "run_part", ran_part),
+                            (Tape, "hoist", hoisted),
                             (quadrature, "_feval", asked)):
         monkeypatch.setattr(owner, name, fn)
     tape.run(pts)
