@@ -35,18 +35,19 @@ domain error in a body names the substituted node.
 An Antideriv's jet (compose_antideriv) integrates each distinct (upper
 limit, ambient values) row once by quadrature.gauss_kronrod, rows told
 apart by their bits (_distinct_rows), so two that differ only in the
-sign of a zero integrate apart; gauss_kronrod keeps rows independent,
-so their order changes no value.  It runs the
-integrand on points of s and its ambient variables in the node's space
-restricted to the latter: under a space whose second-order monomials all
-hold z, a z-free integrand runs at order 1.  The stopping test reads only
-those coefficients, so they match a larger space's to within the
-tolerance, not bit for bit; the coefficients through the upper limit
-follow the fundamental theorem of calculus exactly.  The integrand is
-compiled once per call into a tape of its own, and the node keeps no
-cache.  Its entries in the ambient variables alone are hoisted (below):
-they run once, at the distinct ambient rows that quadrature samples,
-and each level reads their jets by its samples' rows.
+sign of a zero integrate apart; gauss_kronrod keeps rows independent, so
+their order changes no value.  It runs the integrand on points of s and
+its ambient variables in the node's space restricted to the latter:
+under a space whose second-order monomials all hold z, a z-free
+integrand runs at order 1.  The stopping test reads only those
+coefficients, so they match a larger space's to within the tolerance,
+not bit for bit; the coefficients through the upper limit follow the
+fundamental theorem of calculus exactly.  The integrand compiles once,
+with the node's tape, into a Tape that the entry's rule runs and whose
+key keys the entry (_slot), so equal integrals share one.  Its entries
+in the ambient variables alone are hoisted (below): they run once, at
+the distinct ambient rows that quadrature samples, and each level reads
+their jets by its samples' rows.
 
 A run goes entry by entry: the node's rule on its children's jets, and
 a check that the jet is finite where it can fail.  A finite input
@@ -76,8 +77,7 @@ row of the points on those axes; run, given their jets and each point's
 row in them, runs the other entries only, reading those rows gathered
 to its points.  Each rule's arithmetic is per row, so the roots keep
 their bits.  A hoist that raises gives None, and the caller's runs
-raise the error they raise without it.  A caller that has checked its
-points are finite says so (checked=True), and the run skips that check.
+raise the error they raise without it.
 """
 from __future__ import annotations
 
@@ -171,9 +171,10 @@ class Tape:
     def __init__(self, roots, vars, orders):
         """Walk the roots largest space first (a stable sort); a node with a
         new key appends its entry after its children's (see _slot).
-        width is a run's peak of held jet columns: each entry's jet joins
-        those held, which then drop the slots it reads last (an unread
-        one, itself)."""
+        key is its structure: the node keys in walk order and the roots'
+        slots.  width is a run's peak of held jet columns: each entry's
+        jet joins those held, which then drop the slots it reads last (an
+        unread one, itself)."""
         if not isinstance(orders, tuple) or len(orders) != len(roots):
             raise ValueError("roots and orders must be tuples of one length")
         self.vars = vars = tuple(vars)
@@ -186,6 +187,7 @@ class Tape:
         table, entries, slots = {}, [], [None] * len(roots)
         for i in ranked:
             slots[i] = _slot(roots[i], vars, table, entries, spaces[i])
+        self.key = (*(k for k in table if type(k) is not int), tuple(slots))
         last = {k: i for i, entry in enumerate(entries)
                 for k in (i, *entry[KIDS])}
         dropped = [0] * len(entries)  # the columns each entry drops
@@ -202,19 +204,18 @@ class Tape:
         self.axes = tuple(entries[k][AXES] for k in slots)
         self._spaces = {entry[SPACE] for entry in entries}
 
-    def run(self, points, given=None, *, checked=False) -> list:
+    def run(self, points, given=None) -> list:
         """The roots' jets at an (npoints, nvars) array of points.  An
         entry's jet is checked for non-finite values when its rule raised
-        an IEEE flag, when its rule may not (Atan2, Antideriv, a Const that
-        is not finite), or when the points are not all finite, which a
-        caller that has checked them says by checked=True; so the error
-        raised is that of the first entry to go non-finite.  given =
-        (jets, rows), from hoist, takes those jets in place of running
-        their entries: row j of points reads row rows[j] of each."""
-        held = self._run(points, None, given, checked)
+        an IEEE flag, when it may not (Atan2, Antideriv, a Const that is
+        not finite), or when the points are not all finite: the error is
+        the first non-finite entry's.  given = (jets, rows), from hoist,
+        takes those jets in place of running their entries: row j of
+        points reads row rows[j] of each."""
+        held = self._run(points, None, given)
         return [held[k].to(space) for k, space in zip(self.slots, self.spaces)]
 
-    def hoist(self, points, axes, *, checked=False):
+    def hoist(self, points, axes):
         """given for run at points: the jets of the entries whose axes lie
         within axes, a frozenset of positions in vars, run once per
         distinct row of points[:, sorted(axes)] (_distinct_rows), at its
@@ -229,19 +230,19 @@ class Tape:
             entry[KIDS] for entry in self.entries if not entry[AXES] <= axes))
         first, rows = _distinct_rows(pts[:, sorted(axes)])
         try:
-            held = self._run(pts[first], part, None, checked)
+            held = self._run(pts[first], part, None)
         except Exception:
             return None
         return {i: held[i] if i in read else None for i in part}, rows
 
-    def _run(self, points, part, given, checked) -> list:
+    def _run(self, points, part, given) -> list:
         """The held jets after running the entries of part, all kept, or
         if part is None those of the whole tape, each dropped after its
         last read, with given's jets taken from it (see run)."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != len(self.vars):
             raise ValueError("points must have shape (npoints, nvars)")
-        every = not checked and not np.isfinite(pts).all()
+        every = not np.isfinite(pts).all()
         ctxs = {s: _Ctx(self.vars, pts, s) for s in self._spaces}
         held = [None] * len(self.entries)
         jets, rows = given or ({}, None)
@@ -276,52 +277,56 @@ def _slot(e, vars, table, tape, space) -> int:
     table maps id(node) and a node's key to its slot; the roots keep its
     nodes alive, and an FnApp its domain and inlined trees, so no id is
     reused.  An FnApp with a new key takes its inlined tree's slot, after
-    its arg's and its domain's.  An Antideriv's body, which
-    compose_antideriv evaluates on its own, is keyed in a table and tape
-    of its own, table[Antideriv], never run.  A Mul or Div that _fold
-    gives a constant operand reads only its other operand, and is keyed
-    by its type, the constant's side and bits and that operand's slot;
-    the constant is its rule's data, and gets no slot of its own.  A new
-    entry gets its axes, the positions in vars of its jet variables: a
-    Var's own, none for a Var not in vars or a Const, an Antideriv's
-    inner's and its ambient variables', and else its children's.  It is
-    evaluated in space restricted to its axes, and reads each child in
-    space restricted to the child's axes: a truncation of the child's
-    jet, which came from space or a larger root's space."""
+    its arg's and its domain's.  A Mul or Div that _fold gives a constant
+    operand reads only its other operand, and is keyed by its type, the
+    constant's side and bits and that operand's slot; the constant is its
+    rule's data, and gets no slot of its own.  An Antideriv reads only
+    its inner expression; its body compiles into a Tape of its own, its
+    rule's data, whose key ends its key.  A new entry gets its axes, the
+    positions in vars of its jet variables: a Var's own, none for a Var
+    not in vars or a Const, an Antideriv's inner's and its ambient
+    variables', and else its children's.  It is evaluated in space
+    restricted to its axes, and reads each child in space restricted to
+    the child's axes: a truncation of the child's jet, which came from
+    space or a larger root's space."""
     got = table.get(id(e))
     if got is None:
         if type(e) not in _RULES and type(e) is not FnApp:
             raise TypeError(f"cannot evaluate node of type {type(e).__name__}")
-        integral = type(e) is Antideriv
         fold = _fold(e)
         if fold is not None:
             side, value, data = fold
             kids = (_slot(e.children()[1 - side], vars, table, tape, space),)
             key = (type(e), side, value.hex(), kids)
+            rule = partial(_FOLDS[type(e), side], data)
+        elif type(e) is Antideriv:
+            kids = (_slot(e.inner, vars, table, tape, space),)
+            amb = tuple(v for v in vars if v in e.ambient_vars())
+            pos = tuple(map(vars.index, amb))
+            axes = tape[kids[0]][AXES].union(pos)
+            sub = _embed_tables(restrict(space, axes), pos)[0]
+            integrand = Tape((e.body,), ("s",) + amb, (sub,))
+            key = (type(e), e._key(e), kids, integrand.key)
+            rule = partial(_ev_antideriv, integrand)
         else:
-            kids = tuple([_slot(c, vars, table, tape, space) for c in
-                          ((e.inner,) if integral else e.children())])
+            kids = tuple([_slot(c, vars, table, tape, space)
+                          for c in e.children()])
             key = (type(e), e._key(e), kids)
-        if integral:
-            body = table.setdefault(Antideriv, ({}, []))
-            key += (_slot(e.body, vars, *body, space),)
+            rule = _RULES.get(type(e))
         got = table.get(key)
         if got is None and type(e) is FnApp:
             for tree in e.domain:
                 _slot(tree, vars, table, tape, space)
             got = table[key] = _slot(e.inlined, vars, table, tape, space)
         elif got is None:
-            axes = frozenset()
-            for k in kids:
-                axes |= tape[k][AXES]
-            if type(e) is Var and e.name in vars:
-                axes = frozenset((vars.index(e.name),))
-            elif integral:
-                axes |= {vars.index(v) for v in e.ambient_vars() if v in vars}
+            if type(e) is not Antideriv:
+                axes = frozenset()
+                for k in kids:
+                    axes |= tape[k][AXES]
+                if type(e) is Var and e.name in vars:
+                    axes = frozenset((vars.index(e.name),))
             got = table[key] = len(tape)
-            tape.append([e, _RULES[type(e)] if fold is None else
-                         partial(_FOLDS[type(e), side], data),
-                         kids, restrict(space, axes), [], axes,
+            tape.append([e, rule, kids, restrict(space, axes), [], axes,
                          [restrict(space, tape[k][AXES]) for k in kids],
                          type(e) in (Atan2, Antideriv) or (  # see Tape.run
                              type(e) is Const and not math.isfinite(e.value))])
@@ -500,38 +505,33 @@ def _distinct_rows(a: np.ndarray):
     return order[new], inv
 
 
-def compose_antideriv(node: Antideriv, G: JetBatch, vars: tuple[str, ...],
-                      points: np.ndarray) -> JetBatch:
+def compose_antideriv(node: Antideriv, integrand: Tape, G: JetBatch,
+                      vars: tuple[str, ...], points: np.ndarray) -> JetBatch:
     """Jet of the antiderivative as a function of the ambient variables,
-    given the jet G of the upper limit at the same points.  The integrand
-    runs on points of s and its ambient variables in vars order; a space
-    with a monomial in s is refused, since that s is the integrand's.
-    Its tape is compiled once per call.  Where it has ambient variables,
-    the ambient pass hoists the entries in those alone (Tape.hoist) at
-    the rows of the integrals whose upper limit is not the base, the
-    rows gauss_kronrod samples, and each quadrature level reads them by
-    its samples' rows; where the pass raises, the levels run the whole
-    tape, so the error is that of the first level to fail."""
-    space = G.space
-    n = space.order
-    npts = points.shape[0]
+    given the jet G of the upper limit at the same points and integrand,
+    the body's tape from _slot: in s and the ambient variables, in G's
+    space restricted to them.  A space with a monomial in s is refused,
+    since that s is the integrand's.  The ambient pass hoists the entries
+    in the ambient variables alone (Tape.hoist) at the rows whose upper
+    limit is not the base, which gauss_kronrod samples, and each level
+    reads them by its samples' rows; where the pass raises, the levels
+    run the whole tape, so the error is that of the first to fail."""
+    space, n, npts = G.space, G.space.order, points.shape[0]
     if "s" in vars and restrict(space, (vars.index("s"),)).order >= 1:
         raise ValueError(
             f"cannot differentiate {node!r} inside an integrand: its "
             f"variable 's' is already a jet variable there")
-    ambient_vars = node.ambient_vars()
-    for v in ambient_vars:
+    for v in node.ambient_vars():
         if v not in vars:
             raise ValueError(f"ambient variable {v!r} unavailable for integrand")
-    amb = tuple(v for v in vars if v in ambient_vars)
-    pos = [vars.index(v) for v in amb]
+    amb = integrand.vars[1:]
+    pos = tuple(map(vars.index, amb))
     # One row per distinct (upper limit, ambient values): the jet depends
     # on nothing else, and its coefficients in other variables are 0.
     keys = np.column_stack([G.value, points[:, pos]])
     first, inv = _distinct_rows(keys)
     rows = keys[first]
-    sub, joint, lift, tables = _embed_tables(space, tuple(pos))
-    tape = Tape((node.body,), ("s",) + amb, (sub,))
+    _, joint, lift, tables = _embed_tables(space, pos)
     hoisted = None
     if amb:
         # Only rows whose upper limit is not the base are sampled.  No
@@ -539,7 +539,7 @@ def compose_antideriv(node: Antideriv, G: JetBatch, vars: tuple[str, ...],
         live = np.flatnonzero(rows[:, 0] != node.base)
         pts = rows[live]
         pts[:, 0] = node.base
-        hoisted = tape.hoist(pts, frozenset(range(1, len(amb) + 1)))
+        hoisted = integrand.hoist(pts, frozenset(range(1, len(amb) + 1)))
     if hoisted is not None:
         row = np.zeros(rows.shape[0], dtype=np.intp)
         row[live] = hoisted[1]
@@ -547,7 +547,7 @@ def compose_antideriv(node: Antideriv, G: JetBatch, vars: tuple[str, ...],
     def f(svals, r):
         pts = np.column_stack([svals, rows[r, 1:]])
         given = None if hoisted is None else (hoisted[0], row[r])
-        return tape.run(pts, given)[0].coef
+        return integrand.run(pts, given)[0].coef
 
     Q = gauss_kronrod(f, np.full(rows.shape[0], node.base), rows[:, 0],
                        node.tol)
@@ -569,8 +569,8 @@ def compose_antideriv(node: Antideriv, G: JetBatch, vars: tuple[str, ...],
     return JetBatch(space, A)
 
 
-def _ev_antideriv(e: Antideriv, ctx, G):
-    return compose_antideriv(e, G.to(ctx.space), ctx.vars, ctx.points)
+def _ev_antideriv(tape, e: Antideriv, ctx, G):  # e.body's tape, from _slot
+    return compose_antideriv(e, tape, G.to(ctx.space), ctx.vars, ctx.points)
 
 
 _RULES = {

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import GuardError
 from .evaluate import Tape, eval_jet_batch, eval_values
 from .expr import VARS4, Expr
 from .jets import jet_space
@@ -119,9 +120,8 @@ def _fields_tape(sol: Solution) -> Tape:
 
 def _residuals(tape: Tape, points, given=None):
     """The (n, 5) residuals at points, and the rows where |rho| < LOW_RHO,
-    whose r4 and r5 are NaN; given as Tape.run takes it.  The points are
-    finite: a Grid's, or checked by _explicit."""
-    jp, ju, jv, jw = tape.run(points, given, checked=True)
+    whose r4 and r5 are NaN; given as Tape.run takes it."""
+    jp, ju, jv, jw = tape.run(points, given)
 
     unit = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     u, v, w = ju.value, jv.value, jw.value
@@ -175,13 +175,13 @@ def residual_scan(sol: Solution, grid) -> ResidualReport:
     live = pts[in_domain_mask(sol, pts)]
     n = live.shape[0]
     if n == 0:
-        raise ValueError("no in-guard points in grid")
+        raise GuardError("no in-guard points in grid")
 
     tape = _fields_tape(sol)
     blocks = np.array_split(live, -(-n // max(1, BUDGET // tape.width)))
     given = [None] * len(blocks)
     if len(blocks) > 1:  # in one block, each entry runs once anyway
-        hoisted = tape.hoist(live, T_AXES, checked=True)
+        hoisted = tape.hoist(live, T_AXES)
         if hoisted is not None:
             given = [(hoisted[0], rows)
                      for rows in np.array_split(hoisted[1], len(blocks))]

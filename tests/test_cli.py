@@ -609,6 +609,16 @@ def test_overflow_in_evaluation_prints_only_the_error(tmp_path):
     assert [str(w.message) for w in caught] == []
 
 
+def test_a_grid_with_no_in_guard_point_is_a_user_error(tmp_path):
+    # The axis guard's threshold excludes the whole grid: a GuardError,
+    # reported as the user's error, not as a fault in seaconv.
+    desc = write(tmp_path, "noguard.desc",
+                 VORTEX_CFG + "guard = x^2+y^2; 1e9\n")
+    code, out, err = run(["verify", "--descriptor", desc,
+                          "--grid", "t=0:1:3,x=-1:1:5,y=-1:1:5,z=0:1:3"])
+    assert (code, out, err) == (2, "", "error: no in-guard points in grid\n")
+
+
 def test_a_body_that_leaves_its_domain_names_its_substituted_node(tmp_path):
     desc = write(tmp_path, "dom.desc", "family = theorem_3_1\n"
                  "alpha(t) = t^2 / 2\nIm(s) = log(s - 3)\n")

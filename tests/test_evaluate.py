@@ -418,10 +418,10 @@ def test_no_entry_is_an_fnapp_and_no_run_nests_outside_an_integral(
     nested, integrands, run = [], [0], evaluate.Tape.run
     compose = evaluate.compose_antideriv
 
-    def counted(t, points, given=None, *, checked=False):
+    def counted(t, points, given=None):
         if t is not tape and not integrands[0]:
             nested.append(t)
-        return run(t, points, given, checked=checked)
+        return run(t, points, given)
 
     def integrand(*args):
         integrands[0] += 1
@@ -633,7 +633,7 @@ def test_an_fnapp_of_a_bound_variable_still_evaluates():
 # when the run's points are not all finite; the loop below checks every
 # entry, as runs did before, and must agree with it.
 
-def checking_every_entry(tape, points, part, given, checked):
+def checking_every_entry(tape, points, part, given):
     """Tape._run with each jet checked after its entry, under the
     caller's error state: the jets held after running part's entries,
     all kept, or if part is None the whole tape's, each dropped after its

@@ -1,6 +1,7 @@
 """Adaptive Gauss-Kronrod quadrature and the antiderivative node."""
 
 import math
+import operator
 from unittest import mock
 
 import numpy as np
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 from conftest import partial_at
 from seaconv import evaluate, quadrature
 from seaconv.errors import EvalDomainError, QuadratureError
-from seaconv.evaluate import eval_jet, eval_jet_batch, eval_values
-from seaconv.expr import FnApp, FnContext, ParamFn, Var, diff, mul
+from seaconv.evaluate import NODE, eval_jet, eval_jet_batch, eval_values
+from seaconv.expr import (Add, Const, FnApp, FnContext, ParamFn, Var, diff,
+                          mul)
 from seaconv.families import build_theorem_4_2, build_theorem_4_3
 from seaconv.jets import JetBatch, jet_space, restrict
 from seaconv.parser import parse_expr, parse_paramfn
@@ -462,6 +464,36 @@ def test_integrals_are_equal_only_when_their_fields_are():
     assert f(a) != f(b) and f(a) == f(twin)
 
 
+def test_an_integral_entry_is_keyed_by_its_compiled_integrand(monkeypatch):
+    # Structurally equal integrals that are distinct objects share one
+    # entry and integrate once; bodies that differ only in a zero's sign
+    # (equal as nodes), or a base or a tolerance that differs in its
+    # bits, do not.
+    def node(zero=0.0, base=0.0, tol=1e-10):
+        body = Add(parse_expr("s * exp(t)", allowed=("s", "t")), Const(zero))
+        return Antideriv(body, Var("x"), base, tol)
+
+    pts = np.array([[0.3, 1.2, 0.0, 0.0], [0.7, -0.4, 0.0, 0.0]])
+    alone = eval_jet_batch(node(), V4, pts, 1).coef
+    compose, calls = evaluate.compose_antideriv, []
+    monkeypatch.setattr(evaluate, "compose_antideriv",
+                        lambda *args: calls.append(args[0]) or compose(*args))
+    for other, shared in ((node(), True), (node(zero=-0.0), False),
+                          (node(base=-0.0), False),
+                          (node(tol=math.nextafter(1e-10, 1.0)), False)):
+        calls.clear()
+        first = node()
+        tape = evaluate.Tape((Add(first, other),), V4, (1,))
+        got = tape.run(pts)[0].coef
+        integrals = [entry[NODE] for entry in tape.entries
+                     if type(entry[NODE]) is Antideriv]
+        want = [first] if shared else [first, other]
+        assert len(integrals) == len(calls) == len(want)
+        assert all(map(operator.is_, integrals + calls, want + want))
+        if shared:
+            assert got.tobytes() == (alone + alone).tobytes()
+
+
 def test_integrand_slices_leave_coefficients_and_samples_unchanged(
         monkeypatch):
     # 1500 distinct upper limits: the first level alone asks for 15 * 1500
@@ -529,15 +561,17 @@ def test_a_t_only_integrand_runs_in_1_and_t_under_p_space(monkeypatch):
     assert np.allclose(got.coef, full.coef[:, cols], rtol=1e-12, atol=1e-12)
 
 
-# The integrand's tape: compiled once per compose_antideriv call, its
-# entries in the ambient variables alone run once at the distinct ambient
-# rows, and each level reads them by its samples' rows.  Each rule acts
-# row by row, so every jet keeps the bits of a run of the whole tape.
+# The integrand's tape: compiled once with the tape that holds its
+# integral, its entries in the ambient variables alone run once at the
+# distinct ambient rows, and each level reads them by its samples' rows.
+# Each rule acts row by row, so every jet keeps the bits of a run of the
+# whole tape.
 
-def fresh_per_call(node, G, vars, points):
+def fresh_per_call(node, integrand, G, vars, points):
     """The reference of evaluate.compose_antideriv: each call of the
     integrand, per level or slice of a level, is a fresh eval_jet_batch,
-    which compiles and runs the whole integrand."""
+    which compiles and runs the whole integrand; the compiled integrand
+    goes unread."""
     space, npts = G.space, points.shape[0]
     if "s" in vars and restrict(space, (vars.index("s"),)).order >= 1:
         raise ValueError(f"cannot differentiate {node!r} inside an "
@@ -612,8 +646,8 @@ def test_an_ambient_factor_that_fails_only_where_nothing_is_integrated():
                     [2.0, -1.0, 0.0, 0.0]])
     hoist, passes = evaluate.Tape.hoist, []
 
-    def recorded(tape, points, axes, *, checked=False):
-        out = hoist(tape, points, axes, checked=checked)
+    def recorded(tape, points, axes):
+        out = hoist(tape, points, axes)
         passes.append(distinct(points, axes)[:, 1].tolist())
         return out
 
@@ -650,37 +684,43 @@ def test_an_ambient_factor_that_fails_on_a_live_row_raises_as_before(order):
 def test_an_integral_compiles_its_integrand_once_and_runs_each_sample_once(
         instance_matrix, monkeypatch):
     # theorem_4_2[growing]'s pressure holds one integral, whose integrand
-    # reads t.  Its compose_antideriv call compiles one tape in the sub
-    # space and one for the joint jet B; its ambient pass runs once, on
-    # the distinct times of its rows; and the sub tape's runs take every
-    # sample gauss_kronrod asks for, in order, once.
+    # reads t.  The fields' compile compiles its integrand, nested, in the
+    # sub space; its compose_antideriv call runs that tape and compiles
+    # only the joint jet B's.  Its ambient pass runs once, on the distinct
+    # times of its rows; and the sub tape's runs take every sample
+    # gauss_kronrod asks for, in order, once.
     [(sol, grid)] = [(s, g) for n, s, g, _ in instance_matrix
                      if n == "theorem_4_2[growing]"]
-    tape, pts = _fields_tape(sol), grid.points()
+    pts = grid.points()
     pts = pts[in_domain_mask(sol, pts)]
-    Tape, calls = evaluate.Tape, []
+    Tape, calls, compiles, depth = evaluate.Tape, [], [], [0]
     compose, init, run, hoist, feval = (
         evaluate.compose_antideriv, Tape.__init__, Tape.run, Tape.hoist,
         quadrature._feval)
 
-    def traced(node, G, vars, points):
-        calls.append(dict(node=node, G=G, vars=vars, compiles=[], runs=[],
-                          parts=[], asked=[]))
-        return compose(node, G, vars, points)
+    def traced(node, integrand, G, vars, points):
+        calls.append(dict(node=node, integrand=integrand, G=G, vars=vars,
+                          compiles=[], runs=[], parts=[], asked=[]))
+        return compose(node, integrand, G, vars, points)
 
     def compiled(t, roots, vars, orders):
-        calls[-1]["compiles"].append((tuple(vars), orders))
-        init(t, roots, vars, orders)
+        (calls[-1]["compiles"] if calls else compiles).append(
+            (t, tuple(vars), orders, depth[0]))
+        depth[0] += 1
+        try:
+            init(t, roots, vars, orders)
+        finally:
+            depth[0] -= 1
 
-    def ran(t, points, given=None, *, checked=False):
+    def ran(t, points, given=None):
         if t is not tape:
             calls[-1]["runs"].append((t, points[:, 0].copy(),
                                       given is not None))
-        return run(t, points, given, checked=checked)
+        return run(t, points, given)
 
-    def hoisted(t, points, axes, *, checked=False):
+    def hoisted(t, points, axes):
         calls[-1]["parts"].append((t, distinct(points, axes)))
-        return hoist(t, points, axes, checked=checked)
+        return hoist(t, points, axes)
 
     def asked(f, svals, rows):
         calls[-1]["asked"].append(svals)
@@ -691,6 +731,7 @@ def test_an_integral_compiles_its_integrand_once_and_runs_each_sample_once(
                             (Tape, "hoist", hoisted),
                             (quadrature, "_feval", asked)):
         monkeypatch.setattr(owner, name, fn)
+    tape = _fields_tape(sol)
     tape.run(pts)
     monkeypatch.undo()
     [call] = calls
@@ -701,14 +742,17 @@ def test_an_integral_compiles_its_integrand_once_and_runs_each_sample_once(
         np.column_stack([G.value, pts[:, t]]))[0])
     ntimes = len(evaluate._distinct_rows(pts[:, [t]])[0])
     sub, joint, _, _ = evaluate._embed_tables(G.space, (t,))
-    assert call["compiles"] == [(("s", "t"), (sub,)), (("s", "t"), (joint,))]
+    [(outer, _, _, top), (integrand, *nested)] = compiles
+    assert outer is tape and top == 0 and integrand is call["integrand"]
+    assert nested == [("s", "t"), (sub,), 1]
+    assert [c[1:] for c in call["compiles"]] == [(("s", "t"), (joint,), 0)]
     [(part_tape, part_pts)] = call["parts"]
-    assert part_tape.spaces == (sub,) and len(part_pts) == ntimes
-    levels = [r for r in call["runs"] if r[0] is part_tape]
+    assert part_tape is integrand and len(part_pts) == ntimes
+    levels = [r for r in call["runs"] if r[0] is integrand]
     assert all(given for _, _, given in levels)
     got = np.concatenate([s for _, s, _ in levels])
     assert got.tobytes() == np.concatenate(call["asked"]).tobytes()
-    [(_, at, _)] = [r for r in call["runs"] if r[0] is not part_tape]
+    [(_, at, _)] = [r for r in call["runs"] if r[0] is not integrand]
     assert len(at) == nrows
     # The samples and the joint jet's rows of this instance's one integral
     # (the benchmark's tracer counts only the latter, through

@@ -20,6 +20,7 @@ from seaconv.families import (build_prop_4_1, build_theorem_2_1,
                               harmonic_poly, rigid_rotation)
 from seaconv.jets import JetSpace
 from seaconv.parser import parse_expr
+from seaconv.quadrature import Antideriv
 from seaconv.solution import Guard, assert_in_domain, in_domain_mask
 from seaconv.verify import (EQ_NAMES, P_SPACE, EqStat, Grid,
                             ResidualReport, check_harmonic,
@@ -188,9 +189,9 @@ def test_scan_rejects_fully_excluded_grid():
     sol = build_theorem_3_1(alpha=0.0, Im="s")
     g = Grid(t=(0.0, 1.0, 3), x=(0.0, 0.0, 1), y=(0.0, 0.0, 1),
              z=(-1.0, 0.0, 3))
-    with pytest.raises(ValueError) as exc:
+    with pytest.raises(GuardError) as exc:
         residual_scan(sol, g)
-    assert "in-guard" in str(exc.value)
+    assert str(exc.value) == "no in-guard points in grid"
 
 
 def chunkwise_report(sol, live, total, chunk):
@@ -548,13 +549,21 @@ def test_a_guard_that_cannot_be_evaluated_raises_its_domain_error():
 
 def test_a_scan_compiles_its_fields_once(instance_matrix, monkeypatch):
     """Over a scan of several blocks, and of one block: the fields'
-    roots compile once, and no tape compiles while one runs, except an
-    Antideriv's integrand, which compose_antideriv compiles per
-    quadrature level."""
+    roots compile once, and with them, nested, the Antideriv's
+    integrand; no tape compiles while one runs, except the joint jet of
+    the integrand, once per compose_antideriv call; and the integrand's
+    body is walked only by those compiles, no other."""
     name = "theorem_4_2[growing]"
     [(sol, grid)] = [(s, g) for n, s, g, _ in instance_matrix if n == name]
-    depth = {"integrand": 0, "running": 0}
-    compiles = []
+    stack, integrals = [sol.p], {}
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Antideriv):
+            integrals[id(e)] = e
+        stack.extend(e.children())
+    [integral] = integrals.values()
+    depth = {"integrand": 0, "running": 0, "compiling": 0}
+    compiles, calls, walks = [], [], []
 
     def nested(fn, attr):
         def wrapped(*args, **kwargs):
@@ -565,34 +574,55 @@ def test_a_scan_compiles_its_fields_once(instance_matrix, monkeypatch):
                 depth[attr] -= 1
         return wrapped
 
-    compile_ = evaluate.Tape.__init__
+    compile_, compose, slot = (evaluate.Tape.__init__,
+                               evaluate.compose_antideriv, evaluate._slot)
 
     def counted(tape, roots, vars, orders):
         compiles.append(dict(roots=roots, **depth))
-        return compile_(tape, roots, vars, orders)
+        nested(compile_, "compiling")(tape, roots, vars, orders)
+
+    def called(*args):
+        calls.append(args)
+        return compose(*args)
+
+    def slotted(e, *args):
+        if e is integral.body:
+            walks.append(e)
+        return slot(e, *args)
 
     monkeypatch.setattr(evaluate.Tape, "__init__", counted)
     monkeypatch.setattr(evaluate.Tape, "run",
                         nested(evaluate.Tape.run, "running"))
     monkeypatch.setattr(evaluate, "compose_antideriv",
-                        nested(evaluate.compose_antideriv, "integrand"))
+                        nested(called, "integrand"))
+    monkeypatch.setattr(evaluate, "_slot", slotted)
     fields = (sol.p, sol.u, sol.v, sol.w)
     guards = [g.expr for g in sol.guards]
 
     def same(roots, exprs):  # the same objects, in the same order
         return len(roots) == len(exprs) and all(map(operator.is_, roots, exprs))
 
-    for budget in (verify.BUDGET, 1 << 40):
-        compiles.clear()
+    for budget, several in ((verify.BUDGET, True), (1 << 40, False)):
+        del compiles[:], calls[:], walks[:]
         monkeypatch.setattr(verify, "BUDGET", budget)
         residual_scan(sol, refined(grid))
-        assert any(c["integrand"] for c in compiles), budget
-        outside = [c for c in compiles if not c["integrand"]]
+        assert (len(calls) > 1) == several, budget
+        outside = [c for c in compiles
+                   if not (c["integrand"] or c["compiling"])]
         assert not any(c["running"] for c in outside), budget
         assert sum(same(c["roots"], fields) for c in outside) == 1, budget
         rest = [c for c in outside if not same(c["roots"], fields)]
         assert all(any(same(c["roots"], (g,)) for g in guards)
                    for c in rest), budget
+        [inner] = [c for c in compiles if c["compiling"]]
+        assert same(inner["roots"], (integral.body,))
+        assert same(compiles[compiles.index(inner) - 1]["roots"], fields)
+        assert not inner["integrand"] and not inner["running"], budget
+        joint = [c for c in compiles if c["integrand"]]
+        assert len(joint) == len(calls), budget
+        assert all(same(c["roots"], (integral.body,)) and c["running"]
+                   for c in joint), budget
+        assert len(walks) == 1 + len(joint), budget
 
 
 @pytest.mark.parametrize("step", [0.0, -1e-4, float("nan"), float("inf")])
